@@ -52,15 +52,6 @@ independent workload runs over N worker processes) and ``--cache DIR``
 workload/config pairs execute nothing and print byte-identical
 output).  Both are handled by :mod:`repro.runner`; a summary line with
 the hit/miss/execution counts goes to stderr.
-
-``analyze``, ``optimize``, ``table3``, ``sensitivity``, and ``bench``
-additionally accept ``--pipeline {off,on,auto}`` (run the interpret
-stage on a producer thread overlapped with simulate/sample — see
-docs/performance.md; byte-identical output in every mode) and
-``--trace-store DIR`` (content-addressed on-disk trace store:
-interpret once, replay on every later run with the same key — the
-warm-run skip counts ride the stderr stats line).  ``repro cache
---stats`` reports on both content-addressed stores.
 """
 
 from __future__ import annotations
@@ -128,46 +119,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
                              "path); output is byte-identical")
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """``--pipeline``/``--trace-store``: the streaming-engine knobs."""
-    parser.add_argument("--pipeline", choices=["off", "on", "auto"],
-                        default="off",
-                        help="overlap the interpret stage with "
-                             "simulate/sample on a producer thread "
-                             "('auto': only with >1 CPU); output is "
-                             "byte-identical in every mode")
-    parser.add_argument("--trace-store", metavar="DIR", dest="trace_store",
-                        default=None,
-                        help="content-addressed on-disk trace store: "
-                             "interpret each (program, layout, threads) "
-                             "once, replay the stored trace on every "
-                             "later run with the same key")
-
-
-def _sim_workers_token(token: str) -> str:
-    """argparse type for ``--sim-workers``: validate, keep the token."""
-    from .memsim.shard import resolve_sim_workers
-
-    resolve_sim_workers(token)
-    return token
-
-
-def _add_sim_workers_arg(parser: argparse.ArgumentParser) -> None:
-    """``--sim-workers``: the set-sharded parallel cache walk."""
-    parser.add_argument("--sim-workers", metavar="N", dest="sim_workers",
-                        type=_sim_workers_token, default=None,
-                        help="shard the batched cache walk across N "
-                             "persistent forked workers (0 = serial; "
-                             "'auto' = one per effective CPU, up to 8, "
-                             "serial on one CPU; default: "
-                             "$REPRO_SIM_WORKERS or 0). Counts snap down "
-                             "to a power of two the cache geometry "
-                             "admits; ineligible configurations "
-                             "(multi-core, prefetcher, TLB, random "
-                             "replacement) fall back to the serial walk. "
-                             "Output is byte-identical in every mode")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -192,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record spans/metrics and export them to DIR")
         _add_engine_arg(p)
-        _add_pipeline_args(p)
-        _add_sim_workers_arg(p)
         _add_observability_args(p)
         if name == "optimize":
             _add_runner_args(p)
@@ -250,8 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON instead of the tables")
     _add_engine_arg(p)
-    _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
@@ -283,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.25,
                    help="allowed fractional throughput regression for "
                         "--check (default: 0.25)")
-    _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_observability_args(p)
 
     p = sub.add_parser(
@@ -368,24 +313,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--periods", type=int, nargs="+",
                    default=[127, 509, 2003, 8009, 32003])
-    _add_pipeline_args(p)
-    _add_sim_workers_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
     p = sub.add_parser(
         "cache",
-        help="statistics for the content-addressed stores: the runner's "
-             "result cache and the interpret-once trace store",
+        help="statistics for the runner's content-addressed result cache",
     )
     p.add_argument("--stats", action="store_true",
-                   help="print entry counts, byte totals, and budgets "
+                   help="print entry count and byte total "
                         "(the default and only action)")
-    p.add_argument("--cache", metavar="DIR", default=None,
+    p.add_argument("--cache", metavar="DIR", required=True,
                    help="result-cache directory to report on")
-    p.add_argument("--trace-store", metavar="DIR", dest="trace_store",
-                   default=None,
-                   help="trace-store directory to report on")
 
     p = sub.add_parser("summary", help="regenerate the complete evaluation")
     p.add_argument("--scale", type=float, default=1.0)
@@ -400,10 +339,7 @@ def _monitored_run(args):
     workload = _ZOO[args.workload](scale=args.scale)
     period = args.period or workload.recommended_period
     monitor = Monitor(sampling_period=period,
-                      engine=getattr(args, "engine", "batched"),
-                      pipeline=getattr(args, "pipeline", "off"),
-                      trace_store=getattr(args, "trace_store", None),
-                      sim_workers=getattr(args, "sim_workers", None))
+                      engine=getattr(args, "engine", "batched"))
     bound = workload.build_original()
     run = monitor.run(bound, num_threads=workload.num_threads)
     return workload, monitor, run, bound
@@ -506,78 +442,25 @@ def _runner_stats(args):
     return None
 
 
-def _pipeline_params(args, params: dict) -> dict:
-    """Fold non-default ``--pipeline``/``--trace-store`` into task params.
-
-    Defaults are omitted so existing result-cache keys are untouched by
-    the flags' existence.
-    """
-    pipeline = getattr(args, "pipeline", "off")
-    if pipeline != "off":
-        params["pipeline"] = pipeline
-    trace_store = getattr(args, "trace_store", None)
-    if trace_store:
-        params["trace_store"] = str(trace_store)
-    sim_workers = getattr(args, "sim_workers", None)
-    if sim_workers not in (None, 0, "0"):
-        params["sim_workers"] = str(sim_workers)
-    return params
-
-
-def _trace_store_summary(args):
-    """(summary line, counters) for this process's trace-store activity,
-    or (None, None) when no ``--trace-store`` was in play or nothing
-    happened."""
-    if not getattr(args, "trace_store", None):
-        return None, None
-    from .program.store import session_counters
-
-    counters = session_counters()
-    if not (counters["replays"] or counters["captures"]):
-        return None, None
-    line = (
-        f"trace store: {counters['replays']} replay(s), "
-        f"{counters['captures']} capture(s), "
-        f"{counters['interpret_skipped']:,} accesses interpret-skipped"
-    )
-    if counters["errors"]:
-        line += f", {counters['errors']} damaged file(s) re-interpreted"
-    return line, counters
-
-
 def _print_runner_stats(stats, args=None) -> None:
     """One stderr line with the runner's hit/miss/execution counts.
 
     stderr so machine-readable stdout (``--json``) stays clean and cold
     vs warm runs diff clean; CI greps this line to prove a warm cache
     re-run executed nothing.  The line also rides the event bus (for
-    the JSONL stream / flight recorder) and honors ``--quiet``.  When a
-    trace store was in play its replay/capture counts ride the same
-    line — the warm-run proof that interpret work was skipped.
+    the JSONL stream / flight recorder) and honors ``--quiet``.
     """
-    trace_line, trace_counters = _trace_store_summary(args)
-    if stats is None and trace_line is None:
+    if stats is None:
         return
-    parts = []
-    if stats is not None:
-        parts.append(stats.describe())
-    if trace_line is not None:
-        parts.append(trace_line)
-    summary = "; ".join(parts)
+    summary = stats.describe()
     from .telemetry import events
 
     bus = events.bus()
     if bus.active:
         # The ProgressReporter subscriber relays the summary to stderr.
-        payload = {"summary": summary}
-        if stats is not None:
-            payload.update(tasks=stats.tasks, hits=stats.cache_hits,
-                           misses=stats.cache_misses, executed=stats.executed)
-        if trace_counters is not None:
-            payload.update(replays=trace_counters["replays"],
-                           captures=trace_counters["captures"],
-                           interpret_skipped=trace_counters["interpret_skipped"])
-        bus.publish("task-finish", kind="runner-stats", **payload)
+        bus.publish("task-finish", kind="runner-stats", summary=summary,
+                    tasks=stats.tasks, hits=stats.cache_hits,
+                    misses=stats.cache_misses, executed=stats.executed)
     elif not getattr(args, "quiet", False):
         print(summary, file=sys.stderr)
 
@@ -669,7 +552,6 @@ def _cmd_analyze(args, out) -> int:
         if check_result is not None:
             print(file=out)
             print(check_result.render(), file=out)
-    _print_runner_stats(None, args)
     if check_result is not None and not check_result.ok:
         return 1
     return 0
@@ -781,7 +663,6 @@ def _cmd_optimize(args, out) -> int:
             )
     print(report.render(), file=out)
     _maybe_write_package(args, report, workload, run, out)
-    _print_runner_stats(None, args)
     if safety is not None:
         print(file=out)
         for name in sorted(safety.verdicts):
@@ -816,7 +697,6 @@ def _cmd_optimize_via_runner(args, out) -> int:
     stats = _runner_stats(args)
     params = {"scale": args.scale, "period": args.period,
               "engine": getattr(args, "engine", "batched")}
-    _pipeline_params(args, params)
     spec = TaskSpec(
         kind="optimize-report",
         name=args.workload,
@@ -861,10 +741,7 @@ def _cmd_table3(args, out) -> int:
     with _telemetry_scope(args, out):
         results = run_all(scale=args.scale, jobs=args.jobs,
                           cache=args.cache, runner_stats=stats,
-                          engine=getattr(args, "engine", "batched"),
-                          pipeline=getattr(args, "pipeline", "off"),
-                          trace_store=getattr(args, "trace_store", None),
-                          sim_workers=getattr(args, "sim_workers", None))
+                          engine=getattr(args, "engine", "batched"))
     _print_runner_stats(stats, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)
@@ -884,10 +761,7 @@ def _cmd_bench(args, out) -> int:
         print(history.render_trend(entries, history_dir=args.history),
               file=out)
         return 0
-    result = run_bench(quick=args.quick,
-                       pipeline=getattr(args, "pipeline", "off"),
-                       trace_store=getattr(args, "trace_store", None),
-                       sim_workers=getattr(args, "sim_workers", None))
+    result = run_bench(quick=args.quick)
     path, entry = history.record_entry(
         args.history, result, sha=history.git_sha()
     )
@@ -1041,9 +915,7 @@ def _cmd_sensitivity(args, out) -> int:
     workload = TABLE2_WORKLOADS[args.workload](scale=args.scale)
     points = sweep_sampling_period(
         workload, args.periods, jobs=args.jobs, cache=args.cache,
-        runner_stats=stats, pipeline=getattr(args, "pipeline", "off"),
-        trace_store=getattr(args, "trace_store", None),
-        sim_workers=getattr(args, "sim_workers", None),
+        runner_stats=stats,
     )
     _print_runner_stats(stats, args)
     print(sensitivity_table(workload.name, points).render(), file=out)
@@ -1051,27 +923,14 @@ def _cmd_sensitivity(args, out) -> int:
 
 
 def _cmd_cache(args, out) -> int:
-    """``repro cache --stats``: both content-addressed stores at a glance."""
-    if not args.cache and not args.trace_store:
-        print("nothing to report: pass --cache DIR and/or --trace-store DIR",
-              file=out)
-        return 2
-    if args.cache:
-        from pathlib import Path
+    """``repro cache --stats``: the result cache at a glance."""
+    from pathlib import Path
 
-        directory = Path(args.cache)
-        entries = list(directory.glob("*.json")) if directory.is_dir() else []
-        total = sum(p.stat().st_size for p in entries)
-        print(f"result cache {directory}: {len(entries)} entries, "
-              f"{total:,} bytes", file=out)
-    if args.trace_store:
-        from .program.store import TraceStore
-
-        stats = TraceStore(args.trace_store).stats()
-        print(f"trace store {stats['root']}: {stats['entries']} traces, "
-              f"{stats['bytes']:,} bytes "
-              f"(budget {stats['max_bytes']:,}, LRU-evicted past it)",
-              file=out)
+    directory = Path(args.cache)
+    entries = list(directory.glob("*.json")) if directory.is_dir() else []
+    total = sum(p.stat().st_size for p in entries)
+    print(f"result cache {directory}: {len(entries)} entries, "
+          f"{total:,} bytes", file=out)
     return 0
 
 

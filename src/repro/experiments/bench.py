@@ -71,37 +71,8 @@ def run_bench(
     *,
     quick: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    pipeline: str = "off",
-    trace_store: Optional[str] = None,
-    sim_workers=None,
 ) -> Dict[str, object]:
-    """Measure both engines and return the BENCH json payload.
-
-    ``pipeline`` runs the end-to-end measurement with the interpret
-    stage on a producer thread; ``trace_store`` routes it through the
-    interpret-once trace store (the first repeat captures, later ones
-    replay).  Either way the payload grows an ``end_to_end.pipeline``
-    rollup — per-stage busy and stall clocks plus the overlap estimate
-    — because once stages overlap, the isolated per-layer walls no
-    longer sum to the end-to-end wall and attribution must say so.
-
-    ``sim_workers`` (an int, ``"auto"``, or None for the
-    ``$REPRO_SIM_WORKERS`` default) shards the *batched* simulate and
-    end-to-end measurements across persistent forked cache workers;
-    the payload then carries a top-level ``sim_workers`` count and an
-    ``end_to_end.workers`` per-worker busy/imbalance rollup from the
-    best repeat.  Serial runs keep the legacy payload byte for byte.
-    """
-    from ..engine import PipelineStats, pipelined, resolve_mode
-    from ..engine import shard as shard_engine
-    from ..memsim import shard as shardplan
-
-    pipe_on = resolve_mode(pipeline)
-    store = None
-    if trace_store is not None:
-        from ..program.store import TraceStore
-
-        store = TraceStore(trace_store)
+    """Measure both engines and return the BENCH json payload."""
     bus = events.bus()
 
     def say(message: str) -> None:
@@ -121,23 +92,6 @@ def run_bench(
 
     def hierarchy() -> MemoryHierarchy:
         return MemoryHierarchy(HierarchyConfig(), workload.num_threads)
-
-    workers = shardplan.resolve_sim_workers(
-        sim_workers, config=HierarchyConfig(), num_cores=workload.num_threads
-    )
-    if workers >= 2 and not shard_engine.shard_mode_available():
-        workers = 0
-    worker_runs: List[Tuple[float, Dict[str, object]]] = []
-
-    def batched_hierarchy():
-        """The hierarchy the batched measurements walk: sharded when
-        ``sim_workers`` resolved to a real worker count, serial
-        otherwise (identical results either way)."""
-        if workers >= 2:
-            return shard_engine.ShardedHierarchy(
-                HierarchyConfig(), workload.num_threads, workers
-            )
-        return hierarchy()
 
     def sampler() -> PEBSLoadLatencySampler:
         return PEBSLoadLatencySampler(period, seed=0)
@@ -176,12 +130,7 @@ def run_bench(
         return accesses
 
     def simulate_batched() -> int:
-        hier = batched_hierarchy()
-        try:
-            simulate(batched_trace, hierarchy=hier)
-        finally:
-            if workers >= 2:
-                hier.close()
+        simulate(batched_trace, hierarchy=hierarchy())
         return accesses
 
     layers["simulate"] = _layer(repeats, simulate_scalar, simulate_batched)
@@ -210,59 +159,19 @@ def run_bench(
 
     # -- end to end: interpret -> simulate -> sample ------------------------
     say("bench: end-to-end pipeline")
-    streamed_runs: List[Tuple[float, PipelineStats]] = []
 
     def end_to_end_run(batched: bool) -> int:
-        t0 = time.perf_counter()
         interp = interpreter()
-        stats = PipelineStats()
-        mode = "batched" if batched else "scalar"
-
-        def raw():
-            return interp.run_batched() if batched else interp.run()
-
-        if store is not None:
-            key = store.key_for(bound, workload.num_threads, mode=mode)
-            trace, replayed, header = store.fetch(key, raw)
-            if replayed:
-                stats.replayed = True
-                stats.interpret_skipped = int(header.get("accesses", 0))
-        else:
-            trace = raw()
-        if pipe_on:
-            trace = pipelined(trace, stats=stats)
-        hier = batched_hierarchy() if batched else hierarchy()
-        try:
-            metrics = simulate(trace, hierarchy=hier,
-                               observer=sampler().observe)
-        finally:
-            if batched and workers >= 2:
-                hier.close()
-        if batched and workers >= 2:
-            worker_runs.append(
-                (time.perf_counter() - t0, hier.shard_stats())
-            )
-        if batched and (pipe_on or store is not None):
-            streamed_runs.append((time.perf_counter() - t0, stats))
+        trace = interp.run_batched() if batched else interp.run()
+        metrics = simulate(trace, hierarchy=hierarchy(),
+                           observer=sampler().observe)
         return metrics.accesses
 
     end_to_end = _layer(
         repeats, lambda: end_to_end_run(False), lambda: end_to_end_run(True)
     )
-    if streamed_runs:
-        # The rollup of the best (fastest) batched repeat: per-stage
-        # busy/stall clocks and how much interpret work was hidden.
-        wall, stats = min(streamed_runs, key=lambda pair: pair[0])
-        rollup = stats.to_dict()
-        rollup["overlap_s"] = stats.overlap_seconds(wall)
-        end_to_end["pipeline"] = rollup
-    if worker_runs:
-        # The shard rollup of the best batched repeat: per-worker busy
-        # clocks, walk/line counts, and the busy-imbalance ratio.
-        _, shard_rollup = min(worker_runs, key=lambda pair: pair[0])
-        end_to_end["workers"] = shard_rollup
 
-    payload: Dict[str, object] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "stamp": time.strftime("%Y%m%dT%H%M%S"),
         "python": sys.version.split()[0],
@@ -275,9 +184,6 @@ def run_bench(
         "layers": layers,
         "end_to_end": end_to_end,
     }
-    if workers >= 2:
-        payload["sim_workers"] = workers
-    return payload
 
 
 def _layer(

@@ -54,15 +54,11 @@ def run_benchmark(
     analyzer: Optional[OfflineAnalyzer] = None,
     seed: int = 0,
     engine: str = "batched",
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> OptimizationResult:
     """One benchmark through the full profile->advise->split cycle."""
     workload = TABLE2_WORKLOADS[name](scale=scale)
     monitor = Monitor(
         sampling_period=workload.recommended_period, seed=seed, engine=engine,
-        pipeline=pipeline, trace_store=trace_store, sim_workers=sim_workers,
     )
     return optimize(workload, monitor=monitor, analyzer=analyzer)
 
@@ -122,9 +118,6 @@ def run_all(
     base_seed: int = 0,
     runner_stats=None,
     engine: str = "batched",
-    pipeline: str = "off",
-    trace_store: Union[str, Path, None] = None,
-    sim_workers: Union[int, str, None] = None,
 ) -> Dict[str, object]:
     """All (or the named subset of) Table 2 benchmarks.
 
@@ -143,25 +136,16 @@ def run_all(
         return {
             name: run_benchmark(
                 name, scale=scale, seed=base_seed + rank, engine=engine,
-                pipeline=pipeline, trace_store=trace_store,
-                sim_workers=sim_workers,
             )
             for rank, name in enumerate(chosen)
         }
     from ..runner import TaskSpec, derive_seed, run_tasks
 
-    params: Dict[str, object] = {"scale": scale, "engine": engine}
-    if pipeline != "off":
-        params["pipeline"] = pipeline
-    if trace_store:
-        params["trace_store"] = str(trace_store)
-    if sim_workers not in (None, 0, "0"):
-        params["sim_workers"] = str(sim_workers)
     specs = [
         TaskSpec(
             kind="optimize",
             name=name,
-            params=dict(params),
+            params={"scale": scale, "engine": engine},
             seed=derive_seed(base_seed, rank),
         )
         for rank, name in enumerate(chosen)

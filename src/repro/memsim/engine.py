@@ -32,7 +32,7 @@ PROGRESS_EVERY = 1 << 17
 class CostModel:
     """Translates simulated events to cycles.
 
-    ``issue_cycles`` is the pipelined cost of any memory instruction;
+    ``issue_cycles`` is the issue cost of any memory instruction;
     ``mlp`` is the average number of outstanding misses an out-of-order
     core overlaps, so only ``(latency - l1_latency) / mlp`` of each
     miss becomes stall time. The defaults are calibrated so the seven

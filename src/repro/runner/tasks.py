@@ -88,20 +88,6 @@ def execute_task(spec: TaskSpec) -> object:
 # picklable under both fork and spawn.
 
 
-def _stream_params(spec: TaskSpec) -> Dict[str, object]:
-    """The optional streaming-engine knobs, absent from legacy specs.
-
-    ``sim_workers`` rides along the same way: present in ``params``
-    only when non-default, so legacy cache keys stay stable while any
-    explicit shard config keys the cached result.
-    """
-    return {
-        "pipeline": str(spec.params.get("pipeline", "off")),
-        "trace_store": spec.params.get("trace_store"),
-        "sim_workers": spec.params.get("sim_workers"),
-    }
-
-
 def _optimize_task(spec: TaskSpec) -> object:
     """One Table 3 optimization cycle, summarized for the table builders."""
     from ..experiments.optimization import benchmark_record, run_benchmark
@@ -111,7 +97,6 @@ def _optimize_task(spec: TaskSpec) -> object:
         scale=float(spec.params.get("scale", 1.0)),
         seed=spec.seed,
         engine=str(spec.params.get("engine", "batched")),
-        **_stream_params(spec),
     )
     return benchmark_record(result)
 
@@ -130,7 +115,6 @@ def _optimize_report_task(spec: TaskSpec) -> object:
         sampling_period=int(period),
         seed=spec.seed,
         engine=str(spec.params.get("engine", "batched")),
-        **_stream_params(spec),
     )
     result = optimize(workload, monitor=monitor)
     return {
@@ -167,7 +151,6 @@ def _sensitivity_point_task(spec: TaskSpec) -> object:
     )
     point = measure_period_point(
         workload, int(spec.params["period"]), seed=spec.seed,
-        **_stream_params(spec),
     )
     return dataclasses.asdict(point)
 

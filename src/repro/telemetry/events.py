@@ -41,20 +41,6 @@ The event taxonomy:
                    (``task``, ``kind``)
 ``stage-progress`` a long stage advanced (``stage``, ``done``, optional
                    ``total``/``unit``/``message``)
-``queue-depth``    pipelined execution: sampled occupancy of the bounded
-                   chunk queue (``stage``, ``depth``, ``capacity``,
-                   ``produced``)
-``stall``          pipelined execution: a stage blocked on the queue
-                   (``stage``, ``kind`` producer/consumer, ``seconds``
-                   cumulative)
-``replay-hit``     a trace-store replay served a run without
-                   interpreting (``workload``, ``key``, ``items``,
-                   ``accesses``)
-``worker-busy``    sharded simulation: one worker's lifetime walk clock
-                   (``worker``, ``busy_s``, ``walks``, ``lines``)
-``shard-imbalance`` sharded simulation: load skew across the worker
-                   pool at close (``shards``, ``imbalance`` max/mean
-                   busy, ``dispatches``)
 =================  ========================================================
 """
 
@@ -74,11 +60,6 @@ EVENT_TYPES = frozenset(
         "task-finish",
         "cache-hit",
         "stage-progress",
-        "queue-depth",
-        "stall",
-        "replay-hit",
-        "worker-busy",
-        "shard-imbalance",
     }
 )
 

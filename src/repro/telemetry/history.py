@@ -105,17 +105,6 @@ def make_entry(
         "stages": stage_rollup(bench),
         "bench": bench,
     }
-    # Pipelined runs carry per-stage busy/stall clocks and the overlap
-    # estimate; lift them to the entry so attribution can correct for
-    # stage overlap.  Absent for serial runs (keeps legacy ids stable).
-    pipeline = (bench.get("end_to_end") or {}).get("pipeline")
-    if pipeline:
-        entry["pipeline"] = dict(pipeline)
-    # Sharded runs carry per-worker busy clocks and the imbalance
-    # ratio; lift them the same way (absent for serial runs).
-    workers = (bench.get("end_to_end") or {}).get("workers")
-    if workers:
-        entry["workers"] = dict(workers)
     entry["id"] = entry_id(entry)
     return entry
 
@@ -216,23 +205,6 @@ def sparkline(values: Sequence[float]) -> str:
     )
 
 
-def _worker_rollup(entry: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """The shard-worker rollup of an entry (or raw payload), if any."""
-    return entry.get("workers") or (
-        (entry.get("bench", {}).get("end_to_end") or {}).get("workers")
-    )
-
-
-def _worker_count(entry: Dict[str, object]) -> int:
-    rollup = _worker_rollup(entry)
-    if not rollup:
-        return 0
-    try:
-        return int(rollup.get("count", 0))
-    except (TypeError, ValueError):
-        return 0
-
-
 def _throughput(entry: Dict[str, object]) -> float:
     bench = entry.get("bench", {})
     try:
@@ -255,7 +227,7 @@ def render_trend(
     )
     header = (
         f"{'id':14s} {'stamp':15s} {'git':9s} {'quick':5s} "
-        f"{'acc/s':>12s} {'speedup':>7s} {'wrk':>4s}"
+        f"{'acc/s':>12s} {'speedup':>7s}"
         + "".join(f" {stage:>10s}" for stage in STAGES)
     )
     lines.append(header)
@@ -267,15 +239,13 @@ def render_trend(
             speedup = float(bench["end_to_end"]["speedup"])
         except (KeyError, TypeError):
             pass
-        workers = _worker_count(entry)
         row = (
             f"{str(entry.get('id', '?'))[:12]:14s} "
             f"{str(entry.get('stamp', '?')):15s} "
             f"{str(entry.get('git_sha') or '-'):9s} "
             f"{'yes' if entry.get('quick') else 'no':5s} "
             f"{_throughput(entry):>12,.0f} "
-            f"{speedup:>6.2f}x "
-            f"{str(workers) if workers else '-':>4s}"
+            f"{speedup:>6.2f}x"
         )
         for stage in STAGES:
             seconds = stages.get(stage, {}).get("batched")
@@ -324,14 +294,6 @@ class Attribution:
     engine: str
     deltas: List[StageDelta]
     end_to_end: Optional[StageDelta]
-    #: Set when either run was pipelined: isolated stage walls then no
-    #: longer sum to the end-to-end wall, and naive summing would
-    #: double-count the overlapped interpret time.
-    overlap_notes: List[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.overlap_notes is None:
-            self.overlap_notes = []
 
     @property
     def dominant(self) -> Optional[StageDelta]:
@@ -356,62 +318,7 @@ class Attribution:
             lines.append(f"  {delta.render()}{marker}")
         if not self.deltas:
             lines.append("  (no per-stage timings in common)")
-        for note in self.overlap_notes:
-            lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def _overlap_note(label: str, entry: Dict[str, object]) -> Optional[str]:
-    """Describe a pipelined entry's busy/stall/overlap clocks, if any."""
-    pipeline = entry.get("pipeline") or (
-        (entry.get("bench", {}).get("end_to_end") or {}).get("pipeline")
-    )
-    if not pipeline:
-        return None
-    if pipeline.get("replayed"):
-        skipped = int(pipeline.get("interpret_skipped", 0))
-        return (
-            f"{label} replayed its trace from the store "
-            f"({skipped:,} accesses never interpreted); its interpret "
-            f"stage wall does not apply to the end-to-end run"
-        )
-    busy = float(pipeline.get("producer_busy_s", 0.0))
-    overlap = float(pipeline.get("overlap_s", 0.0))
-    p_stall = float(pipeline.get("producer_stall_s", 0.0))
-    c_stall = float(pipeline.get("consumer_stall_s", 0.0))
-    return (
-        f"{label} ran pipelined ({pipeline.get('mode', '?')}): interpret "
-        f"busy {busy:.3f}s with ~{overlap:.3f}s hidden under "
-        f"simulate/sample (stalls: producer {p_stall:.3f}s, consumer "
-        f"{c_stall:.3f}s); isolated stage walls sum to more than the "
-        f"end-to-end wall by the overlap"
-    )
-
-
-def _workers_note(label: str, entry: Dict[str, object]) -> Optional[str]:
-    """Describe a sharded entry's per-worker busy clocks, if any.
-
-    A sharded simulate wall is parallel wall time, not CPU seconds, so
-    attribution against a serial base must say so the same way the
-    overlap note does for pipelined runs.
-    """
-    rollup = _worker_rollup(entry)
-    if not rollup:
-        return None
-    per = rollup.get("per_worker") or []
-    busy = sum(float(w.get("busy_s", 0.0)) for w in per)
-    try:
-        imbalance = float(rollup.get("imbalance", 1.0))
-    except (TypeError, ValueError):
-        imbalance = 1.0
-    return (
-        f"{label} sharded its cache walk across {rollup.get('count', '?')} "
-        f"{rollup.get('mode', 'process')} workers "
-        f"({rollup.get('dispatches', 0)} dispatches, worker busy "
-        f"{busy:.3f}s total, busy imbalance {imbalance:.2f}x); its "
-        f"simulate/end-to-end walls are parallel wall time, not CPU "
-        f"seconds"
-    )
 
 
 def _label(entry: Dict[str, object]) -> str:
@@ -442,18 +349,10 @@ def attribute(
     h = head_stages.get("end_to_end", {}).get(engine)
     if b is not None and h is not None:
         end_to_end = StageDelta("end_to_end", float(b), float(h))
-    notes = []
-    if engine == "batched":
-        for label, entry in (("base", base), ("head", head)):
-            for note in (_overlap_note(label, entry),
-                         _workers_note(label, entry)):
-                if note:
-                    notes.append(note)
     return Attribution(
         base_id=_label(base),
         head_id=_label(head),
         engine=engine,
         deltas=deltas,
         end_to_end=end_to_end,
-        overlap_notes=notes,
     )

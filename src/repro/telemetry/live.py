@@ -280,36 +280,6 @@ def publish_metric_deltas(
 
 # -- crash / SIGTERM / deadline dumping ------------------------------------
 
-#: Callables invoked when a monitored run dies abnormally (crash,
-#: SIGTERM, deadline). Used by subsystems holding external resources —
-#: the shm segment registry registers its cleanup here so ``/dev/shm``
-#: is reclaimed even on a killed run. Hooks must be idempotent; they
-#: may also run again at normal interpreter exit via ``atexit``.
-_INCIDENT_HOOKS: List[Callable[[], None]] = []
-
-
-def register_incident_hook(hook: Callable[[], None]) -> Callable[[], None]:
-    """Add ``hook`` to the incident list; returns a remover."""
-    _INCIDENT_HOOKS.append(hook)
-
-    def unregister() -> None:
-        try:
-            _INCIDENT_HOOKS.remove(hook)
-        except ValueError:
-            pass
-
-    return unregister
-
-
-def run_incident_hooks() -> None:
-    """Run every incident hook, swallowing their errors."""
-    for hook in tuple(_INCIDENT_HOOKS):
-        try:
-            hook()
-        except Exception:
-            pass
-
-
 @contextmanager
 def crash_dump_scope(
     recorder: FlightRecorder,
@@ -342,7 +312,6 @@ def crash_dump_scope(
         # from its own copy of the scope.
         if os.getpid() == owner_pid:
             recorder.dump(out, reason=reason)
-            run_incident_hooks()
         raise SystemExit(code)
 
     if in_main and hasattr(signal, "SIGTERM"):
@@ -367,8 +336,6 @@ def crash_dump_scope(
         raise
     except BaseException as exc:
         recorder.dump(out, reason=f"exception: {type(exc).__name__}: {exc}")
-        if os.getpid() == owner_pid:
-            run_incident_hooks()
         raise
     finally:
         if deadline is not None and signal.SIGALRM in previous:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.experiments.optimization import run_benchmark
-from repro.telemetry import events
+from repro.telemetry import events, history
 from repro.telemetry.events import EventBus
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -105,6 +105,30 @@ class TestCommittedHistoryAttribution:
         for path in HISTORY_DIR.glob("bench-*.json"):
             entry_id = json.loads(path.read_text())["id"]
             assert entry_id[:12] in text
+
+    def test_every_entry_loads_with_its_stored_id(self):
+        stored = {}
+        for path in HISTORY_DIR.glob("bench-*.json"):
+            entry_id = json.loads(path.read_text())["id"]
+            assert path.name == f"bench-{entry_id}.json"
+            stored[entry_id] = path
+        loaded = history.load_history(HISTORY_DIR, legacy_dirs=())
+        assert {e["id"] for e in loaded} == set(stored)
+        for entry in loaded:
+            assert history.entry_id(entry) == entry["id"]
+
+    def test_attribute_renders_across_the_legacy_sharded_entry(self):
+        # 98b687a58ec7 was recorded by the since-removed sharded walk
+        # and keeps that run's ``workers`` rollup in its file.
+        assert "workers" in history.load_ref("98b687a58ec7", HISTORY_DIR)
+        code, text = run_cli("attribute", "98b687a58ec7", "b28bf5df06f8",
+                             "--history", str(HISTORY_DIR))
+        assert code == 0
+        assert text.startswith(
+            "attribution (batched engine): 98b687a58ec7 (37f7a88) -> "
+            "b28bf5df06f8 (06396f1)"
+        )
+        assert "<- dominant" in text
 
 
 class TestDashSmoke:

@@ -284,3 +284,74 @@ class TestParserBasics:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             run_cli()
+
+
+class _Captured(Exception):
+    """Raised by the fake runner once it has seen the task specs."""
+
+
+@pytest.fixture
+def captured_specs(monkeypatch):
+    """Record the specs a command hands the runner, then stop it there."""
+    import repro.runner
+
+    seen = []
+
+    def fake_run_tasks(specs, **kwargs):
+        seen.extend(spec.describe() for spec in specs)
+        raise _Captured
+
+    monkeypatch.setattr(repro.runner, "run_tasks", fake_run_tasks)
+    return seen
+
+
+class TestRunnerCacheKeys:
+    """The task params the commands build at default flags are the
+    result-cache key material: a change here orphans every warmed
+    ``--cache`` directory."""
+
+    def test_table3_params(self, captured_specs, tmp_path):
+        with pytest.raises(_Captured):
+            run_cli("table3", "--quiet", "--cache", str(tmp_path))
+        assert captured_specs == [
+            {"kind": "optimize", "name": name,
+             "params": {"scale": 1.0, "engine": "batched"}, "seed": rank}
+            for rank, name in enumerate(
+                ["179.ART", "462.libquantum", "TSP", "Mser",
+                 "CLOMP 1.2", "Health", "NN"]
+            )
+        ]
+
+    def test_sensitivity_params(self, captured_specs, tmp_path):
+        with pytest.raises(_Captured):
+            run_cli("sensitivity", "179.ART", "--quiet",
+                    "--cache", str(tmp_path))
+        assert captured_specs == [
+            {"kind": "sensitivity-point", "name": "179.ART",
+             "params": {"scale": 0.5, "period": period}, "seed": 0}
+            for period in (127, 509, 2003, 8009, 32003)
+        ]
+
+    def test_optimize_params(self, captured_specs, tmp_path):
+        with pytest.raises(_Captured):
+            run_cli("optimize", "179.ART", "--quiet",
+                    "--cache", str(tmp_path))
+        assert captured_specs == [
+            {"kind": "optimize-report", "name": "179.ART",
+             "params": {"scale": 1.0, "period": None, "engine": "batched"},
+             "seed": 0}
+        ]
+
+
+class TestCacheCommand:
+    def test_cache_dir_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cache", "--stats")
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
+    def test_reports_entry_count_and_bytes(self, tmp_path):
+        (tmp_path / "a.json").write_text("{}")
+        code, text = run_cli("cache", "--stats", "--cache", str(tmp_path))
+        assert code == 0
+        assert text == f"result cache {tmp_path}: 1 entries, 2 bytes\n"

@@ -3,8 +3,13 @@
 import io
 import itertools
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +82,12 @@ class TestEventBus:
         assert "span-open" in EVENT_TYPES
         assert "stage-progress" in EVENT_TYPES
         assert "not-a-type" not in EVENT_TYPES
+
+    def test_taxonomy_is_exactly_the_documented_set(self):
+        assert EVENT_TYPES == {
+            "span-open", "span-close", "metric-delta", "task-start",
+            "task-finish", "cache-hit", "stage-progress",
+        }
 
 
 class TestAmbientBus:
@@ -332,3 +343,51 @@ class TestCrashDumpScope:
         thread.start()
         thread.join()
         assert failures and "main thread" in failures[0]
+
+    def test_deadline_dumps_and_exits_124(self, tmp_path):
+        out = tmp_path / "flightrec.json"
+        with pytest.raises(SystemExit) as excinfo:
+            with crash_dump_scope(FlightRecorder(capacity=4), out,
+                                  deadline=0.05):
+                stop = time.monotonic() + 10.0
+                while time.monotonic() < stop:
+                    time.sleep(0.01)
+        assert excinfo.value.code == 124
+        assert json.loads(out.read_text())["reason"] == "deadline 0.05s"
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+_SIGTERM_CHILD = """
+import sys, time
+from pathlib import Path
+from repro.telemetry.live import FlightRecorder, crash_dump_scope
+
+out, ready = Path(sys.argv[1]), Path(sys.argv[2])
+with crash_dump_scope(FlightRecorder(capacity=4), out):
+    ready.write_text("ready")
+    time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM"), reason="no SIGTERM")
+def test_real_sigterm_dumps_and_exits_143(tmp_path):
+    """A delivered SIGTERM (not a direct handler call) dumps the ring
+    and ends the process with the shell's 143."""
+    out, ready = tmp_path / "flightrec.json", tmp_path / "ready"
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_CHILD, str(out), str(ready)], env=env
+    )
+    try:
+        stop = time.monotonic() + 30.0
+        while not ready.exists():
+            assert proc.poll() is None, "child died before it was ready"
+            assert time.monotonic() < stop, "child never became ready"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert json.loads(out.read_text())["reason"] == "sigterm"

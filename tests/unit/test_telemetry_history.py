@@ -213,75 +213,3 @@ class TestCheckRegressionAttribution:
         assert ok
         assert "attribution" not in message
 
-
-def pipelined_bench(*, replayed=False):
-    """A bench payload whose end-to-end repeat ran through the pipeline."""
-    bench = make_bench()
-    bench["end_to_end"]["pipeline"] = {
-        "mode": "thread",
-        "produced": 113,
-        "consumed": 113,
-        "producer_busy_s": 0.4,
-        "producer_stall_s": 0.05,
-        "consumer_stall_s": 0.02,
-        "max_depth": 8,
-        "replayed": replayed,
-        "interpret_skipped": 1_015_808 if replayed else 0,
-        "overlap_s": 0.38,
-    }
-    return bench
-
-
-class TestPipelineRollup:
-    def test_entry_lifts_the_pipeline_rollup(self):
-        entry = history.make_entry(pipelined_bench())
-        assert entry["pipeline"]["mode"] == "thread"
-        assert entry["pipeline"]["producer_busy_s"] == pytest.approx(0.4)
-        assert entry["pipeline"]["overlap_s"] == pytest.approx(0.38)
-
-    def test_serial_entry_carries_no_pipeline_key(self):
-        # Legacy ids must stay stable: a serial payload gains nothing.
-        entry = history.make_entry(make_bench())
-        assert "pipeline" not in entry
-
-    def test_rollup_changes_the_entry_id(self):
-        serial = history.make_entry(make_bench())
-        piped = history.make_entry(pipelined_bench())
-        assert serial["id"] != piped["id"]
-
-
-class TestOverlapAttribution:
-    def test_pipelined_entry_gets_an_overlap_note(self):
-        base = history.make_entry(make_bench())
-        head = history.make_entry(pipelined_bench())
-        attribution = history.attribute(base, head)
-        assert len(attribution.overlap_notes) == 1
-        note = attribution.overlap_notes[0]
-        assert note.startswith("head ran pipelined")
-        assert "hidden under" in note
-        assert "sum to more than the end-to-end wall" in note
-        assert "note: head ran pipelined" in attribution.render()
-
-    def test_replayed_entry_notes_skipped_interpret_work(self):
-        base = history.make_entry(pipelined_bench(replayed=True))
-        head = history.make_entry(make_bench())
-        attribution = history.attribute(base, head)
-        assert len(attribution.overlap_notes) == 1
-        note = attribution.overlap_notes[0]
-        assert note.startswith("base replayed its trace")
-        assert "1,015,808 accesses never interpreted" in note
-
-    def test_serial_entries_get_no_notes(self):
-        base = history.make_entry(make_bench())
-        head = history.make_entry(make_bench(simulate=1.0))
-        attribution = history.attribute(base, head)
-        assert attribution.overlap_notes == []
-        assert "note:" not in attribution.render()
-
-    def test_scalar_engine_attribution_skips_notes(self):
-        # The pipeline rollup describes the batched end-to-end repeat;
-        # scalar attribution must not borrow it.
-        base = history.make_entry(make_bench())
-        head = history.make_entry(pipelined_bench())
-        attribution = history.attribute(base, head, engine="scalar")
-        assert attribution.overlap_notes == []
