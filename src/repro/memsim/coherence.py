@@ -49,23 +49,30 @@ class MESIDirectory:
     # -- protocol actions ---------------------------------------------------
 
     def read(self, core: int, line: int) -> float:
-        """Core fills ``line`` for reading; returns extra latency."""
-        holders = self._lines.setdefault(line, {})
+        """Core fills ``line`` for reading; returns extra latency.
+
+        Known deviation from textbook MESI: the requester ends Exclusive
+        only when the directory knows no holder at all. If the only
+        holder is the requester itself — a stale entry, since private
+        evictions are not reported — it ends Shared, so its next write
+        counts an upgrade and pays ``upgrade_latency``. Kept as is: the
+        published oracle outputs were produced with it.
+        """
+        holders = self._lines.get(line)
+        if not holders:
+            self._lines[line] = {core: EXCLUSIVE}
+            return 0.0
         extra = 0.0
-        for other, state in list(holders.items()):
-            if other == core:
-                continue
-            if state == MODIFIED:
-                # Dirty remote copy: forwarded cache-to-cache, written
-                # back, both end Shared.
-                self.stats.writebacks += 1
-                self.stats.cache_to_cache += 1
-                extra = self.c2c_latency
-            if state in (MODIFIED, EXCLUSIVE):
+        for other, state in holders.items():
+            if other != core and state != SHARED:
+                if state == MODIFIED:
+                    # Dirty remote copy: forwarded cache-to-cache,
+                    # written back, both end Shared.
+                    self.stats.writebacks += 1
+                    self.stats.cache_to_cache += 1
+                    extra = self.c2c_latency
                 holders[other] = SHARED
-        holders[core] = EXCLUSIVE if len(holders) == 0 else SHARED
-        if len(holders) > 1:
-            holders[core] = SHARED
+        holders[core] = SHARED
         return extra
 
     def write(self, core: int, line: int) -> float:

@@ -10,6 +10,7 @@ StructSlim metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import vectorwalk
@@ -66,6 +67,15 @@ class HierarchyConfig:
             l3=LevelConfig(64 * 1024, 8, 42.0),
             prefetch_degree=0,
         )
+
+
+#: Walk paths an access can take, as ``walk_accesses`` reports them:
+#: the single-core vector walk, its memo replay and its list walk, the
+#: multi-core per-core vector walk and trace-ordered list walk, and
+#: per-access :meth:`MemoryHierarchy.access`.
+WALK_PATHS = (
+    "vector", "memo", "list", "general_vector", "general_list", "scalar",
+)
 
 
 class _Core:
@@ -132,16 +142,29 @@ class MemoryHierarchy:
             and self.config.prefetch_degree == 0
             and self.config.tlb is None
         )
+        # The multi-core machine without prefetcher or TLB walks its
+        # list caches inline, and its private caches vector-walk
+        # write-free batches (same states; random replacement stays on
+        # lists).
+        self._inline_general = not self._simple_batch and (
+            self.config.prefetch_degree == 0
+            and self.config.tlb is None
+            and self.config.replacement != "random"
+        )
         self._vector_state = 0
         self._vector_slow_batches = 0
         # Steady-state walk memo, attached at vector promotion (see
         # repro.memsim.memo); None until then or when disabled.
         self._walk_memo = None
+        # Accesses simulated per walk path (see walk_accesses).
+        self._walked = dict.fromkeys(WALK_PATHS[:-1], 0)
+        self._scalar_walks = 0
 
     # -- main access path ------------------------------------------------
 
     def access(self, core_id: int, address: int, size: int, is_write: bool) -> float:
         """Perform one access; returns its load-to-use latency in cycles."""
+        self._scalar_walks += 1
         first = address >> self._line_bits
         last = (address + size - 1) >> self._line_bits
         latency = self._access_line(core_id, first, is_write)
@@ -186,15 +209,18 @@ class MemoryHierarchy:
             core.l1.fill(line)
             return cfg.l2.latency + extra
 
-        # L2 miss: consult the streamer before going to L3.
-        for pf_line in core.prefetcher.observe_miss(line):
-            if not self.l3.contains(pf_line):
-                self.dram_accesses += 1
-                self.l3.fill(pf_line)
-            evicted_pf = core.l2.fill(pf_line)
-            core.prefetched.add(pf_line)
-            if evicted_pf is not None:
-                core.prefetched.discard(evicted_pf)
+        # L2 miss: consult the streamer before going to L3. At degree 0
+        # it never issues and no one reads its table, so it is skipped
+        # (the batched walks never call it either).
+        if core.prefetcher.degree:
+            for pf_line in core.prefetcher.observe_miss(line):
+                if not self.l3.contains(pf_line):
+                    self.dram_accesses += 1
+                    self.l3.fill(pf_line)
+                evicted_pf = core.l2.fill(pf_line)
+                core.prefetched.add(pf_line)
+                if evicted_pf is not None:
+                    core.prefetched.discard(evicted_pf)
 
         if self.l3.access(line):
             latency = cfg.l3.latency
@@ -204,7 +230,7 @@ class MemoryHierarchy:
         if self.directory is not None and not is_write:
             # Read fill: a dirty remote copy is forwarded cache-to-cache.
             extra += self.directory.read(core_id, line)
-        evicted = self.l2_fill(core, line)
+        evicted = core.l2.fill(line)
         if evicted is not None:
             core.prefetched.discard(evicted)
             if self.directory is not None:
@@ -212,29 +238,27 @@ class MemoryHierarchy:
         core.l1.fill(line)
         return latency + extra
 
-    @staticmethod
-    def l2_fill(core: "_Core", line: int) -> Optional[int]:
-        return core.l2.fill(line)
-
     # -- batched access path -----------------------------------------------
 
-    #: Smallest batch worth promoting the simple machine's caches to
-    #: the numpy tag-array representation; below it the inlined list
-    #: walk wins. Tests lower it (per instance) to force the vector
-    #: path onto tiny batches.
+    #: Smallest batch worth promoting the private caches to the numpy
+    #: tag-array representation; below it the inlined list walks win.
+    #: Tests lower it (per instance) to force the vector paths onto
+    #: tiny batches.
     VECTOR_MIN_BATCH = 256
 
     @property
     def supports_batch(self) -> bool:
         """True when :meth:`access_batch` is exact for this machine.
 
-        Every configuration batches now. The single-core simple machine
-        (no directory, prefetcher, or TLB) takes the vectorized
-        tag-array walk (:mod:`repro.memsim.vectorwalk`) or, for small
-        batches and numpy-less installs, the inlined list walk; every
-        other machine takes a chunked trace-ordered loop that honors
-        the batch's write and thread columns. Parity with per-access
-        :meth:`access` stays byte-identical either way.
+        Every configuration batches. The single-core simple machine (no
+        directory, prefetcher, or TLB) takes the vectorized tag-array
+        walk (:mod:`repro.memsim.vectorwalk`) or, for small batches and
+        numpy-less installs, the inlined list walk; the multi-core
+        machine without prefetcher or TLB takes the per-core vector walk
+        or the inlined trace-ordered list walk; every other machine
+        takes a chunked trace-ordered loop that honors the batch's write
+        and thread columns. Parity with per-access :meth:`access` stays
+        byte-identical either way.
         """
         return True
 
@@ -249,31 +273,62 @@ class MemoryHierarchy:
         machines with a coherence directory or several cores — exactly
         where the engine passes the real columns.
 
-        Dispatch: the simple single-core machine uses the vectorized
-        numpy walk once batches are big enough (returning a float64
-        ndarray), else an inlined list walk with a same-line memo; any
-        other machine takes :meth:`_access_batch_general`.
+        The vector paths return a float64 ndarray, the list paths a
+        list. Each batch's accesses are credited to the walk path that
+        took them (:meth:`walk_accesses`); those a path hands to
+        :meth:`access` count as ``scalar``.
         """
-        if not self._simple_batch:
-            return self._access_batch_general(addresses, sizes, is_write, thread)
+        scalar = self._scalar_walks
+        path, latencies = self._walk_batch(addresses, sizes, is_write, thread)
+        self._walked[path] += len(addresses) - (self._scalar_walks - scalar)
+        return latencies
+
+    def walk_accesses(self) -> Dict[str, int]:
+        """``{walk path: accesses it simulated}``, over :data:`WALK_PATHS`.
+
+        Sums to every access this hierarchy simulated, batched or not.
+        """
+        counts = dict(self._walked)
+        counts["scalar"] = self._scalar_walks
+        return counts
+
+    def _walk_batch(self, addresses, sizes, is_write, thread):
+        """``(walk path, latencies)`` for one batch."""
+        if self._simple_batch:
+            return self._walk_simple(addresses, sizes, is_write)
+        if self._inline_general:
+            return self._walk_multicore(addresses, sizes, is_write, thread)
+        return "general_list", self._access_batch_general(
+            addresses, sizes, is_write, thread
+        )
+
+    def _walk_simple(self, addresses, sizes, is_write):
+        """The single-core simple machine: the vectorized tag-array walk
+        (through the walk memo when it is on) once batches are big
+        enough, else the inlined list walk."""
         state = self._vector_state
         if state >= 0 and vectorwalk.HAVE_NUMPY:
-            if state == 1:
-                if self._walk_memo is not None:
-                    return self._walk_memo.walk(
-                        self, addresses, sizes, is_write
-                    )
-                return vectorwalk.walk_batch(self, addresses, sizes, is_write)
             if (
-                len(addresses) >= self.VECTOR_MIN_BATCH
+                state == 0
+                and len(addresses) >= self.VECTOR_MIN_BATCH
                 and self.config.replacement != "random"
             ):
                 self._promote_to_vector()
-                if self._walk_memo is not None:
-                    return self._walk_memo.walk(
+                state = 1
+            if state == 1:
+                memo = self._walk_memo
+                if memo is None:
+                    return "vector", vectorwalk.walk_batch(
                         self, addresses, sizes, is_write
                     )
-                return vectorwalk.walk_batch(self, addresses, sizes, is_write)
+                hits = memo.hits
+                latencies = memo.walk(self, addresses, sizes, is_write)
+                return ("memo" if memo.hits != hits else "vector"), latencies
+        return "list", self._walk_single_list(addresses, sizes)
+
+    def _walk_single_list(self, addresses, sizes) -> List[float]:
+        """Inlined list walk of the single-core simple machine, with a
+        same-line memo (writes are unobservable without a directory)."""
         cfg = self.config
         core = self.cores[0]
         l1, l2, l3 = core.l1, core.l2, self.l3
@@ -410,10 +465,329 @@ class MemoryHierarchy:
         self.dram_accesses += dram
         return out
 
+    def _walk_multicore(self, addresses, sizes, is_write, thread):
+        """The multi-core machine without prefetcher or TLB (LRU/FIFO).
+
+        A batch with no writes and no line-crossing access takes the
+        per-core vector walk once batches are big enough (and every
+        such batch after promotion). Any other batch takes the inlined
+        trace-ordered list walk; on a promoted machine it demotes the
+        private caches back to lists first, for good — a trace that
+        mixes writes into its batches is the list walk's case.
+        """
+        n = len(addresses)
+        state = self._vector_state
+        if (
+            state >= 0
+            and n
+            and vectorwalk.HAVE_NUMPY
+            and (state == 1 or n >= self.VECTOR_MIN_BATCH)
+        ):
+            line_bits = self._line_bits
+            address = vectorwalk.as_column(addresses)
+            lines = address >> line_bits
+            last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
+            if (
+                is_write is None or not vectorwalk.as_column(is_write).any()
+            ) and (lines == last).all():
+                if state == 0:
+                    self._promote_to_vector()
+                return "general_vector", self._walk_multicore_vector(
+                    lines, thread
+                )
+            if state == 1:
+                self._demote_from_vector()
+        return "general_list", self._walk_multicore_lists(
+            addresses, sizes, is_write, thread
+        )
+
+    def _walk_multicore_vector(self, lines, thread):
+        """Per-core vector walk of one write-free, split-free batch.
+
+        Without a write nothing invalidates a remote copy, so a core's
+        private L1/L2 state depends only on its own subsequence: each
+        core's accesses walk its promoted caches with
+        :func:`vectorwalk.cascade`. The private misses then go through
+        the shared L3 and the directory's read transition in trace
+        order (:meth:`_shared_fills`), the only state cores share.
+
+        The replay share is checked after every core, so a
+        replay-dominated input (pointer chasing) demotes within its
+        first batch and the remaining cores walk their list caches:
+        each run builds a fresh hierarchy, so waiting for a streak of
+        slow batches would cost a large part of the run.
+
+        Returns a float64 ndarray, which ``simulate`` sums order-free.
+        That is exact because every latency is an integer number of
+        cycles: the level latencies (which ``simulate`` checks) plus the
+        directory's cache-to-cache extra (40 cycles).
+        """
+        np = vectorwalk._np
+        n = len(lines)
+        if thread is None:
+            core_of = np.zeros(n, dtype=np.int64)
+        else:
+            core_of = vectorwalk.as_column(thread) % self.num_cores
+        # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
+        levels = np.zeros(n, dtype=np.intp)
+        replayed = walked = 0
+        for core in self.cores:
+            at = np.flatnonzero(core_of == core.id)
+            if len(at) == 0:
+                continue
+            if self._vector_state == 1:
+                own = np.zeros(len(at), dtype=np.intp)
+                replayed += vectorwalk.cascade(
+                    (core.l1, core.l2), lines[at], own
+                )
+                levels[at] = own
+                walked += len(at)
+                self._vector_feedback(replayed, walked, patience=1)
+            else:
+                levels[at] = self._walk_private_lists(core, lines[at].tolist())
+        cfg = self.config
+        lut = np.array([cfg.l1.latency, cfg.l2.latency, 0.0])
+        latencies = lut[levels]
+        missed = np.flatnonzero(levels == 2)
+        if len(missed):
+            latencies[missed] = self._shared_fills(
+                lines[missed].tolist(), core_of[missed].tolist()
+            )
+        return latencies
+
+    def _walk_private_lists(self, core, lines) -> List[int]:
+        """Levels (0 = L1 hit, 1 = L2 hit, 2 = miss) of one core's read
+        subsequence on its list L1/L2, as :meth:`_walk_multicore_lists`
+        walks them."""
+        promote = self.config.replacement == "lru"
+        l1, l2 = core.l1, core.l2
+        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
+        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
+        l1_hits = l1_evicts = l2_hits = l2_evicts = misses = 0
+        out: List[int] = []
+        append = out.append
+        for line in lines:
+            tags = l1_sets[line & l1_mask]
+            if line in tags:
+                l1_hits += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                append(0)
+                continue
+            if len(tags) >= l1_ways:
+                del tags[0]
+                l1_evicts += 1
+            tags.append(line)
+            tags = l2_sets[line & l2_mask]
+            if line in tags:
+                l2_hits += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                append(1)
+                continue
+            misses += 1
+            if len(tags) >= l2_ways:
+                del tags[0]
+                l2_evicts += 1
+            tags.append(line)
+            append(2)
+        l1.hits += l1_hits
+        l1.misses += len(out) - l1_hits
+        l1.evictions += l1_evicts
+        l2.hits += l2_hits
+        l2.misses += misses
+        l2.evictions += l2_evicts
+        return out
+
+    def _shared_fills(self, lines, core_ids) -> List[float]:
+        """Latencies of private read misses, resolved in trace order
+        through the shared (list) L3 and the directory's read fill."""
+        cfg = self.config
+        l3 = self.l3
+        l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
+        l3_lat = cfg.l3.latency
+        dram_lat = cfg.dram_latency
+        promote = cfg.replacement == "lru"
+        read = self.directory.read if self.directory is not None else None
+        hits = misses = evicts = 0
+        out: List[float] = []
+        append = out.append
+        for line, core_id in zip(lines, core_ids):
+            tags = l3_sets[line & l3_mask]
+            if line in tags:
+                hits += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                latency = l3_lat
+            else:
+                misses += 1
+                if len(tags) >= l3_ways:
+                    del tags[0]
+                    evicts += 1
+                tags.append(line)
+                latency = dram_lat
+            if read is not None:
+                extra = read(core_id, line)
+                if extra:
+                    latency += extra
+            append(latency)
+        l3.hits += hits
+        l3.misses += misses
+        l3.evictions += evicts
+        self.dram_accesses += misses
+        return out
+
+    def _walk_multicore_lists(
+        self, addresses, sizes, is_write, thread
+    ) -> List[float]:
+        """Inlined trace-ordered walk of the multi-core list machine.
+
+        Every access walks L1 → L2 → L3 on the list caches exactly as
+        :meth:`_access_line` does at prefetch degree 0: a miss
+        allocates at once (so the scalar path's follow-up ``fill``
+        calls are no-ops and evict nothing, which is also why the
+        directory never hears an eviction here), a write first purges
+        the line from every other core's L1/L2 and takes the
+        directory's write transition, and a read that misses L2 takes
+        its read transition. Hit/miss/eviction counters accumulate
+        locally and are flushed per batch, and before each
+        line-crossing access, which takes :meth:`access`.
+        """
+        cfg = self.config
+        cores = self.cores
+        ncores = self.num_cores
+        directory = self.directory
+        line_bits = self._line_bits
+        promote = cfg.replacement == "lru"
+        l1_lat = cfg.l1.latency
+        l2_lat = cfg.l2.latency
+        l3_lat = cfg.l3.latency
+        dram_lat = cfg.dram_latency
+        l1_sets = [core.l1._sets for core in cores]
+        l2_sets = [core.l2._sets for core in cores]
+        l1_mask, l1_ways = cores[0].l1._set_mask, cores[0].l1.ways
+        l2_mask, l2_ways = cores[0].l2._set_mask, cores[0].l2.ways
+        l3 = self.l3
+        l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
+        if directory is not None:
+            holders_of = directory._lines.get
+            dir_read = directory.read
+            dir_write = directory.write
+        # Per core: L1 hits/misses/evictions, L2 hits/misses/evictions;
+        # then the L3's hits/misses/evictions. A latency with no
+        # coherence extra is appended as the level's own float (equal
+        # to ``latency + 0.0``) rather than a new one per access, which
+        # keeps large batches' columns small.
+        counts = [[0] * ncores for _ in range(6)] + [[0, 0, 0]]
+        l1_hits, l1_misses, l1_evicts = counts[:3]
+        l2_hits, l2_misses, l2_evicts, l3c = counts[3:]
+        n = len(addresses)
+        writes = is_write if is_write is not None else repeat(0, n)
+        threads = thread if thread is not None else repeat(0, n)
+        out: List[float] = []
+        append = out.append
+        prev_line = prev_core = -1
+        for address, size, write, t in zip(addresses, sizes, writes, threads):
+            core_id = t % ncores
+            line = address >> line_bits
+            if (address + size - 1) >> line_bits != line:
+                self._flush_counts(counts)
+                append(self.access(core_id, address, size, write != 0))
+                prev_line = -1
+                continue
+            extra = 0.0
+            if write and directory is not None:
+                holders = holders_of(line)
+                if holders:
+                    for other in holders:
+                        if other != core_id:
+                            tags = l1_sets[other][line & l1_mask]
+                            if line in tags:
+                                tags.remove(line)
+                            tags = l2_sets[other][line & l2_mask]
+                            if line in tags:
+                                tags.remove(line)
+                extra = dir_write(core_id, line)
+            if line == prev_line and core_id == prev_core:
+                # This core's last access touched the same line and
+                # left it L1-MRU: a hit whose promotion is a no-op.
+                l1_hits[core_id] += 1
+                append(l1_lat + extra if extra else l1_lat)
+                continue
+            prev_line = line
+            prev_core = core_id
+            tags = l1_sets[core_id][line & l1_mask]
+            if line in tags:
+                l1_hits[core_id] += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                append(l1_lat + extra if extra else l1_lat)
+                continue
+            l1_misses[core_id] += 1
+            if len(tags) >= l1_ways:
+                del tags[0]
+                l1_evicts[core_id] += 1
+            tags.append(line)
+            tags = l2_sets[core_id][line & l2_mask]
+            if line in tags:
+                l2_hits[core_id] += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                append(l2_lat + extra if extra else l2_lat)
+                continue
+            l2_misses[core_id] += 1
+            if len(tags) >= l2_ways:
+                del tags[0]
+                l2_evicts[core_id] += 1
+            tags.append(line)
+            tags = l3_sets[line & l3_mask]
+            if line in tags:
+                l3c[0] += 1
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                latency = l3_lat
+            else:
+                l3c[1] += 1
+                if len(tags) >= l3_ways:
+                    del tags[0]
+                    l3c[2] += 1
+                tags.append(line)
+                latency = dram_lat
+            if directory is not None and not write:
+                extra += dir_read(core_id, line)
+            append(latency + extra if extra else latency)
+        self._flush_counts(counts)
+        return out
+
+    def _flush_counts(self, counts) -> None:
+        """Add :meth:`_walk_multicore_lists`' local counters to the
+        caches (an L3 miss is one DRAM fetch) and zero them."""
+        for c, core in enumerate(self.cores):
+            core.l1.hits += counts[0][c]
+            core.l1.misses += counts[1][c]
+            core.l1.evictions += counts[2][c]
+            core.l2.hits += counts[3][c]
+            core.l2.misses += counts[4][c]
+            core.l2.evictions += counts[5][c]
+        hits, misses, evicts = counts[6]
+        self.l3.hits += hits
+        self.l3.misses += misses
+        self.l3.evictions += evicts
+        self.dram_accesses += misses
+        for column in counts:
+            column[:] = [0] * len(column)
+
     def _access_batch_general(
         self, addresses, sizes, is_write=None, thread=None
     ) -> List[float]:
-        """Chunked trace-ordered walk for every non-simple machine.
+        """Chunked trace-ordered walk for the prefetch, TLB and random-
+        replacement machines.
 
         One call per batch instead of one :class:`MemoryAccess` object
         per access: the loop reads the raw columns, maps threads to
@@ -467,27 +841,38 @@ class MemoryHierarchy:
     # -- vector-path state management ---------------------------------------
 
     def _promote_to_vector(self) -> None:
-        """Convert the simple machine's caches to tag arrays."""
+        """Convert the private caches to tag arrays.
+
+        The simple machine's L3 is its one core's too and joins them,
+        with the walk memo. A shared L3 stays a list cache: as tag
+        arrays the 20 MB L3 of a 4-core run raised peak RSS by a
+        quarter, and only private misses reach it.
+        """
         from . import memo
 
-        core = self.cores[0]
-        core.l1 = vectorwalk.TagArrayCache(core.l1)
-        core.l2 = vectorwalk.TagArrayCache(core.l2)
-        self.l3 = vectorwalk.TagArrayCache(self.l3)
+        for core in self.cores:
+            core.l1 = vectorwalk.TagArrayCache(core.l1)
+            core.l2 = vectorwalk.TagArrayCache(core.l2)
+        if self._simple_batch:
+            self.l3 = vectorwalk.TagArrayCache(self.l3)
+            if memo.enabled():
+                self._walk_memo = memo.WalkMemo()
         self._vector_state = 1
-        if memo.enabled():
-            self._walk_memo = memo.WalkMemo()
 
     def _demote_from_vector(self) -> None:
-        """Back to list caches, for workloads the vector walk dislikes."""
-        core = self.cores[0]
-        core.l1 = core.l1.to_list_cache()
-        core.l2 = core.l2.to_list_cache()
-        self.l3 = self.l3.to_list_cache()
+        """Back to list caches for good, for workloads the vector walk
+        dislikes."""
+        for core in self.cores:
+            core.l1 = core.l1.to_list_cache()
+            core.l2 = core.l2.to_list_cache()
+        if self._simple_batch:
+            self.l3 = self.l3.to_list_cache()
         self._vector_state = -1
 
-    def _vector_feedback(self, replayed: int, total: int) -> None:
-        """Demote after three consecutive replay-dominated batches.
+    def _vector_feedback(
+        self, replayed: int, total: int, patience: int = 3
+    ) -> None:
+        """Demote after ``patience`` consecutive replay-dominated batches.
 
         The vector walk replays accesses in "unsafe" sets through a
         per-access loop; when most of a batch replays (thrash-heavy
@@ -497,7 +882,7 @@ class MemoryHierarchy:
         """
         if replayed * 2 > total:
             self._vector_slow_batches += 1
-            if self._vector_slow_batches >= 3:
+            if self._vector_slow_batches >= patience:
                 self._demote_from_vector()
         else:
             self._vector_slow_batches = 0
@@ -560,6 +945,11 @@ class MemoryHierarchy:
                 "repro_memsim_walk_memo_stale_total",
                 help="memo entries invalidated by a pre-state mismatch",
             ).add(memo.stale)
+        for path, count in self.walk_accesses().items():
+            registry.counter(
+                "repro_memsim_walk_accesses_total",
+                help="accesses simulated per walk path", path=path,
+            ).add(count)
         registry.counter(
             "repro_memsim_prefetch_issued_total",
             help="L2 streamer prefetches issued",

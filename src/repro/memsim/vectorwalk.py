@@ -65,6 +65,11 @@ Every counter (hits/misses/evictions per level, DRAM fetches) and every
 latency is byte-identical to the scalar walk — asserted by the
 engine-parity suites.
 
+The multi-core machine reuses :func:`cascade` on each core's private
+L1/L2 alone, for write-free batches (see
+``MemoryHierarchy._walk_multicore_vector``); its shared L3 stays a list
+cache.
+
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and the hierarchy keeps its inlined list walk.
 """
@@ -268,7 +273,7 @@ def walk_batch(hier, addresses, sizes, is_write=None):
     last = (address + size - 1) >> line_bits
     replayed = 0
     if (first == last).all():
-        replayed = _cascade(caches, hier, first, latencies, lut)
+        replayed = _walk_segment(caches, hier, first, latencies, lut)
         hier._vector_feedback(replayed, n)
         return latencies
     split_positions = np.flatnonzero(first != last)
@@ -276,18 +281,28 @@ def walk_batch(hier, addresses, sizes, is_write=None):
     start = 0
     for i in split_positions.tolist():
         if i > start:
-            replayed += _cascade(
+            replayed += _walk_segment(
                 caches, hier, first[start:i], latencies[start:i], lut
             )
         write = bool(is_write[i]) if is_write is not None else False
         latencies[i] = access(0, int(address[i]), int(size[i]), write)
         start = i + 1
     if start < n:
-        replayed += _cascade(
+        replayed += _walk_segment(
             caches, hier, first[start:], latencies[start:], lut
         )
     hier._vector_feedback(replayed, n)
     return latencies
+
+
+def _walk_segment(caches, hier, lines, latencies_out, lut):
+    """Walk one split-free segment through L1/L2/L3; latencies and the
+    DRAM fetch count go to the caller's column and hierarchy."""
+    levels = _np.zeros(len(lines), dtype=_np.intp)
+    replayed = cascade(caches, lines, levels)
+    hier.dram_accesses += int(_np.count_nonzero(levels == len(caches)))
+    latencies_out[:] = lut[levels]
+    return replayed
 
 
 #: Give up duplicate-splitting a segment after this many cuts; the
@@ -296,8 +311,12 @@ def walk_batch(hier, addresses, sizes, is_write=None):
 CUT_CAP = 64
 
 
-def _cascade(caches, hier, lines, latencies_out, lut):
-    """Walk one split-free segment through every level in place.
+def cascade(caches, lines, levels):
+    """Walk one split-free segment through ``caches`` in place.
+
+    Records each access's deepest level in ``levels`` (zeros on entry):
+    ``d`` when ``caches[d]`` hit, ``len(caches)`` when every level
+    missed. Returns the number of replayed accesses.
 
     The deduped stream is chopped at duplicate boundaries: a cut lands
     on every access whose line already appeared in the current chunk,
@@ -312,7 +331,6 @@ def _cascade(caches, hier, lines, latencies_out, lut):
     """
     np = _np
     m = len(lines)
-    levels = np.zeros(m, dtype=np.intp)
     heads = np.empty(m, dtype=bool)
     heads[0] = True
     np.not_equal(lines[1:], lines[:-1], out=heads[1:])
@@ -341,7 +359,7 @@ def _cascade(caches, hier, lines, latencies_out, lut):
             while start < n:
                 if cuts >= CUT_CAP:
                     replayed += _walk_levels(
-                        caches, hier, stream[start:], positions[start:],
+                        caches, stream[start:], positions[start:],
                         levels, distinct=False,
                     )
                     break
@@ -356,22 +374,21 @@ def _cascade(caches, hier, lines, latencies_out, lut):
                         vi += 1
                         cuts += 1
                 replayed += _walk_levels(
-                    caches, hier, stream[start:end], positions[start:end],
+                    caches, stream[start:end], positions[start:end],
                     levels, distinct=True,
                 )
                 start = end
         else:
             replayed = _walk_levels(
-                caches, hier, stream, positions, levels, distinct=True
+                caches, stream, positions, levels, distinct=True
             )
     for cache in caches:
         # Stamps issued this segment were clock + 1 + position.
         cache.clock += m
-    latencies_out[:] = lut[levels]
     return replayed
 
 
-def _walk_levels(caches, hier, stream, positions, levels, distinct):
+def _walk_levels(caches, stream, positions, levels, distinct):
     """Send one duplicate-free (or replay-tolerant) chunk down the
     cascade, recording each access's deepest level in ``levels``."""
     replayed = 0
@@ -385,7 +402,6 @@ def _walk_levels(caches, hier, stream, positions, levels, distinct):
         positions = positions[miss]
         stream = stream[miss]
         levels[positions] = depth + 1
-    hier.dram_accesses += len(stream)
     return replayed
 
 

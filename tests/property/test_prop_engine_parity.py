@@ -4,16 +4,23 @@ The columnar fast path (interp.run_batched -> hierarchy.access_batch ->
 sampler.observe_batch) promises *byte-identical* results to the scalar
 pipeline — same trace, same metrics, same samples, same RNG state.
 These properties check that contract over random programs: every index
-kind (Const/Affine/Mod/Indirect), writes, nested and parallel loops,
-trip counts straddling the MIN_BATCH_TRIPS gate, multiple threads,
-and both PMU flavors with jittered periods.
+kind (Const/Affine/Mod/Indirect), writes (and write-free bodies),
+nested and parallel loops, trip counts straddling the MIN_BATCH_TRIPS
+gate, up to four threads (Table 3's machine), and both PMU flavors with
+jittered periods. Parity covers the machine's whole state: every
+cache's resident lines in recency order and the directory's holders
+and per-line invalidations, not only counters.
 """
+
+import random
 
 import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.layout import INT, StructType
+from repro.layout.types import array_of
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
@@ -23,6 +30,7 @@ from repro.program.ir import Const, Indirect, Mod
 from repro.sampling.ibs import IBSSampler
 from repro.sampling.pebs import PEBSLoadLatencySampler
 from tests.property.strategies import ELEM
+from tests.unit.test_engine_batch import machine_state
 
 #: Element count of the single array every random program touches.
 ELEMENTS = 64
@@ -62,8 +70,9 @@ def index_exprs(draw, loop_vars):
 
 
 @st.composite
-def bodies(draw, loop_vars=(), depth=0):
-    """A random body mixing accesses, computes, and (parallel) loops."""
+def bodies(draw, loop_vars=(), depth=0, writes=True):
+    """A random body mixing accesses, computes, and (parallel) loops;
+    ``writes=False`` makes every access a read."""
     loop_vars = list(loop_vars)
     body = []
     for k in range(draw(st.integers(1, 3))):
@@ -78,7 +87,7 @@ def bodies(draw, loop_vars=(), depth=0):
                 array="A",
                 field="x",
                 index=draw(index_exprs(loop_vars)),
-                is_write=draw(st.booleans()),
+                is_write=writes and draw(st.booleans()),
             ))
         elif kind == "compute":
             body.append(Compute(line=line, cycles=1.0))
@@ -92,11 +101,18 @@ def bodies(draw, loop_vars=(), depth=0):
                 var=var,
                 start=0,
                 stop=stop,
-                body=draw(bodies(loop_vars + [(var, stop)], depth + 1)),
+                body=draw(
+                    bodies(loop_vars + [(var, stop)], depth + 1, writes)
+                ),
                 end_line=line,
                 parallel=draw(st.booleans()) if depth == 0 else False,
             ))
     return body
+
+
+#: Bodies with writes, or write-free ones (which the multi-core machine
+#: walks per core on its vector path).
+any_bodies = st.booleans().flatmap(lambda writes: bodies(writes=writes))
 
 
 def build(body):
@@ -127,31 +143,29 @@ def sampler_state(sampler):
 
 
 def run_pipeline(bound, num_threads, batched, make_sampler,
-                 config=None, vector_min=None):
+                 config=None, vector_min=None, capture=None):
     interp = Interpreter(bound, num_threads=num_threads)
     trace = interp.run_batched() if batched else interp.run()
     sampler = make_sampler()
     hierarchy = MemoryHierarchy(config or HierarchyConfig(), num_threads)
     if vector_min is not None:
-        # Force (1) or forbid (huge) promotion to the vector walk so
-        # both representations run under the property.
+        # Force (1) or forbid (huge) promotion to the vector walks,
+        # single-core and per-core alike, so both representations run
+        # under the property.
         hierarchy.VECTOR_MIN_BATCH = vector_min
     metrics = simulate(trace, hierarchy=hierarchy, observer=sampler.observe)
-    levels = [hierarchy.l3] + [
-        cache for core in hierarchy.cores for cache in (core.l1, core.l2)
-    ]
-    caches = [(c.hits, c.misses, c.evictions) for c in levels]
+    if capture is not None:
+        capture(hierarchy)
     return (
         metrics,
-        caches,
-        hierarchy.dram_accesses,
+        machine_state(hierarchy),
         hierarchy.miss_summary(),
         sampler_state(sampler),
     )
 
 
 class TestTraceParity:
-    @given(bodies(), st.integers(1, 3))
+    @given(bodies(), st.integers(1, 4))
     @settings(deadline=None, max_examples=30)
     def test_batched_trace_expands_to_scalar_trace(self, body, num_threads):
         bound = build(body)
@@ -164,14 +178,15 @@ class TestTraceParity:
 
 class TestPipelineParity:
     @given(
-        bodies(),
-        st.integers(1, 3),
+        any_bodies,
+        st.integers(1, 4),
         st.integers(3, 60),
         st.sampled_from(["pebs", "ibs"]),
+        st.sampled_from([1, 1 << 30]),
     )
     @settings(deadline=None, max_examples=30)
     def test_metrics_samples_and_rng_identical(
-        self, body, num_threads, period, pmu
+        self, body, num_threads, period, pmu, vector_min
     ):
         bound = build(body)
 
@@ -181,7 +196,8 @@ class TestPipelineParity:
             return IBSSampler(period, jitter=0.2, seed=11)
 
         scalar = run_pipeline(bound, num_threads, False, make_sampler)
-        batched = run_pipeline(bound, num_threads, True, make_sampler)
+        batched = run_pipeline(bound, num_threads, True, make_sampler,
+                               vector_min=vector_min)
         assert scalar == batched
 
 
@@ -191,14 +207,15 @@ class TestConfigParity:
     supports_batch no longer excludes multi-core, coherence, prefetch,
     TLB, or any replacement policy; every combination must stay
     byte-identical to the scalar walk, whichever internal path it takes
-    (vector tag-array walk, inlined list walk, or the chunked general
-    loop). ``vector_min`` forces promotion at batch length 1 or forbids
-    it entirely, so both cache representations run under the property.
+    (single-core vector or list walk, multi-core per-core vector or
+    trace-ordered list walk, or the chunked general loop).
+    ``vector_min`` forces promotion at batch length 1 or forbids it
+    entirely, so both cache representations run under the property.
     """
 
     @given(
-        bodies(),
-        st.integers(1, 3),
+        any_bodies,
+        st.integers(1, 4),
         st.sampled_from([0, 2]),
         st.sampled_from(
             [None, TLBConfig(l1_entries=8, l1_ways=4,
@@ -227,3 +244,66 @@ class TestConfigParity:
         batched = run_pipeline(bound, num_threads, True, make_sampler,
                                config=config, vector_min=vector_min)
         assert scalar == batched
+
+
+def pebs():
+    return PEBSLoadLatencySampler(7, jitter=0.2, seed=3)
+
+
+def parallel_loop(line, body):
+    return Loop(line=line, var=f"i{line}", start=0, stop=ELEMENTS,
+                body=body, end_line=line, parallel=True)
+
+
+class TestMulticoreWalkParity:
+    """The 4-core walk's transitions on fixed programs: promotion by a
+    write-free batch, then demotion by a write batch or by a batch most
+    of whose accesses the vector walk would replay."""
+
+    def test_write_batch_after_promoted_write_free_batch(self):
+        read = Access(line=2, array="A", field="x",
+                      index=affine("i1", 1, 0))
+        write = Access(line=4, array="A", field="x",
+                       index=affine("i3", -1, ELEMENTS - 1), is_write=True)
+        reread = Access(line=6, array="A", field="x",
+                        index=affine("i5", 1, 0))
+        bound = build([parallel_loop(1, [read]), parallel_loop(3, [write]),
+                       parallel_loop(5, [reread])])
+        hierarchies = []
+        scalar = run_pipeline(bound, 4, False, pebs)
+        batched = run_pipeline(bound, 4, True, pebs, vector_min=1,
+                               capture=hierarchies.append)
+        assert scalar == batched
+        (hierarchy,) = hierarchies
+        counts = hierarchy.walk_accesses()
+        # The read loop vector-walks; the write loop demotes for good,
+        # so the re-read walks the lists.
+        assert counts["general_vector"] == ELEMENTS
+        assert counts["general_list"] == 2 * ELEMENTS
+        assert hierarchy._vector_state == -1
+        assert hierarchy.invalidations > 0
+
+    def test_replay_heavy_body_demotes(self):
+        # 64-byte elements; six lines sharing one L1 and one L2 set of
+        # the small geometry, visited in random order by four threads.
+        wide = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
+        config = HierarchyConfig.small()
+        sets = config.l2.size_bytes // (config.l2.ways * config.line_size)
+        rng = random.Random(0)
+        n = 2048
+        table = [rng.randrange(6) * sets for _ in range(n)]
+        builder = WorkloadBuilder("thrash")
+        builder.add_aos(wide, 6 * sets, name="A")
+        loop = Loop(line=1, var="i", start=0, stop=n, body=[
+            Access(line=2, array="A", field="x",
+                   index=Indirect.of(table, affine("i", 1, 0))),
+        ], end_line=3, parallel=True)
+        bound = builder.build([Function("main", [loop])])
+        hierarchies = []
+        scalar = run_pipeline(bound, 4, False, pebs, config=config)
+        batched = run_pipeline(bound, 4, True, pebs, config=config,
+                               vector_min=1, capture=hierarchies.append)
+        assert scalar == batched
+        (hierarchy,) = hierarchies
+        assert hierarchy.walk_accesses()["general_vector"] == n
+        assert hierarchy._vector_state == -1

@@ -9,13 +9,14 @@ sampler's batched countdown, and the satellite fixes that rode along
 """
 
 import json
+import random
 
 import pytest
 
 from repro.layout import INT, StructType
 from repro.experiments.bench import check_regression, write_bench
 from repro.memsim.engine import simulate
-from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
 from repro.profiler.monitor import Monitor
 from repro.program import (
@@ -51,6 +52,36 @@ def program(index, stop=16, is_write=False):
         end_line=3,
     )
     return builder.build([Function("main", [loop])])
+
+
+def machine_state(hierarchy):
+    """Everything a walk can change, comparable across cache
+    representations: every cache's resident lines in recency order
+    (tag arrays via ``to_list_cache``) and counters, DRAM fetches,
+    prefetcher state, and the directory's holder map, per-line
+    invalidations and protocol counters."""
+    caches = [hierarchy.l3] + [
+        cache for core in hierarchy.cores for cache in (core.l1, core.l2)
+    ]
+    lists = [
+        c.to_list_cache() if hasattr(c, "to_list_cache") else c
+        for c in caches
+    ]
+    directory = hierarchy.directory
+    return (
+        [(c._sets, c.hits, c.misses, c.evictions) for c in lists],
+        hierarchy.dram_accesses,
+        [
+            (core.prefetcher._table, core.prefetcher.issued,
+             core.prefetched, core.prefetch_useful)
+            for core in hierarchy.cores
+        ],
+        None if directory is None else (
+            directory._lines,
+            hierarchy.line_invalidations(),
+            directory.stats,
+        ),
+    )
 
 
 def expand(items):
@@ -286,6 +317,195 @@ class TestVectorWalk:
         ]
         assert hierarchy.access_batch(addresses, sizes) == expected
         assert hierarchy._vector_state == 0
+
+
+class TestMulticoreWalk:
+    """The 4-core machine without prefetcher or TLB: the inlined list
+    walk, the per-core vector walk of write-free batches, and the
+    transitions between them, each against per-access ``access()``."""
+
+    CORES = 4
+
+    def columns(self, writes=False):
+        # Private hits and conflict evictions per core, lines shared
+        # between cores (directory reads), revisits, and one line
+        # touched by every core in turn (the same-line memo must not
+        # carry a hit across cores).
+        addresses = (
+            [0, 64, 0, 4096, 64]
+            + [640 * k for k in range(96)]
+            + [0, 64, 4096, 640, 128]
+            + [8192] * 8
+        )
+        n = len(addresses)
+        sizes = [4] * n
+        is_write = [int(writes and k % 5 == 0) for k in range(n)]
+        thread = [k * self.CORES // n if k % 3 else k % 7 for k in range(n)]
+        thread[-8:] = [k % self.CORES for k in range(8)]
+        return addresses, sizes, is_write, thread
+
+    def crossing(self, writes=False):
+        """:meth:`columns` with a line-crossing access mid-batch."""
+        addresses, sizes, is_write, thread = self.columns(writes)
+        middle = len(addresses) // 2
+        addresses[middle], sizes[middle] = 60, 8
+        return addresses, sizes, is_write, thread
+
+    def check(self, batches, vector_min=1, config=None):
+        """Walk ``batches`` batched and per access; returns the batched
+        hierarchy after asserting latencies and state are identical."""
+        config = config or HierarchyConfig()
+        reference = MemoryHierarchy(config, self.CORES)
+        hierarchy = MemoryHierarchy(config, self.CORES)
+        hierarchy.VECTOR_MIN_BATCH = vector_min
+        for addresses, sizes, is_write, thread in batches:
+            expected = [
+                reference.access(t % self.CORES, a, s, bool(w))
+                for a, s, w, t in zip(addresses, sizes, is_write, thread)
+            ]
+            got = hierarchy.access_batch(addresses, sizes, is_write, thread)
+            assert list(got) == expected
+            assert machine_state(hierarchy) == machine_state(reference)
+        return hierarchy
+
+    def test_list_walk_with_writes_matches_scalar(self):
+        hierarchy = self.check([self.columns(writes=True)] * 2)
+        assert hierarchy._vector_state == 0
+        assert hierarchy.invalidations > 0
+
+    def test_list_walk_flushes_around_line_crossing_accesses(self):
+        hierarchy = self.check(
+            [self.crossing(), self.crossing(writes=True)],
+            vector_min=1 << 30,
+        )
+        assert hierarchy.walk_accesses()["scalar"] == 2
+
+    def test_write_free_batches_vector_walk_each_core(self):
+        pytest.importorskip("numpy")
+        hierarchy = self.check([self.columns()] * 3)
+        assert hierarchy._vector_state == 1
+        # Only the private levels are promoted; the shared L3 is a list.
+        assert hasattr(hierarchy.cores[3].l2, "to_list_cache")
+        assert not hasattr(hierarchy.l3, "to_list_cache")
+
+    def test_write_batch_after_promotion_demotes_exactly(self):
+        pytest.importorskip("numpy")
+        hierarchy = self.check(
+            [self.columns(), self.columns(writes=True), self.columns()]
+        )
+        assert hierarchy._vector_state == -1
+
+    def test_line_crossing_batch_after_promotion_demotes_exactly(self):
+        pytest.importorskip("numpy")
+        hierarchy = self.check([self.columns(), self.crossing()])
+        assert hierarchy._vector_state == -1
+
+    def test_small_batches_stay_on_lists_until_promotion(self):
+        hierarchy = self.check([self.columns()], vector_min=1 << 30)
+        assert hierarchy._vector_state == 0
+
+    def test_replay_dominated_batch_demotes_within_itself(self):
+        pytest.importorskip("numpy")
+        # Six lines sharing one L1 and one L2 set, revisited at random:
+        # most of each core's accesses replay, so the walk demotes
+        # after the first core and the other three walk their lists.
+        config = HierarchyConfig.small()
+        stride = config.line_size * config.l2.size_bytes // (
+            config.l2.ways * config.line_size
+        )
+        n = 2000
+        rng = random.Random(0)
+        addresses = [rng.randrange(6) * stride for _ in range(n)]
+        thread = [k * self.CORES // n for k in range(n)]
+        listed = []
+        hierarchy = MemoryHierarchy(config, self.CORES)
+        walk = hierarchy._walk_private_lists
+        hierarchy._walk_private_lists = lambda core, lines: (
+            listed.append(core.id) or walk(core, lines)
+        )
+        hierarchy.VECTOR_MIN_BATCH = 1
+        reference = MemoryHierarchy(config, self.CORES)
+        expected = [
+            reference.access(t, a, 4, False)
+            for a, t in zip(addresses, thread)
+        ]
+        got = hierarchy.access_batch(addresses, [4] * n, [0] * n, thread)
+        assert list(got) == expected
+        assert machine_state(hierarchy) == machine_state(reference)
+        assert hierarchy._vector_state == -1
+        assert listed == [1, 2, 3]
+
+    def test_scalar_access_works_after_promotion(self):
+        pytest.importorskip("numpy")
+        hierarchy = self.check([self.columns()])
+        reference = MemoryHierarchy(HierarchyConfig(), self.CORES)
+        addresses, sizes, _, thread = self.columns()
+        for a, s, t in zip(addresses, sizes, thread):
+            reference.access(t % self.CORES, a, s, False)
+        for core, write in [(1, True), (2, False), (1, False)]:
+            assert hierarchy.access(core, 640, 4, write) == reference.access(
+                core, 640, 4, write
+            )
+        assert machine_state(hierarchy) == machine_state(reference)
+
+
+class TestWalkPaths:
+    """``walk_accesses`` credits every access to exactly one path."""
+
+    def simulate(self, config, cores, items, vector_min=1):
+        hierarchy = MemoryHierarchy(config, cores)
+        hierarchy.VECTOR_MIN_BATCH = vector_min
+        metrics = simulate(items, hierarchy=hierarchy)
+        counts = hierarchy.walk_accesses()
+        assert sum(counts.values()) == metrics.accesses
+        return counts
+
+    def batches(self, threads):
+        bound = program(affine("i", 1, 0), stop=48)
+        batched = list(Interpreter(bound, num_threads=threads).run_batched())
+        assert any(isinstance(item, AccessBatch) for item in batched)
+        return batched
+
+    def test_paths_sum_to_accesses_simulated(self):
+        pytest.importorskip("numpy")
+        config = HierarchyConfig()
+        scalar = list(Interpreter(program(affine("i", 1, 0))).run())
+        cases = [
+            (config, 1, self.batches(1), 1, "vector"),
+            (config, 1, self.batches(1), 1 << 30, "list"),
+            (config, 4, self.batches(4), 1, "general_vector"),
+            (config, 4, self.batches(4), 1 << 30, "general_list"),
+            (HierarchyConfig(prefetch_degree=2), 2, self.batches(2), 1,
+             "general_list"),
+            (config, 1, scalar, 1, "scalar"),
+        ]
+        for config, cores, items, vector_min, path in cases:
+            counts = self.simulate(config, cores, items, vector_min)
+            assert counts[path] > 0, (path, counts)
+
+    def test_line_crossing_accesses_count_as_scalar(self):
+        hierarchy = MemoryHierarchy(HierarchyConfig(), 2)
+        hierarchy.access_batch([0, 60, 128], [4, 8, 4], [0, 0, 0], [0, 1, 0])
+        assert hierarchy.walk_accesses() == {
+            "vector": 0, "memo": 0, "list": 0, "general_vector": 0,
+            "general_list": 2, "scalar": 1,
+        }
+
+    def test_exported_per_path(self):
+        from repro.telemetry import MetricsRegistry
+
+        hierarchy = MemoryHierarchy(HierarchyConfig(), 2)
+        hierarchy.access_batch([0, 60, 128], [4, 8, 4], [0, 0, 0], [0, 1, 0])
+        registry = MetricsRegistry()
+        hierarchy.export_metrics(registry)
+        exported = {
+            path: registry.get(
+                "repro_memsim_walk_accesses_total", path=path
+            ).value
+            for path in WALK_PATHS
+        }
+        assert exported == hierarchy.walk_accesses()
+        assert exported["general_list"] == 2
 
 
 class TestExpansionProgress:
