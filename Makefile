@@ -1,33 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-trend bench-baseline perf-smoke lint
+.PHONY: test lint
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# Full-scale engine benchmark; appends a content-addressed snapshot to
-# benchmarks/history/ (commit it to record the performance trajectory;
-# `repro bench --trend` renders the trajectory).
-bench:
-	$(PYTHON) -m repro bench
-
-bench-quick:
-	$(PYTHON) -m repro bench --quick
-
-bench-trend:
-	$(PYTHON) -m repro bench --trend
-
-# Refresh the CI perf-smoke baseline. Run on the machine class CI
-# uses, then commit benchmarks/baseline_bench.json with a note on why
-# the envelope moved.
-bench-baseline:
-	$(PYTHON) -m repro bench --quick --out benchmarks/baseline_bench.json
-
-# The gate CI runs: quick bench vs the committed baseline (>25%
-# batched end-to-end throughput drop fails).
-perf-smoke:
-	$(PYTHON) -m repro bench --quick --check benchmarks/baseline_bench.json
 
 lint:
 	$(PYTHON) -m repro lint all --strict

@@ -14,10 +14,6 @@ paper's artifacts:
     python -m repro accuracy                  # Eq 4 sweep
     python -m repro trace art                 # telemetry: Perfetto trace
     python -m repro stats [workload]          # telemetry: metrics snapshot
-    python -m repro bench [--quick]           # scalar vs batched engine bench
-    python -m repro bench --trend             # throughput trajectory table
-    python -m repro attribute BASE HEAD       # per-stage regression ranking
-    python -m repro dash dash.html            # static HTML dashboard
     python -m repro lint all --format json    # machine-readable lint report
     python -m repro verify                    # split-safety + false-sharing
                                               # oracle across the zoo
@@ -25,20 +21,17 @@ paper's artifacts:
 
 ``analyze``, ``optimize``, and ``table3`` accept ``--engine
 {scalar,batched}`` (default batched: the columnar fast path, byte-
-identical results — see docs/performance.md); ``bench`` times both
-engines and appends the snapshot to the content-addressed history
-store (``benchmarks/history/``, see ``--history``; ``--out`` still
-writes the raw payload), with ``--check BASELINE`` as the CI
-perf-smoke regression gate — its failure message includes the
-per-stage attribution ``attribute`` prints standalone.
+identical results — see docs/performance.md).  The program is timed
+by the Table 3 cycle benchmark, ``python3 perfbench/run.py`` (see
+"Measuring a change" in docs/performance.md).
 
 Long-running commands (``analyze``, ``optimize``, ``table3``,
-``bench``, ``overhead``, ``sensitivity``, ``summary``) run under a
-live event bus (see docs/observability.md): progress and rate/ETA
-lines on stderr (``--quiet`` silences them and restores the inert
-``NULL_BUS`` path), ``--live FILE`` streams every event as tail-able
-JSONL, ``--deadline SECONDS`` kills a hung run with exit 124, and a
-flight recorder dumps the last events to ``telemetry/flightrec.json``
+``overhead``, ``sensitivity``, ``summary``) run under a live event
+bus (see docs/observability.md): progress and rate/ETA lines on
+stderr (``--quiet`` silences them and restores the inert ``NULL_BUS``
+path), ``--live FILE`` streams every event as tail-able JSONL,
+``--deadline SECONDS`` kills a hung run with exit 124, and a flight
+recorder dumps the last events to ``telemetry/flightrec.json``
 (``--flightrec`` overrides) on crash, SIGTERM, or deadline.
 
 ``analyze``, ``optimize``, and ``table3`` additionally accept
@@ -62,6 +55,7 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
+from ._compat import uses_runner
 from .core import OfflineAnalyzer, derive_plans, optimize, recommend_regrouping
 from .memsim import speedup
 from .profiler import Monitor
@@ -84,6 +78,17 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "instantly with identical output")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for ``--deadline``: a number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
     """The live-bus knobs shared by the long-running commands.
 
@@ -100,8 +105,8 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--live", metavar="FILE", default=None,
                         help="append every live event to FILE as JSONL "
                              "(tail-able while the run is in flight)")
-    parser.add_argument("--deadline", type=float, metavar="SECONDS",
-                        default=None,
+    parser.add_argument("--deadline", type=_positive_float,
+                        metavar="SECONDS", default=None,
                         help="abort (exit 124) after SECONDS, dumping the "
                              "flight recorder — the CI hang-killer")
     parser.add_argument("--flightrec", metavar="FILE", default=None,
@@ -201,68 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_engine_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the scalar vs batched engines; snapshots append "
-             "to the content-addressed history store (per-layer "
-             "accesses/sec, end-to-end wall time, speedup)",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smaller trace, fewer repeats (CI perf-smoke)")
-    p.add_argument("--out", type=str, default=None,
-                   help="also write the raw BENCH snapshot to this path "
-                        "(default: history store only)")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="history store directory the snapshot entry is "
-                        "appended to (default: benchmarks/history)")
-    p.add_argument("--trend", action="store_true",
-                   help="render the stored performance trajectory "
-                        "(sparkline + per-stage table) and exit without "
-                        "benchmarking; also ingests legacy root-level "
-                        "BENCH_*.json snapshots")
-    p.add_argument("--check", metavar="BASELINE", default=None,
-                   help="compare against a baseline BENCH json; exit 1 if "
-                        "batched end-to-end throughput regressed beyond "
-                        "--tolerance (failures include per-stage "
-                        "attribution)")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed fractional throughput regression for "
-                        "--check (default: 0.25)")
-    _add_observability_args(p)
-
-    p = sub.add_parser(
-        "attribute",
-        help="rank pipeline stages by wall-time delta between two bench "
-             "runs (history entry ids or BENCH/entry json paths) — the "
-             "'which stage regressed' answer behind perf-smoke failures",
-    )
-    p.add_argument("base", help="baseline: entry id prefix or json path")
-    p.add_argument("head", help="candidate: entry id prefix or json path")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="history store ids are resolved against "
-                        "(default: benchmarks/history)")
-    p.add_argument("--engine", choices=["scalar", "batched"],
-                   default="batched",
-                   help="which engine's stage timings to attribute")
-
-    p = sub.add_parser(
-        "dash",
-        help="write a self-contained static HTML dashboard (no server): "
-             "bench trend, latest span flame view, overhead "
-             "decomposition, cache-hit rates",
-    )
-    p.add_argument("out", help="output HTML path, e.g. dash.html")
-    p.add_argument("--history", metavar="DIR",
-                   default="benchmarks/history",
-                   help="bench history store to chart "
-                        "(default: benchmarks/history)")
-    p.add_argument("--telemetry", metavar="DIR", default=None,
-                   help="a directory written by --telemetry/`repro trace` "
-                        "whose spans, metrics, and overhead accounts "
-                        "feed the flame view and rate panels")
 
     p = sub.add_parser(
         "trace",
@@ -435,7 +378,7 @@ def _live_scope(args):
 
 def _runner_stats(args):
     """A RunnerStats to accumulate into, when the runner is in play."""
-    if getattr(args, "jobs", 1) > 1 or getattr(args, "cache", None):
+    if uses_runner(args.jobs, args.cache):
         from .runner import RunnerStats
 
         return RunnerStats()
@@ -638,7 +581,8 @@ def _maybe_write_package(args, report, workload, run, out) -> None:
 
 
 def _cmd_optimize(args, out) -> int:
-    if (args.jobs > 1 or args.cache) and not args.out and not args.verify:
+    runner = uses_runner(args.jobs, args.cache)
+    if runner and not args.out and not args.verify:
         return _cmd_optimize_via_runner(args, out)
     with _telemetry_scope(args, out):
         workload, monitor, run, bound = _monitored_run(args)
@@ -749,65 +693,6 @@ def _cmd_table3(args, out) -> int:
     print(table3(results).render(), file=out)
     print(file=out)
     print(table4(results).render(), file=out)
-    return 0
-
-
-def _cmd_bench(args, out) -> int:
-    from .experiments.bench import run_bench, check_regression, write_bench
-    from .telemetry import history
-
-    if args.trend:
-        entries = history.load_history(args.history)
-        print(history.render_trend(entries, history_dir=args.history),
-              file=out)
-        return 0
-    result = run_bench(quick=args.quick)
-    path, entry = history.record_entry(
-        args.history, result, sha=history.git_sha()
-    )
-    print(f"recorded history entry {entry['id']}: {path}", file=out)
-    if args.out:
-        print(f"wrote {write_bench(result, args.out)}", file=out)
-    summary = result["end_to_end"]
-    print(
-        f"end-to-end: scalar {summary['scalar']['accesses_per_sec']:,.0f} acc/s, "
-        f"batched {summary['batched']['accesses_per_sec']:,.0f} acc/s, "
-        f"speedup {summary['speedup']:.2f}x",
-        file=out,
-    )
-    if args.check:
-        ok, message = check_regression(result, args.check, args.tolerance)
-        print(message, file=out)
-        if not ok:
-            return 1
-    return 0
-
-
-def _cmd_attribute(args, out) -> int:
-    from .telemetry import history
-
-    try:
-        base = history.load_ref(args.base, args.history)
-        head = history.load_ref(args.head, args.history)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=out)
-        return 2
-    attribution = history.attribute(base, head, engine=args.engine)
-    print(attribution.render(), file=out)
-    dominant = attribution.dominant
-    if dominant is None:
-        print("no stages in common between the two runs", file=out)
-        return 2
-    return 0
-
-
-def _cmd_dash(args, out) -> int:
-    from .telemetry import history
-    from .telemetry.dash import write_dash
-
-    entries = history.load_history(args.history)
-    path = write_dash(args.out, entries, telemetry_dir=args.telemetry)
-    print(f"wrote {path} ({len(entries)} history entries)", file=out)
     return 0
 
 
@@ -960,9 +845,6 @@ _COMMANDS = {
     "optimize": _cmd_optimize,
     "regroup": _cmd_regroup,
     "table3": _cmd_table3,
-    "bench": _cmd_bench,
-    "attribute": _cmd_attribute,
-    "dash": _cmd_dash,
     "trace": _cmd_trace,
     "stats": _cmd_stats,
     "art": _cmd_art,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from .._compat import uses_runner
 from ..core.analyzer import OfflineAnalyzer
 from ..core.pipeline import OptimizationResult, optimize
 from ..profiler.monitor import Monitor
@@ -122,8 +123,9 @@ def run_all(
     """All (or the named subset of) Table 2 benchmarks.
 
     Benchmark ``rank`` samples with seed ``base_seed + rank`` in every
-    mode.  With ``jobs`` > 1 or a ``cache`` directory the cycles run
-    through :func:`repro.runner.run_tasks` and the values are
+    mode.  With ``jobs`` other than 1 (0 = one worker per CPU) or a
+    ``cache`` directory the cycles run through
+    :func:`repro.runner.run_tasks` and the values are
     :class:`BenchmarkRecord`; otherwise they are full
     :class:`OptimizationResult` objects.  Both expose the surface the
     table builders use, and both produce identical rendered output.
@@ -132,7 +134,7 @@ def run_all(
     cache key only to keep keys honest about how a record was produced.
     """
     chosen = names if names is not None else list(TABLE2_WORKLOADS)
-    if jobs <= 1 and cache is None:
+    if not uses_runner(jobs, cache):
         return {
             name: run_benchmark(
                 name, scale=scale, seed=base_seed + rank, engine=engine,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+from .._compat import uses_runner
 from ..profiler.monitor import Monitor
 from ..workloads.suites import KernelSpec, suite_by_name
 from .report import Table, bar_chart
@@ -70,13 +71,14 @@ def run_suite_overheads(
 
     ``limit`` > 0 monitors only the first N kernels (for quick tests).
     Kernel ``rank`` samples with seed ``base_seed + rank`` in every
-    mode; ``jobs`` > 1 or a ``cache`` directory routes the kernels
-    through :func:`repro.runner.run_tasks` with identical results.
+    mode; ``jobs`` other than 1 or a ``cache`` directory routes the
+    kernels through :func:`repro.runner.run_tasks` with identical
+    results.
     """
     kernels = suite_by_name(suite)
     if limit:
         kernels = kernels[:limit]
-    if jobs <= 1 and cache is None:
+    if not uses_runner(jobs, cache):
         rows: List[Tuple[str, float]] = [
             (spec.name,
              kernel_overhead(spec, sampling_period, seed=base_seed + rank))

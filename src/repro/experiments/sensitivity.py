@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from .._compat import uses_runner
 from ..core.analyzer import OfflineAnalyzer
 from ..core.pipeline import derive_plans
 from ..layout.splitting import SplitPlan
@@ -96,12 +97,12 @@ def sweep_sampling_period(
 
     Every point samples with the *same* seed: the sweep compares
     periods at fixed randomness, so per-point seed offsets would
-    confound the comparison.  ``jobs`` > 1 or a ``cache`` directory
-    routes the points through :func:`repro.runner.run_tasks` (the
-    workload must then be a named Table 2 workload, so workers can
+    confound the comparison.  ``jobs`` other than 1 or a ``cache``
+    directory routes the points through :func:`repro.runner.run_tasks`
+    (the workload must then be a named Table 2 workload, so workers can
     rebuild it from its name).
     """
-    if jobs <= 1 and cache is None:
+    if not uses_runner(jobs, cache):
         bound = workload.build_original()
         return [
             measure_period_point(

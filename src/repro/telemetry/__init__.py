@@ -19,7 +19,7 @@ composable profiling stages:
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """
 
-from . import events, history
+from . import events
 from .events import EVENT_TYPES, NULL_BUS, Event, EventBus, NullBus
 from .export import (
     chrome_trace,
@@ -87,7 +87,6 @@ __all__ = [
     "absorb_payload",
     "crash_dump_scope",
     "events",
-    "history",
     "publish_metric_deltas",
     "active",
     "capture_session",

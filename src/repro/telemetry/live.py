@@ -4,7 +4,7 @@ Three consumers of :mod:`repro.telemetry.events`, one per audience:
 
 - :class:`ProgressReporter` — a human at a terminal: throttled
   rate/ETA lines on stderr while a long ``optimize``/``table3``/
-  ``bench`` run works through its stages and tasks;
+  ``summary`` run works through its stages and tasks;
 - :class:`JsonlStreamWriter` — a machine tailing the run live: one
   JSON object per event, flushed per line, the wire format the
   profiling-as-a-service daemon will serve;
@@ -37,7 +37,7 @@ from .metrics import Histogram, MetricsRegistry
 
 PathLike = Union[str, Path]
 
-#: Default ring-buffer capacity: enough to hold the tail of a bench
+#: Default ring-buffer capacity: enough to hold the tail of a table3
 #: run (a few thousand coarse events) without unbounded growth.
 FLIGHT_CAPACITY = 2048
 
@@ -106,8 +106,8 @@ class ProgressReporter:
         total = data.get("total")
         if done is None:
             return
-        # A shrinking counter means the stage restarted (bench repeats
-        # a layer, optimize re-runs simulate): restart its rate clock.
+        # A shrinking counter means the stage restarted (optimize re-runs
+        # simulate): restart its rate clock.
         if done < self._stage_done.get(stage, float("-inf")):
             self._stage_t0.pop(stage, None)
         self._stage_done[stage] = done
@@ -303,6 +303,18 @@ def crash_dump_scope(
     """
     out = Path(path)
     in_main = threading.current_thread() is threading.main_thread()
+    if deadline is not None:
+        # Checked before any handler is installed, so a rejected call
+        # leaves the caller's handlers in place.  A deadline of 0 must
+        # not pass: setitimer(..., 0) would disarm the hang-killer.
+        if not deadline > 0:
+            raise ValueError(
+                f"deadline must be above 0 seconds, got {deadline}"
+            )
+        if not (in_main and hasattr(signal, "SIGALRM")):
+            raise RuntimeError(
+                "--deadline needs SIGALRM in the main thread"
+            )
     owner_pid = os.getpid()
     previous: Dict[int, object] = {}
 
@@ -319,10 +331,6 @@ def crash_dump_scope(
             signal.SIGTERM, lambda signum, frame: _bail("sigterm", 143)
         )
     if deadline is not None:
-        if not (in_main and hasattr(signal, "SIGALRM")):
-            raise RuntimeError(
-                "--deadline needs SIGALRM in the main thread"
-            )
         previous[signal.SIGALRM] = signal.signal(
             signal.SIGALRM,
             lambda signum, frame: _bail(f"deadline {deadline}s", 124),

@@ -1,23 +1,18 @@
 """Integration tests: the live event bus across the real pipeline.
 
-The tentpole's contract mirrors the telemetry session's: observability
+The bus's contract mirrors the telemetry session's: observability
 is purely observational.  With the bus disabled (``--quiet``) the CLI's
-stdout is byte-identical to a bus-enabled run; with a live bus the
-numeric results are identical to a plain run; and the committed bench
-history snapshots attribute a regression to a named stage.
+stdout is byte-identical to a bus-enabled run, and with a live bus the
+numeric results are identical to a plain run.
 """
 
 import io
 import json
-from pathlib import Path
 
 from repro.cli import main
 from repro.experiments.optimization import run_benchmark
-from repro.telemetry import events, history
+from repro.telemetry import events
 from repro.telemetry.events import EventBus
-
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-HISTORY_DIR = REPO_ROOT / "benchmarks" / "history"
 
 
 def run_cli(*argv):
@@ -74,75 +69,3 @@ class TestDisabledBusParity:
                 for line in live.read_text().splitlines()]
         assert rows
         assert all("type" in row and "ts" in row for row in rows)
-
-
-class TestCommittedHistoryAttribution:
-    def test_store_has_at_least_two_snapshots(self):
-        assert len(list(HISTORY_DIR.glob("bench-*.json"))) >= 2
-
-    def test_attribute_names_the_dominant_stage(self):
-        entries = sorted(
-            HISTORY_DIR.glob("bench-*.json"),
-            key=lambda p: json.loads(p.read_text())["stamp"],
-        )
-        code, text = run_cli(
-            "attribute", str(entries[0]), str(entries[-1]),
-            "--history", str(HISTORY_DIR),
-        )
-        assert code == 0
-        assert "<- dominant" in text
-        dominant_line = next(
-            line for line in text.splitlines() if "<- dominant" in line
-        )
-        assert any(stage in dominant_line
-                   for stage in ("interpret", "simulate", "sample"))
-
-    def test_trend_renders_the_committed_store(self):
-        code, text = run_cli("bench", "--trend",
-                             "--history", str(HISTORY_DIR))
-        assert code == 0
-        assert "snapshot(s)" in text
-        for path in HISTORY_DIR.glob("bench-*.json"):
-            entry_id = json.loads(path.read_text())["id"]
-            assert entry_id[:12] in text
-
-    def test_every_entry_loads_with_its_stored_id(self):
-        stored = {}
-        for path in HISTORY_DIR.glob("bench-*.json"):
-            entry_id = json.loads(path.read_text())["id"]
-            assert path.name == f"bench-{entry_id}.json"
-            stored[entry_id] = path
-        loaded = history.load_history(HISTORY_DIR, legacy_dirs=())
-        assert {e["id"] for e in loaded} == set(stored)
-        for entry in loaded:
-            assert history.entry_id(entry) == entry["id"]
-
-    def test_attribute_renders_across_the_legacy_sharded_entry(self):
-        # 98b687a58ec7 was recorded by the since-removed sharded walk
-        # and keeps that run's ``workers`` rollup in its file.
-        assert "workers" in history.load_ref("98b687a58ec7", HISTORY_DIR)
-        code, text = run_cli("attribute", "98b687a58ec7", "b28bf5df06f8",
-                             "--history", str(HISTORY_DIR))
-        assert code == 0
-        assert text.startswith(
-            "attribution (batched engine): 98b687a58ec7 (37f7a88) -> "
-            "b28bf5df06f8 (06396f1)"
-        )
-        assert "<- dominant" in text
-
-
-class TestDashSmoke:
-    def test_dash_embeds_latest_history_entry(self, tmp_path):
-        out = tmp_path / "dash.html"
-        code, text = run_cli("dash", str(out),
-                             "--history", str(HISTORY_DIR))
-        assert code == 0
-        assert "wrote" in text
-        html_text = out.read_text()
-        latest = max(
-            (json.loads(p.read_text())
-             for p in HISTORY_DIR.glob("bench-*.json")),
-            key=lambda e: e["stamp"],
-        )
-        assert latest["id"] in html_text
-        assert 'id="repro-dash-data"' in html_text

@@ -1,11 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import main
+from repro._compat import uses_runner
+from repro.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -341,6 +343,89 @@ class TestRunnerCacheKeys:
              "params": {"scale": 1.0, "period": None, "engine": "batched"},
              "seed": 0}
         ]
+
+
+class TestRunnerDispatch:
+    """``--jobs 0`` means one worker per effective CPU, so it puts the
+    runner in play exactly as ``--jobs 2`` does."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], False),
+        (["--jobs", "1"], False),
+        (["--jobs", "0"], True),
+        (["--jobs", "2"], True),
+        (["--cache", "DIR"], True),
+        (["--jobs", "1", "--cache", "DIR"], True),
+    ])
+    def test_uses_runner(self, argv, expected):
+        args = _build_parser().parse_args(["table3", *argv])
+        assert uses_runner(args.jobs, args.cache) is expected
+
+    def test_optimize_jobs_0_matches_jobs_1(self, capsys):
+        argv = ("optimize", "462.libquantum", "--scale", "0.1")
+        code_serial, text_serial = run_cli(*argv, "--jobs", "1")
+        assert "runner:" not in capsys.readouterr().err
+        code_auto, text_auto = run_cli(*argv, "--jobs", "0")
+        assert code_serial == code_auto == 0
+        assert text_auto == text_serial
+        assert "runner: tasks=1" in capsys.readouterr().err
+
+    def test_table3_jobs_0_prints_runner_stats(self, capsys):
+        code, _ = run_cli("table3", "--scale", "0.05", "--jobs", "0")
+        assert code == 0
+        assert "runner: tasks=7 jobs=" in capsys.readouterr().err
+
+
+class TestCliSurface:
+    """Every subcommand and every option string it accepts.  Adding,
+    renaming or removing a knob is a deliberate edit here."""
+
+    SURFACE = {
+        "list": [],
+        "analyze": ["--check", "--deadline", "--engine", "--flightrec",
+                    "--json", "--live", "--out", "--period", "--quiet",
+                    "--scale", "--telemetry"],
+        "optimize": ["--cache", "--deadline", "--engine", "--flightrec",
+                     "--jobs", "--live", "--out", "--period", "--quiet",
+                     "--scale", "--telemetry", "--verify"],
+        "lint": ["--format", "--scale", "--strict"],
+        "verify": ["--scale"],
+        "regroup": ["--scale"],
+        "table3": ["--cache", "--deadline", "--engine", "--flightrec",
+                   "--jobs", "--json", "--live", "--quiet", "--scale",
+                   "--telemetry"],
+        "trace": ["--period", "--scale", "--telemetry"],
+        "stats": ["--period", "--scale", "--telemetry"],
+        "art": ["--dot", "--scale"],
+        "overhead": ["--cache", "--deadline", "--flightrec", "--jobs",
+                     "--live", "--quiet"],
+        "accuracy": ["--trials"],
+        "views": ["--period", "--scale"],
+        "sensitivity": ["--cache", "--deadline", "--flightrec", "--jobs",
+                        "--live", "--periods", "--quiet", "--scale"],
+        "cache": ["--cache", "--stats"],
+        "summary": ["--cache", "--deadline", "--flightrec", "--jobs",
+                    "--live", "--no-suites", "--quiet", "--scale"],
+    }
+
+    @staticmethod
+    def subcommands():
+        parser = _build_parser()
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_subcommand_set(self):
+        assert set(self.subcommands()) == set(self.SURFACE)
+
+    def test_option_strings(self):
+        surface = {
+            name: sorted(option for action in sub._actions
+                         for option in action.option_strings
+                         if option not in ("-h", "--help"))
+            for name, sub in self.subcommands().items()
+        }
+        assert surface == self.SURFACE
 
 
 class TestCacheCommand:

@@ -5,16 +5,14 @@ equivalence over random programs; these tests pin the individual
 contracts — batch construction per index kind, the small-loop and
 error fallbacks, hierarchy batch parity per replacement policy, the
 sampler's batched countdown, and the satellite fixes that rode along
-(first-sample stagger, engine validation, bench regression gate).
+(first-sample stagger, engine validation).
 """
 
-import json
 import random
 
 import pytest
 
 from repro.layout import INT, StructType
-from repro.experiments.bench import check_regression, write_bench
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
@@ -611,37 +609,3 @@ class TestEngineSelection:
     def test_monitor_accepts_both_engines(self):
         assert Monitor(engine="scalar").engine == "scalar"
         assert Monitor().engine == "batched"
-
-
-class TestBenchArtifacts:
-    PAYLOAD = {
-        "schema_version": 1,
-        "stamp": "20260101T000000",
-        "end_to_end": {"batched": {"accesses_per_sec": 1000.0}},
-    }
-
-    def baseline(self, tmp_path, rate):
-        payload = {"end_to_end": {"batched": {"accesses_per_sec": rate}}}
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_write_bench_names_file_from_stamp(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = write_bench(dict(self.PAYLOAD))
-        assert path.name == "BENCH_20260101T000000.json"
-        assert json.loads(path.read_text())["schema_version"] == 1
-
-    def test_check_regression_passes_within_tolerance(self, tmp_path):
-        ok, message = check_regression(
-            dict(self.PAYLOAD), self.baseline(tmp_path, 1200.0)
-        )
-        assert ok
-        assert "REGRESSION" not in message
-
-    def test_check_regression_fails_beyond_tolerance(self, tmp_path):
-        ok, message = check_regression(
-            dict(self.PAYLOAD), self.baseline(tmp_path, 2000.0)
-        )
-        assert not ok
-        assert "REGRESSION" in message

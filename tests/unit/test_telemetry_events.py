@@ -271,6 +271,12 @@ class TestPublishMetricDeltas:
         assert publish_metric_deltas(registry, NULL_BUS) == {}
 
 
+def deadline_handlers():
+    """The SIGTERM and SIGALRM handlers ``crash_dump_scope`` replaces."""
+    return {signum: signal.getsignal(signum)
+            for signum in (signal.SIGTERM, signal.SIGALRM)}
+
+
 class TestCrashDumpScope:
     def test_clean_exit_leaves_no_artifact(self, tmp_path):
         out = tmp_path / "flightrec.json"
@@ -355,6 +361,33 @@ class TestCrashDumpScope:
         assert excinfo.value.code == 124
         assert json.loads(out.read_text())["reason"] == "deadline 0.05s"
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("deadline", [0, -1.0])
+    def test_non_positive_deadline_rejected_before_handlers(self, tmp_path,
+                                                            deadline):
+        # 0 would silently disarm the timer and -1 makes setitimer
+        # raise; either way the caller's handlers must survive.
+        before = deadline_handlers()
+        with pytest.raises(ValueError, match="above 0"):
+            with crash_dump_scope(FlightRecorder(), tmp_path / "f.json",
+                                  deadline=deadline):
+                pass
+        assert deadline_handlers() == before
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_rejects_non_positive_deadline(self, capsys, value):
+        from repro.cli import main
+
+        before = deadline_handlers()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table3", "--scale", "0.05", "--deadline", value],
+                 out=io.StringIO())
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--deadline" in err
+        assert deadline_handlers() == before
 
 
 _SIGTERM_CHILD = """
