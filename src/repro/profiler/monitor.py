@@ -193,7 +193,7 @@ class Monitor:
                 collector = ProfileCollector(
                     registry, loop_map, program_name=bound.name
                 )
-                profiles = collector.collect(sampler.samples)
+                profiles = collector.collect(sampler.log)
                 if not profiles:
                     profiles = {0: ThreadProfile(thread=0, program=bound.name)}
                 span.set(

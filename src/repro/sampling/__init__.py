@@ -1,7 +1,7 @@
 """PMU address-sampling models (PEBS-LL, IBS) and the overhead model."""
 
 from .dump import iter_samples, load_samples, save_samples
-from .events import AddressSample, data_source
+from .events import AddressSample, SampleLog, data_source
 from .ibs import IBSSampler
 from .overhead import (
     ASLOP_INSTRUMENTATION,
@@ -27,6 +27,7 @@ __all__ = [
     "OverheadModel",
     "PEBSLoadLatencySampler",
     "REUSE_DISTANCE_INSTRUMENTATION",
+    "SampleLog",
     "SamplingEngine",
     "data_source",
     "iter_samples",

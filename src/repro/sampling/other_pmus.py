@@ -32,16 +32,15 @@ class _UnitLatencySampler(SamplingEngine):
         super().observe(access, 1.0 if latency > 0 else latency)
 
     def observe_batch(self, batch, latencies) -> None:
-        # Degrade the whole column before the batched engine slices
-        # samples out of it, mirroring the per-access override above.
-        # The vector walk hands an ndarray: degrade to plain floats so
-        # stored samples match the scalar path byte for byte.
-        to_list = getattr(latencies, "tolist", None)
-        if to_list is not None:
-            latencies = to_list()
-        super().observe_batch(
-            batch, [1.0 if latency > 0 else latency for latency in latencies]
-        )
+        # Only captured samples keep a latency, and these PMUs have no
+        # latency filter, so degrading the gathered rows is the same as
+        # degrading the whole column first.
+        start = len(self.log)
+        super().observe_batch(batch, latencies)
+        column = self.log.latency
+        for i in range(start, len(column)):
+            if column[i] > 0:
+                column[i] = 1.0
 
 
 class DEARSampler(_UnitLatencySampler):

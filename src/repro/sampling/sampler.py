@@ -11,17 +11,35 @@ Models how PMU address sampling behaves in practice:
   latency) and nothing else.
 
 The engine implements the :data:`repro.memsim.engine.Observer` protocol
-so it plugs directly into the simulation driver.
+so it plugs directly into the simulation driver. Samples are kept in a
+columnar :class:`~repro.sampling.events.SampleLog`: :meth:`SamplingEngine.
+observe` appends one row per sample, and :meth:`SamplingEngine.
+observe_batch` works out a whole batch's sample positions and then
+gathers every column at once (with numpy, in one step per column).
+
+When the period cannot vary (``int(period * jitter) == 0``, every period
+below 10 at the default jitter) a thread slot's samples in a batch sit
+at an arithmetic progression of its eligible accesses, so one
+``arange`` per slot gives them; the only RNG draws left are the
+first-sample staggers. Otherwise a small heap replays the countdowns in
+trace-position order, so RNG draws happen in the scalar path's order.
+Either way the log, ``periods_drawn`` and every counter are identical
+to feeding the expanded batch through :meth:`SamplingEngine.observe`,
+which stays as the reference.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from ..memsim import vectorwalk
 from ..program.trace import MemoryAccess
-from .events import AddressSample
+from .events import AddressSample, SampleLog
+
+#: The log columns a sample copies from its access's batch columns.
+_BATCH_COLUMNS = ("thread", "ip", "address", "size", "is_write", "line", "context")
 
 
 class SamplingEngine:
@@ -41,7 +59,8 @@ class SamplingEngine:
         Latency threshold in cycles (PEBS-LL's ``ldlat`` filter);
         accesses faster than this are not eligible.
     seed:
-        RNG seed; runs are fully deterministic for a given seed.
+        RNG seed; runs are fully deterministic for a given seed, and
+        :meth:`reset` restarts the RNG from it.
     """
 
     #: PMU model name, for overhead-provenance reporting; subclasses
@@ -65,9 +84,10 @@ class SamplingEngine:
         self.jitter = jitter
         self.loads_only = loads_only
         self.min_latency = min_latency
+        self.seed = seed
         self._rng = random.Random(seed)
         self._countdown: Dict[int, int] = {}
-        self.samples: List[AddressSample] = []
+        self.log = SampleLog()
         self.eligible_accesses = 0
         self.total_accesses = 0
         #: Every jittered period actually drawn, for telemetry (one
@@ -105,33 +125,33 @@ class SamplingEngine:
             remaining = self._rng.randint(1, self._next_period())
         remaining -= 1
         if remaining <= 0:
-            self.samples.append(
-                AddressSample(
-                    seq=self.total_accesses - 1,
-                    thread=access.thread,
-                    ip=access.ip,
-                    address=access.address,
-                    size=access.size,
-                    is_write=access.is_write,
-                    latency=latency,
-                    line=access.line,
-                    context=access.context,
-                )
+            self.log.append(
+                self.total_accesses - 1,
+                access.thread,
+                access.ip,
+                access.address,
+                access.size,
+                access.is_write,
+                latency,
+                access.line,
+                access.context,
             )
             remaining = self._next_period()
         self._countdown[access.thread] = remaining
 
-    def observe_batch(self, batch, latencies: List[float]) -> None:
+    def observe_batch(self, batch, latencies) -> None:
         """Columnar observer hook: one call per :class:`AccessBatch`.
 
         Advances each thread's countdown in O(samples) rather than
-        O(accesses): within a batch the eligible accesses of a thread
-        slot sit at arithmetically known positions, so the engine jumps
-        straight from one counter-expiry to the next. RNG draws (first-
-        sample stagger, post-sample re-arm) are replayed in global trace
-        position order via a small per-slot event heap, which makes the
-        selected samples — and every counter — bit-identical to feeding
-        the expanded batch through :meth:`observe`.
+        O(accesses). A thread slot's eligible accesses are numbered
+        ``e = 0, 1, ...`` in trace order; without a latency filter they
+        sit at arithmetically known batch positions, and when the
+        ``min_latency`` filter can drop accesses each slot's eligible
+        positions are listed one by one. The countdown then jumps from one
+        counter expiry to the next over that numbering, the sample
+        positions are collected, and the log gathers every column for
+        them at once. The log and every counter are bit-identical to
+        feeding the expanded batch through :meth:`observe`.
 
         Subclasses that override :meth:`observe` must override this
         hook consistently (see ``other_pmus._UnitLatencySampler``), or
@@ -140,104 +160,184 @@ class SamplingEngine:
         K = batch.stmts_per_iter
         thread_order = batch.thread_order
         T = len(thread_order)
-        rounds = batch.rounds
-        n = batch.length
+        round_size = K * T
+        base = self.total_accesses
+        self.total_accesses = base + batch.length
         if self.loads_only:
             elig = [j for j in range(K) if not batch.write_pattern[j]]
         else:
             elig = list(range(K))
-        n_elig = len(elig)
-        if n_elig == 0:
-            self.total_accesses += n
+        if not elig:
             return
-        if self.min_latency > 0.0:
-            # The latency column is a list (scalar walk) or a float64
-            # ndarray (vector walk); .min() keeps the ndarray probe off
-            # the per-element Python path.
-            lowest = (
-                latencies.min() if hasattr(latencies, "min")
-                else min(latencies)
-            )
-            if lowest < self.min_latency:
-                # Some accesses may fail the latency filter; eligibility
-                # is then data-dependent and the skip arithmetic doesn't
-                # apply.
-                self._observe_batch_slow(batch, latencies)
-                return
-        round_size = K * T
-        per_slot = rounds * n_elig  # eligible accesses per thread slot
-        base = self.total_accesses
-        self.total_accesses = base + n
-        self.eligible_accesses += per_slot * T
+        use_numpy = vectorwalk.HAVE_NUMPY
+        progression = use_numpy and int(self.period * self.jitter) == 0
+        if progression:
+            # position() then maps a whole arange of ``e`` at once, so
+            # its lookup tables become int64 arrays.
+            import numpy as np
+        # The latency column is a list (scalar walk) or a float64
+        # ndarray (vector walk); .min() keeps the ndarray probe off the
+        # per-element Python path.
+        if self.min_latency > 0.0 and (
+            latencies.min() if hasattr(latencies, "min") else min(latencies)
+        ) < self.min_latency:
+            # Eligibility is data-dependent: list each slot's eligible
+            # positions and index them by ``e``.
+            slots = self._eligible_positions(batch, latencies, elig)
+            counts = [len(positions) for positions in slots]
+            if progression:
+                slots = [np.asarray(p, dtype=np.int64) for p in slots]
 
-        # Event heap keyed by global batch position. Entries are
-        # (pos, slot, eligible_index, is_first): a pending first-sample
-        # stagger draw, or a pending counter expiry.
+            def position(s, e):
+                return slots[s][e]
+        else:
+            n_elig = len(elig)
+            counts = [batch.rounds * n_elig] * T
+            if progression:
+                elig = np.array(elig, dtype=np.int64)
+
+            def position(s, e):
+                return (e // n_elig) * round_size + s * K + elig[e % n_elig]
+        self.eligible_accesses += sum(counts)
+
+        if progression:
+            positions = self._progression_positions(thread_order, counts, position)
+        else:
+            positions = self._heap_positions(thread_order, counts, position)
+        if len(positions):
+            self._gather(batch, latencies, positions, base, use_numpy)
+
+    def _eligible_positions(self, batch, latencies, elig) -> list:
+        """Each thread slot's eligible batch positions, in trace order."""
+        K = batch.stmts_per_iter
+        T = len(batch.thread_order)
+        min_latency = self.min_latency
+        slots = [[] for _ in range(T)]
+        for r in range(batch.rounds):
+            for s, positions in enumerate(slots):
+                for j in elig:
+                    p = (r * T + s) * K + j
+                    if latencies[p] >= min_latency:
+                        positions.append(p)
+        return slots
+
+    def _progression_positions(self, thread_order, counts, position):
+        """Sample positions when the period cannot vary.
+
+        Each slot samples every ``period``-th eligible access from its
+        first expiry on. The first-sample staggers are the only RNG
+        draws; the scalar path takes them at each fresh slot's first
+        eligible access, so they are drawn in that order here.
+        """
+        import numpy as np
+
+        period = self.period
+        countdown = self._countdown
+        fresh = sorted(
+            (position(s, 0), s)
+            for s, t in enumerate(thread_order)
+            if counts[s] and t not in countdown
+        )
+        first = {
+            s: self._rng.randint(1, self._next_period()) - 1 for _, s in fresh
+        }
+        taken = []
+        for s, t in enumerate(thread_order):
+            e = first.get(s)
+            if e is None:
+                remaining = countdown.get(t)
+                if remaining is None:
+                    continue  # no eligible access of this thread yet
+                e = remaining - 1
+            expiries = np.arange(e, counts[s], period, dtype=np.int64)
+            if len(expiries):
+                taken.append(position(s, expiries))
+            countdown[t] = e + len(expiries) * period - (counts[s] - 1)
+        if not taken:
+            return ()
+        positions = np.sort(np.concatenate(taken))
+        self.periods_drawn.extend([period] * len(positions))
+        return positions
+
+    def _heap_positions(self, thread_order, counts, position) -> List[int]:
+        """Sample positions by replaying the countdowns in trace order.
+
+        Event heap keyed by batch position. Entries are (pos, slot,
+        eligible_index, is_first): a pending first-sample stagger draw,
+        or a pending counter expiry. Popping in position order makes
+        the RNG draws (stagger and re-arm) happen in the scalar path's
+        order.
+        """
+        countdown = self._countdown
         heap = []
         for s, t in enumerate(thread_order):
-            remaining = self._countdown.get(t)
+            remaining = countdown.get(t)
             if remaining is None:
-                heap.append((s * K + elig[0], s, 0, True))
-            else:
+                if counts[s]:
+                    heap.append((position(s, 0), s, 0, True))
+            elif remaining - 1 < counts[s]:
                 e = remaining - 1
-                if e < per_slot:
-                    pos = (e // n_elig) * round_size + s * K + elig[e % n_elig]
-                    heap.append((pos, s, e, False))
-                else:
-                    # Counter outlives the batch: just count it down.
-                    self._countdown[t] = remaining - per_slot
+                heap.append((position(s, e), s, e, False))
+            else:
+                # Counter outlives the batch: just count it down.
+                countdown[t] = remaining - counts[s]
         heapq.heapify(heap)
 
-        samples_append = self.samples.append
-        address, ip, size = batch.address, batch.ip, batch.size
-        is_write, line, context = batch.is_write, batch.line, batch.context
+        positions = []
+        rng = self._rng
         while heap:
             pos, s, e, is_first = heapq.heappop(heap)
             if is_first:
-                nxt = self._rng.randint(1, self._next_period()) - 1
+                nxt = rng.randint(1, self._next_period()) - 1
             else:
                 nxt = e
             if nxt == e:
-                samples_append(
-                    AddressSample(
-                        seq=base + pos,
-                        thread=thread_order[s],
-                        ip=ip[pos],
-                        address=address[pos],
-                        size=size[pos],
-                        is_write=bool(is_write[pos]),
-                        latency=float(latencies[pos]),
-                        line=line[pos],
-                        context=context[pos],
-                    )
-                )
+                positions.append(pos)
                 nxt = e + self._next_period()
-            if nxt < per_slot:
-                npos = (nxt // n_elig) * round_size + s * K + elig[nxt % n_elig]
-                heapq.heappush(heap, (npos, s, nxt, False))
+            if nxt < counts[s]:
+                heapq.heappush(heap, (position(s, nxt), s, nxt, False))
             else:
-                self._countdown[thread_order[s]] = nxt - (per_slot - 1)
+                countdown[thread_order[s]] = nxt - (counts[s] - 1)
+        return positions
 
-    def _observe_batch_slow(self, batch, latencies) -> None:
-        """Per-access replay for latency-filtered configurations."""
-        to_list = getattr(latencies, "tolist", None)
-        if to_list is not None:
-            # ndarray column: replay with plain floats so captured
-            # samples stay byte-identical to the scalar path's.
-            latencies = to_list()
-        observe = self.observe
-        for access, latency in zip(batch, latencies):
-            observe(access, latency)
+    def _gather(self, batch, latencies, positions, base, use_numpy) -> None:
+        """Append the samples at batch ``positions`` to the log."""
+        log = self.log
+        if use_numpy:
+            import numpy as np
+
+            at = np.asarray(positions, dtype=np.int64)
+            for name in _BATCH_COLUMNS:
+                column = vectorwalk.as_column(getattr(batch, name))
+                getattr(log, name).frombytes(column[at].tobytes())
+            log.seq.frombytes((at + base).tobytes())
+            if isinstance(latencies, np.ndarray):
+                log.latency.frombytes(
+                    latencies[at].astype(np.float64, copy=False).tobytes()
+                )
+            else:
+                log.latency.extend([latencies[p] for p in at.tolist()])
+            return
+        for name in _BATCH_COLUMNS:
+            column = getattr(batch, name)
+            getattr(log, name).extend([column[p] for p in positions])
+        log.seq.extend([base + p for p in positions])
+        log.latency.extend([latencies[p] for p in positions])
 
     # -- results ------------------------------------------------------------
 
     @property
+    def samples(self) -> List[AddressSample]:
+        """The logged samples as records, built on each read."""
+        return list(self.log.rows())
+
+    @property
     def sample_count(self) -> int:
-        return len(self.samples)
+        return len(self.log)
 
     def samples_by_thread(self) -> Dict[int, List[AddressSample]]:
         result: Dict[int, List[AddressSample]] = {}
-        for s in self.samples:
+        for s in self.log.rows():
             result.setdefault(s.thread, []).append(s)
         return result
 
@@ -248,8 +348,9 @@ class SamplingEngine:
         return self.sample_count / self.eligible_accesses
 
     def reset(self) -> None:
+        self._rng.seed(self.seed)
         self._countdown.clear()
-        self.samples.clear()
+        self.log.clear()
         self.eligible_accesses = 0
         self.total_accesses = 0
         self.periods_drawn.clear()
@@ -261,8 +362,8 @@ class SamplingEngine:
         sample-latency histogram with a telemetry registry.
 
         The latency histogram is built here, at export time, from the
-        already-captured samples — the hot observe() path stays
-        untouched.
+        log's latency column — the hot observe() path stays untouched
+        and no sample record is built.
         """
         registry.counter(
             "repro_sampling_accesses_total",
@@ -306,5 +407,6 @@ class SamplingEngine:
             LATENCY_BUCKETS_CYCLES,
             help="load-to-use latency of captured samples",
         )
-        for sample in self.samples:
-            histogram.observe(sample.latency)
+        for latency in self.log.latency:
+            histogram.observe(latency)
+

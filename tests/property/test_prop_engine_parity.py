@@ -10,23 +10,37 @@ gate, up to four threads (Table 3's machine), and both PMU flavors with
 jittered periods. Parity covers the machine's whole state: every
 cache's resident lines in recency order and the directory's holders
 and per-line invalidations, not only counters.
+
+The sample path has its own contract: the batched engine's columnar
+log folded by windows must leave the same profiles, byte for byte and
+in every dictionary's insertion order, as the scalar engine's samples
+folded one by one through ``observe_sample``.
 """
 
+import json
 import random
+from unittest import mock
 
 import dataclasses
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.binary.loopmap import LoopMap
 from repro.layout import INT, StructType
 from repro.layout.types import array_of
+from repro.memsim import vectorwalk
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
 from repro.program import AccessBatch, Access, Compute, Function, Loop, WorkloadBuilder, affine
 from repro.program.interp import Interpreter
 from repro.program.ir import Const, Indirect, Mod
+from repro.profiler import collector as collector_module
+from repro.profiler.allocation import DataObjectRegistry
+from repro.profiler.collector import ProfileCollector
+from repro.sampling.events import SampleLog
 from repro.sampling.ibs import IBSSampler
 from repro.sampling.pebs import PEBSLoadLatencySampler
 from tests.property.strategies import ELEM
@@ -261,6 +275,7 @@ class TestMulticoreWalkParity:
     of whose accesses the vector walk would replay."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
+        pytest.importorskip("numpy")
         read = Access(line=2, array="A", field="x",
                       index=affine("i1", 1, 0))
         write = Access(line=4, array="A", field="x",
@@ -284,6 +299,7 @@ class TestMulticoreWalkParity:
         assert hierarchy.invalidations > 0
 
     def test_replay_heavy_body_demotes(self):
+        pytest.importorskip("numpy")
         # 64-byte elements; six lines sharing one L1 and one L2 set of
         # the small geometry, visited in random order by four threads.
         wide = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
@@ -307,3 +323,153 @@ class TestMulticoreWalkParity:
         (hierarchy,) = hierarchies
         assert hierarchy.walk_accesses()["general_vector"] == n
         assert hierarchy._vector_state == -1
+
+
+def profile_state(collector):
+    """A collector's whole output as JSON: every profile's ``to_dict()``
+    plus what it leaves out — the insertion order of profiles, streams,
+    ``data_latency`` and ``source_counts``, and each stream's seen-set
+    and last unique address."""
+    return json.dumps([
+        (
+            thread,
+            profile.to_dict(),
+            list(profile.streams),
+            list(profile.data_latency),
+            [
+                (list(stream.source_counts), sorted(stream._seen),
+                 stream.last_unique_address)
+                for stream in profile.streams.values()
+            ],
+        )
+        for thread, profile in collector.profiles.items()
+    ])
+
+
+def new_collector(bound):
+    return ProfileCollector(
+        DataObjectRegistry.from_address_space(bound.space),
+        LoopMap(bound.program),
+    )
+
+
+def sample_path(bound, num_threads, batched, make_sampler):
+    """The sampler's state and the collected profiles: the scalar engine
+    folds sample by sample, the batched one folds its log."""
+    interp = Interpreter(bound, num_threads=num_threads)
+    sampler = make_sampler()
+    simulate(
+        interp.run_batched() if batched else interp.run(),
+        hierarchy=MemoryHierarchy(HierarchyConfig(), num_threads),
+        observer=sampler.observe,
+    )
+    collector = new_collector(bound)
+    if batched:
+        collector.collect(sampler.log)
+    else:
+        for sample in sampler.samples:
+            collector.observe_sample(sample)
+    return sampler_state(sampler), profile_state(collector)
+
+
+SAMPLERS = {
+    "pebs": lambda period, jitter: PEBSLoadLatencySampler(
+        period, jitter=jitter, seed=5),
+    # ldlat above the L1 latency: the filter drops accesses, so the
+    # batched engine lists each slot's eligible positions one by one.
+    "pebs-ldlat10": lambda period, jitter: PEBSLoadLatencySampler(
+        period, jitter=jitter, ldlat=10.0, seed=5),
+    "ibs": lambda period, jitter: IBSSampler(period, jitter=jitter, seed=5),
+}
+
+
+class TestSamplePathParity:
+    """Scalar engine + per-sample fold == batched engine + window fold."""
+
+    @given(
+        any_bodies,
+        st.integers(1, 4),
+        # Periods 1-9 cannot vary at jitter 0.1 (the arange route);
+        # longer ones, or a wider jitter, take the heap.
+        st.one_of(st.integers(1, 9), st.integers(10, 40)),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.sampled_from(sorted(SAMPLERS)),
+        st.sampled_from([1, 5, collector_module.WINDOW]),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_log_and_profiles_identical(
+        self, body, num_threads, period, jitter, pmu, window, numpy
+    ):
+        bound = build(body)
+
+        def make_sampler():
+            return SAMPLERS[pmu](period, jitter)
+
+        scalar = sample_path(bound, num_threads, False, make_sampler)
+        with mock.patch.object(collector_module, "WINDOW", window), \
+                mock.patch.object(vectorwalk, "HAVE_NUMPY",
+                                  numpy and vectorwalk.HAVE_NUMPY):
+            batched = sample_path(bound, num_threads, True, make_sampler)
+        assert scalar == batched
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),                      # thread
+                st.sampled_from([0x400000, 0x400010]),  # ip
+                st.integers(-8, 2 * ELEMENTS * 4 + 8),  # offset from A
+                st.booleans(),                          # is_write
+                # Integral latencies fold by columns; a non-integral
+                # one sends its window, and any window after it whose
+                # sums it left non-integral, through observe_sample.
+                st.sampled_from([4.0, 12.0, 42.0, 220.0, 4.5, 1 / 3]),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([1, 2, 4, 16, collector_module.WINDOW]),
+    )
+    @settings(deadline=None, max_examples=60)
+    # Summed by columns, either window would round differently:
+    # (1/3 + 4) + 440 != (1/3 + 4) + 220 + 220, and
+    # 440 + (1/3 + 220) != (440 + 1/3) + 220.
+    @example([(0, 0x400000, 0, False, lat) for lat in (1 / 3, 4.0, 220.0, 220.0)], 2)
+    @example([(0, 0x400000, 0, False, lat) for lat in (220.0, 220.0, 1 / 3, 220.0)], 2)
+    def test_hand_fed_log_folds_like_observe_sample(self, rows, window):
+        builder = WorkloadBuilder("hand-fed")
+        builder.add_aos(ELEM, ELEMENTS, name="A")
+        builder.add_aos(ELEM, ELEMENTS, name="B")
+        bound = builder.build([Function("main", [])])
+        base = bound.space.allocations[0].base
+        log = SampleLog()
+        for seq, (thread, ip, offset, is_write, latency) in enumerate(rows):
+            log.append(seq, thread, ip, base + offset, 4, is_write, latency,
+                       seq % 3, 0)
+        reference = new_collector(bound)
+        for sample in log.rows():
+            reference.observe_sample(sample)
+        folded = new_collector(bound)
+        with mock.patch.object(collector_module, "WINDOW", window):
+            folded.collect(log)
+        assert profile_state(folded) == profile_state(reference)
+
+    def test_log_spanning_several_windows(self):
+        # Period 1 over a long loop: the log holds more than two real
+        # windows, and every stream crosses window boundaries.
+        n = 2 * collector_module.WINDOW + 1000
+        loop = Loop(line=1, var="i", start=0, stop=n, end_line=3, body=[
+            Access(line=2, array="A", field="x",
+                   index=Mod(affine("i", 7, 3), ELEMENTS)),
+        ])
+        bound = build([loop])
+        sampler = IBSSampler(1, jitter=0.0, seed=1)
+        simulate(Interpreter(bound).run_batched(),
+                 hierarchy=MemoryHierarchy(HierarchyConfig(), 1),
+                 observer=sampler.observe)
+        assert sampler.sample_count == n
+        reference = new_collector(bound)
+        for sample in sampler.samples:
+            reference.observe_sample(sample)
+        folded = new_collector(bound)
+        folded.collect(sampler.log)
+        assert profile_state(folded) == profile_state(reference)

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.layout import INT, StructType
+from repro.memsim import vectorwalk
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
@@ -252,8 +253,7 @@ class TestVectorWalk:
 
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_vector_walk_matches_scalar(self, policy):
-        vectorwalk = pytest.importorskip("repro.memsim.vectorwalk")
-        assert vectorwalk.HAVE_NUMPY
+        pytest.importorskip("numpy")
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
         expected = [
@@ -568,12 +568,61 @@ class TestSamplerBatch:
             lambda: PEBSLoadLatencySampler(7, jitter=0.0, ldlat=0.0, seed=5),
             lambda: IBSSampler(5, jitter=0.2, seed=5),
             lambda: DEARSampler(3, jitter=0.1, seed=5),
+            # Periods that cannot vary take the arange route.
+            lambda: PEBSLoadLatencySampler(3, seed=5),
+            lambda: IBSSampler(1, seed=5),
+            # ldlat above the L1 latency: listed eligible positions.
+            lambda: PEBSLoadLatencySampler(7, ldlat=10.0, seed=5),
+            lambda: PEBSLoadLatencySampler(13, jitter=0.3, ldlat=10.0, seed=5),
         ],
     )
     def test_observe_batch_is_bit_identical(self, make_sampler):
         bound = program(Mod(affine("i", 7, 3), ELEMENTS), stop=200)
         scalar, batched = self.run_both(make_sampler, bound)
         assert scalar == batched
+
+    @pytest.mark.parametrize("numpy", [True, False])
+    def test_latency_filter_keeps_accesses_at_the_threshold(
+        self, numpy, monkeypatch
+    ):
+        # ldlat equal to the DRAM latency: L1 hits are filtered out and
+        # the DRAM fetches, exactly at the threshold, stay eligible.
+        monkeypatch.setattr(
+            vectorwalk, "HAVE_NUMPY", numpy and vectorwalk.HAVE_NUMPY
+        )
+        bound = program(Mod(affine("i", 7, 3), ELEMENTS), stop=200)
+        dram = HierarchyConfig().dram_latency
+        scalar, batched = self.run_both(
+            lambda: PEBSLoadLatencySampler(1, ldlat=dram, seed=5), bound
+        )
+        assert scalar == batched
+        assert batched[0] and {s.latency for s in batched[0]} == {dram}
+
+    @pytest.mark.parametrize("period", [2, 9, 31])
+    @pytest.mark.parametrize("ldlat", [0.0, 10.0, 220.0])
+    def test_parallel_batches_are_bit_identical(self, period, ldlat):
+        # Four thread slots per round: each slot counts down on its own
+        # and the log interleaves them in trace order. At ldlat 220
+        # only the few DRAM fetches are eligible, so some slots have
+        # none and must stay unarmed.
+        builder = WorkloadBuilder("unit")
+        builder.add_aos(ELEM, ELEMENTS, name="A")
+        loop = Loop(line=1, var="i", start=0, stop=300, end_line=4,
+                    parallel=True, body=[
+                        Access(line=2, array="A", field="x",
+                               index=Mod(affine("i", 5, 1), ELEMENTS)),
+                        Access(line=3, array="A", field="x",
+                               index=Mod(affine("i", 3, 0), ELEMENTS),
+                               is_write=True),
+                    ])
+        bound = builder.build([Function("main", [loop])])
+        scalar, batched = self.run_both(
+            lambda: PEBSLoadLatencySampler(period, ldlat=ldlat, seed=4),
+            bound, num_threads=4,
+        )
+        assert scalar == batched
+        if ldlat < 220.0:
+            assert len({s.thread for s in batched[0]}) == 4
 
     def test_unit_latency_sampler_degrades_batched_column(self):
         bound = program(Mod(affine("i"), ELEMENTS), stop=400)

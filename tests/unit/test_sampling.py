@@ -78,6 +78,18 @@ class TestSamplingEngine:
         assert engine.sample_count == 0
         assert engine.total_accesses == 0
 
+    def test_reset_restarts_the_rng(self):
+        def run(engine):
+            for i in range(1000):
+                engine.observe(access(addr=i * 8), 10.0)
+            return engine.samples, list(engine.periods_drawn)
+
+        fresh = run(SamplingEngine(100, seed=1))
+        engine = SamplingEngine(100, seed=1)
+        run(engine)
+        engine.reset()
+        assert run(engine) == fresh
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SamplingEngine(period=0)
