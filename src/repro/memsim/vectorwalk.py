@@ -30,35 +30,35 @@ Per batch (after splitting at line-crossing accesses):
    before it is a guaranteed L1 MRU hit (the head of the run left it
    most recent and nothing intervened), so only run heads walk the
    hierarchy; tails just bump the L1 hit counter.
-2. Per level, one gather (``tags[set_of_access]``) and compare gives
-   every access's hit/miss against the level's *batch-entry* state.
-   Sets are then classified:
+2. **Duplicate chunks**: the deduped stream is cut before every
+   access whose line already appeared in the current chunk, so each
+   chunk touches pairwise-distinct lines. The cuts depend only on the
+   line column. A stream that needs more than ``CUT_CAP`` chunks (short
+   re-use distances) takes the **row walk** instead: every level's
+   touched rows come out once as Python lists and the stream walks
+   them access by access (:func:`_row_walk`).
+3. Per level and chunk, one gather (``tags[set_of_access]``) and
+   compare gives every access's hit/miss against the level's
+   *chunk-entry* state. Sets are then classified:
 
    - **safe-hit** sets saw only hits: the set's contents never change,
-     so the initial probe is exact; LRU restamps scatter in one write
-     (later positions overwrite earlier — exactly max-position).
-   - **safe-miss** sets saw only misses of pairwise-distinct lines: no
-     access can observe another's effect except through eviction
-     pressure, and the final contents are arithmetically the newest
-     ``ways`` entries of (old residents ∪ arrivals), with
-     ``max(0, occupied + arrivals - ways)`` evictions.
-   - **mixed** sets (hits *and* misses, every accessed line distinct)
-     resolve arithmetically too: probe-misses are definite misses
-     (a distinct line absent at batch entry cannot appear mid-segment),
-     while each probe-hit — a *suspect* — may have been evicted by
-     earlier arrivals before its access. Victims always leave in stamp
-     order, so a suspect at rank ``r`` among the set's old lines
-     survives ``E`` evictions iff ``r - A >= E`` (``A`` = older lines
-     already re-stamped by earlier suspect hits, LRU only). At most
-     ``ways`` suspects exist per set, so all sets resolve in lockstep
-     rounds (:func:`_resolve_mixed`).
-   - Only sets where the same line is accessed twice around a miss —
-     where a later access could hit a line an earlier one filled or
-     evicted — are **unsafe**: their accesses are replayed in trace
-     order by an exact per-access loop. Sets are independent, so
-     replayed and vectorized updates commute.
+     so the initial probe is exact; LRU restamps scatter in one write.
+   - **safe-miss** sets saw only misses: no access can observe
+     another's effect except through eviction pressure, and the final
+     contents are arithmetically the newest ``ways`` entries of (old
+     residents ∪ arrivals), with ``max(0, occupied + arrivals - ways)``
+     evictions.
+   - **mixed** sets (hits *and* misses) resolve arithmetically too:
+     probe-misses are definite misses (a distinct line absent at chunk
+     entry cannot appear mid-chunk), while each probe-hit — a
+     *suspect* — may have been evicted by earlier arrivals before its
+     access. Victims always leave in stamp order, so a suspect at rank
+     ``r`` among the set's old lines survives ``E`` evictions iff
+     ``r - A >= E`` (``A`` = older lines already re-stamped by earlier
+     suspect hits, LRU only). At most ``ways`` suspects exist per set,
+     so all sets resolve in lockstep rounds (:func:`_resolve_mixed`).
 
-3. Misses cascade to the next level with their trace positions; the
+4. Misses cascade to the next level with their trace positions; the
    final level per access indexes a latency LUT.
 
 Every counter (hits/misses/evictions per level, DRAM fetches) and every
@@ -271,27 +271,22 @@ def walk_batch(hier, addresses, sizes, is_write=None):
     )
     first = address >> line_bits
     last = (address + size - 1) >> line_bits
-    replayed = 0
     if (first == last).all():
-        replayed = _walk_segment(caches, hier, first, latencies, lut)
-        hier._vector_feedback(replayed, n)
+        _walk_segment(caches, hier, first, latencies, lut)
         return latencies
     split_positions = np.flatnonzero(first != last)
     access = hier.access
     start = 0
     for i in split_positions.tolist():
         if i > start:
-            replayed += _walk_segment(
+            _walk_segment(
                 caches, hier, first[start:i], latencies[start:i], lut
             )
         write = bool(is_write[i]) if is_write is not None else False
         latencies[i] = access(0, int(address[i]), int(size[i]), write)
         start = i + 1
     if start < n:
-        replayed += _walk_segment(
-            caches, hier, first[start:], latencies[start:], lut
-        )
-    hier._vector_feedback(replayed, n)
+        _walk_segment(caches, hier, first[start:], latencies[start:], lut)
     return latencies
 
 
@@ -299,15 +294,13 @@ def _walk_segment(caches, hier, lines, latencies_out, lut):
     """Walk one split-free segment through L1/L2/L3; latencies and the
     DRAM fetch count go to the caller's column and hierarchy."""
     levels = _np.zeros(len(lines), dtype=_np.intp)
-    replayed = cascade(caches, lines, levels)
+    cascade(caches, lines, levels)
     hier.dram_accesses += int(_np.count_nonzero(levels == len(caches)))
     latencies_out[:] = lut[levels]
-    return replayed
 
 
-#: Give up duplicate-splitting a segment after this many cuts; the
-#: remainder walks with the per-level replay machinery instead (and
-#: reports itself to the demotion feedback).
+#: A segment whose deduped stream would fragment into more than this
+#: many duplicate-free chunks walks access by access (:func:`_row_walk`).
 CUT_CAP = 64
 
 
@@ -316,7 +309,8 @@ def cascade(caches, lines, levels):
 
     Records each access's deepest level in ``levels`` (zeros on entry):
     ``d`` when ``caches[d]`` hit, ``len(caches)`` when every level
-    missed. Returns the number of replayed accesses.
+    missed. Returns the number of accesses the row walk took (0 or
+    ``len(lines)``).
 
     The deduped stream is chopped at duplicate boundaries: a cut lands
     on every access whose line already appeared in the current chunk,
@@ -324,10 +318,10 @@ def cascade(caches, lines, levels):
     walk needs no order-dependent replay. Chunks execute sequentially
     on the same arrays (stamps stay globally monotone — every level
     keeps ``base = clock + 1`` with segment-wide positions), so the
-    chop is invisible to the result. Streams that would fragment into
-    more than ``CUT_CAP`` chunks (a line re-accessed every few steps
-    at distance the run-length dedup cannot see) walk the remainder
-    through the duplicate-tolerant replay path instead.
+    chop is invisible to the result. The cuts depend only on the line
+    column; a stream that would fragment into more than ``CUT_CAP``
+    chunks (a line re-accessed every few steps at distance the
+    run-length dedup cannot see) takes the row walk instead, whole.
     """
     np = _np
     m = len(lines)
@@ -339,89 +333,140 @@ def cascade(caches, lines, levels):
     # left it L1-MRU — a guaranteed hit whose promotion is a no-op.
     caches[0].hits += m - len(positions)
     stream = lines if len(positions) == m else lines[positions]
-    replayed = 0
-    n = len(stream)
-    if n:
-        # prev[i] = index of the previous access to stream[i]'s line,
-        # -1 for first occurrences (stable sort groups equal lines in
-        # trace order).
-        order = np.argsort(stream, kind="stable")
-        sorted_lines = stream[order]
-        same = sorted_lines[1:] == sorted_lines[:-1]
-        if same.any():
-            prev = np.full(n, -1, dtype=np.int64)
-            prev[order[1:][same]] = order[:-1][same]
-            dup_at = np.flatnonzero(same)  # indices into order[1:]
-            dup_positions = np.sort(order[1:][dup_at])
-            start = 0
-            vi = 0
-            cuts = 0
-            while start < n:
-                if cuts >= CUT_CAP:
-                    replayed += _walk_levels(
-                        caches, stream[start:], positions[start:],
-                        levels, distinct=False,
-                    )
-                    break
-                end = n
-                if vi < len(dup_positions):
-                    rel = np.flatnonzero(
-                        prev[dup_positions[vi:]] >= start
-                    )
-                    if len(rel):
-                        vi += int(rel[0])
-                        end = int(dup_positions[vi])
-                        vi += 1
-                        cuts += 1
-                replayed += _walk_levels(
-                    caches, stream[start:end], positions[start:end],
-                    levels, distinct=True,
-                )
-                start = end
-        else:
-            replayed = _walk_levels(
-                caches, stream, positions, levels, distinct=True
+    bounds = _chunk_bounds(stream)
+    row_walked = 0
+    if bounds is None:
+        _row_walk(caches, stream, positions, levels)
+        row_walked = m
+    else:
+        start = 0
+        for end in bounds:
+            _walk_levels(
+                caches, stream[start:end], positions[start:end], levels
             )
+            start = end
     for cache in caches:
         # Stamps issued this segment were clock + 1 + position.
         cache.clock += m
-    return replayed
+    return row_walked
 
 
-def _walk_levels(caches, stream, positions, levels, distinct):
-    """Send one duplicate-free (or replay-tolerant) chunk down the
-    cascade, recording each access's deepest level in ``levels``."""
-    replayed = 0
+def _chunk_bounds(stream):
+    """End offsets of the duplicate-free chunks ``stream`` splits into,
+    or None when it needs more than ``CUT_CAP`` of them."""
+    np = _np
+    n = len(stream)
+    # prev[i] = index of the previous access to stream[i]'s line, -1
+    # for first occurrences (stable sort groups equal lines in trace
+    # order).
+    order = np.argsort(stream, kind="stable")
+    sorted_lines = stream[order]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    if not same.any():
+        return [n]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    dup_positions = np.sort(order[1:][same])
+    bounds = []
+    start = 0
+    vi = 0
+    while vi < len(dup_positions):
+        rel = np.flatnonzero(prev[dup_positions[vi:]] >= start)
+        if not len(rel):
+            break
+        vi += int(rel[0])
+        start = int(dup_positions[vi])
+        bounds.append(start)
+        if len(bounds) == CUT_CAP:
+            return None
+        vi += 1
+    bounds.append(n)
+    return bounds
+
+
+def _walk_levels(caches, stream, positions, levels):
+    """Send one duplicate-free chunk down the cascade, recording each
+    access's deepest level in ``levels``."""
     for depth, cache in enumerate(caches):
         if len(stream) == 0:
-            return replayed
-        miss, level_replayed = _touch_level(
-            cache, stream, positions, distinct
-        )
-        replayed += level_replayed
+            return
+        miss = _touch_level(cache, stream, positions)
         positions = positions[miss]
         stream = stream[miss]
         levels[positions] = depth + 1
-    return replayed
 
 
-def _touch_level(cache, stream, positions, distinct=True):
+def _row_walk(caches, stream, positions, levels):
+    """Walk a duplicate-dense stream access by access through every level.
+
+    Each level's rows for the sets it sees are pulled out once as
+    Python lists. A hit takes the first matching way (as ``argmax``
+    does), a miss evicts the first minimum-stamp way (as ``argmin``
+    does), and stamps are ``clock + 1 + position``, exactly as the
+    chunked walk issues them. Rows a level touched are written back in
+    ascending-stamp order, empty ways first: the layout
+    :func:`_bulk_insert_grouped` leaves, so equal cache states compare
+    equal in the walk memo's positional fingerprint.
+    """
+    np = _np
+    depth_of = [len(caches)] * len(stream)
+    pending = list(range(len(stream)))
+    line_list = stream.tolist()
+    position_list = positions.tolist()
+    for depth, cache in enumerate(caches):
+        if not pending:
+            break
+        set_of = stream[pending] & cache._set_mask
+        sets = np.unique(set_of)
+        rows = {
+            s: (tags, stamps)
+            for s, tags, stamps in zip(
+                sets.tolist(), cache.tags[sets].tolist(),
+                cache.stamps[sets].tolist(),
+            )
+        }
+        base = cache.clock + 1
+        promote = cache.policy == "lru"
+        hits = evictions = 0
+        missed = []
+        for k, s in zip(pending, set_of.tolist()):
+            line = line_list[k]
+            tags, stamps = rows[s]
+            if line in tags:
+                hits += 1
+                if promote:
+                    stamps[tags.index(line)] = base + position_list[k]
+                depth_of[k] = depth
+                continue
+            oldest = min(stamps)
+            victim = stamps.index(oldest)
+            if oldest > 0:
+                evictions += 1
+            tags[victim] = line
+            stamps[victim] = base + position_list[k]
+            missed.append(k)
+        cache.hits += hits
+        cache.misses += len(pending) - hits
+        cache.evictions += evictions
+        new_tags = np.array([row[0] for row in rows.values()], dtype=np.int64)
+        new_stamps = np.array(
+            [row[1] for row in rows.values()], dtype=np.int64
+        )
+        by_age = np.argsort(new_stamps, axis=1, kind="stable")
+        cache.tags[sets] = np.take_along_axis(new_tags, by_age, axis=1)
+        cache.stamps[sets] = np.take_along_axis(new_stamps, by_age, axis=1)
+        pending = missed
+    levels[positions] = depth_of
+
+
+def _touch_level(cache, stream, positions):
     """Probe and update one level for every access that reached it.
 
-    Returns ``(miss_mask, replayed_count)``; updates the cache's
-    tags/stamps and hit/miss/eviction counters exactly as a per-access
-    walk in trace order would. ``distinct`` promises the chunk's lines
-    are pairwise distinct (the cascade pre-chops on duplicates), which
-    eliminates the order-dependent replay entirely and takes the
-    single-sort fast path.
-    """
-    if distinct:
-        return _touch_level_fast(cache, stream, positions)
-    return _touch_level_replay(cache, stream, positions)
-
-
-def _touch_level_fast(cache, stream, positions):
-    """The distinct-lines walk: one set-sort feeds everything.
+    Returns the miss mask; updates the cache's tags/stamps and
+    hit/miss/eviction counters exactly as a per-access walk in trace
+    order would. The chunk's lines are pairwise distinct (the cascade
+    pre-chops on duplicates), so no access can observe another's
+    effect except through eviction pressure.
 
     Accesses are grouped by set with a single stable argsort; group
     boundaries come from an adjacent-difference scan, so hit-only
@@ -453,13 +498,13 @@ def _touch_level_fast(cache, stream, positions):
         if promote:
             flat = set_of * ways + eq.argmax(axis=1)
             stamps.reshape(-1)[flat] = base + positions
-        return np.zeros(n, dtype=bool), 0
+        return np.zeros(n, dtype=bool)
     if nhit == 0:
         # Every access misses: with distinct lines every set is a pure
         # arithmetic merge.
         cache.misses += n
         _bulk_insert(cache, stream, set_of, base + positions)
-        return np.ones(n, dtype=bool), 0
+        return np.ones(n, dtype=bool)
 
     order = np.argsort(set_of, kind="stable")  # trace order per set
     so = set_of[order]
@@ -500,106 +545,7 @@ def _touch_level_fast(cache, stream, positions):
     hit_count = nhit - lost  # probe-hits minus evicted suspects
     cache.hits += hit_count
     cache.misses += n - hit_count
-    return ~resident, 0
-
-
-def _touch_level_replay(cache, stream, positions):
-    """Duplicate-tolerant walk for chunks past the cascade's cut cap.
-
-    Classifies sets against batch-entry state: hit-only sets are exact
-    as probed, miss-only sets without line duplicates merge
-    arithmetically, and any set that misses while holding a duplicated
-    line — or mixes hits and misses — is order-dependent and replays
-    per access (reported to the demotion feedback).
-    """
-    np = _np
-    tags = cache.tags
-    stamps = cache.stamps
-    mask = cache._set_mask
-    ways = cache.ways
-    base = cache.clock + 1
-    promote = cache.policy == "lru"
-    set_of = stream & mask
-    rows = tags[set_of]
-    matches = rows == stream[:, None]
-    resident = matches.any(axis=1)
-    missing = ~resident
-
-    num_sets = cache.num_sets
-    has_hit = np.zeros(num_sets, dtype=bool)
-    has_hit[set_of[resident]] = True
-    has_miss = np.zeros(num_sets, dtype=bool)
-    has_miss[set_of[missing]] = True
-    unsafe_sets = has_hit & has_miss
-    if len(stream) > 1:
-        uniq, counts = np.unique(stream, return_counts=True)
-        duplicated = uniq[counts > 1]
-        if len(duplicated):
-            dup_sets = np.zeros(num_sets, dtype=bool)
-            dup_sets[duplicated & mask] = True
-            unsafe_sets |= dup_sets & has_miss
-
-    replayed = 0
-    if unsafe_sets.any():
-        unsafe = unsafe_sets[set_of]
-        replay_at = np.flatnonzero(unsafe)
-        replayed = len(replay_at)
-        resident[replay_at] = _replay(
-            cache, stream, positions, replay_at, base, promote
-        )
-        safe = ~unsafe
-        safe_hit = resident & safe
-        safe_miss = ~resident & safe
-    else:
-        safe_hit = resident
-        safe_miss = missing
-
-    if promote:
-        hit_at = np.flatnonzero(safe_hit)
-        if len(hit_at):
-            flat = set_of[hit_at] * ways + matches[hit_at].argmax(axis=1)
-            # Scatter assignment: later (larger) positions overwrite
-            # earlier ones at a duplicate index, i.e. last-touch wins.
-            stamps.reshape(-1)[flat] = base + positions[hit_at]
-    miss_at = np.flatnonzero(safe_miss)
-    if len(miss_at):
-        _bulk_insert(
-            cache, stream[miss_at], set_of[miss_at], base + positions[miss_at]
-        )
-
-    hit_count = int(resident.sum())
-    cache.hits += hit_count
-    cache.misses += len(resident) - hit_count
-    return ~resident, replayed
-
-
-def _replay(cache, stream, positions, replay_at, base, promote):
-    """Exact in-order walk for accesses landing in unsafe sets."""
-    np = _np
-    tags = cache.tags
-    stamps = cache.stamps
-    mask = cache._set_mask
-    hit = np.empty(len(replay_at), dtype=bool)
-    evictions = 0
-    for k, j in enumerate(replay_at.tolist()):
-        line = stream[j]
-        set_index = line & mask
-        row = tags[set_index]
-        row_stamps = stamps[set_index]
-        way = int((row == line).argmax())
-        if row[way] == line:
-            hit[k] = True
-            if promote:
-                row_stamps[way] = base + positions[j]
-        else:
-            hit[k] = False
-            victim = int(row_stamps.argmin())
-            if row_stamps[victim] > 0:
-                evictions += 1
-            row[victim] = line
-            row_stamps[victim] = base + positions[j]
-    cache.evictions += evictions
-    return hit
+    return ~resident
 
 
 def _resolve_mixed(cache, stream, positions, eq, resident, order, so, ro,
