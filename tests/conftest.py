@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.layout import INT, StructType
@@ -49,6 +51,23 @@ def build_figure1(n: int = 4096, plans=None, skew_bytes: int = 0):
         ]),
     ]
     return builder.build([Function("main", body, line=1)])
+
+
+def dense_reuse(n: int = 1200, seed: int = 0, lines: int = 12):
+    """Addresses of a short random ping-pong over ``lines`` lines that
+    share one L1 set and one L2 set (more lines than either has ways),
+    with same-line repeats mixed in. Its deduped stream re-touches a
+    line every few accesses, far past the vector walk's ``CUT_CAP``
+    cuts, so the cascade row-walks it."""
+    config = HierarchyConfig()
+    stride = config.l2.size_bytes // config.l2.ways  # one L2 (and L1) set
+    rng = random.Random(seed)
+    addresses = []
+    for _ in range(n):
+        line = rng.randrange(lines)
+        addresses.extend([line * stride + 8 * rng.randrange(8)]
+                         * rng.choice((1, 1, 2)))
+    return addresses[:n]
 
 
 @pytest.fixture
