@@ -64,12 +64,12 @@ def simulate(
     ``hierarchy`` to share cache state across traces (not usual).
 
     The trace may mix scalar items with :class:`AccessBatch` columns
-    (from ``Interpreter.run_batched``). When the hierarchy supports the
-    columnar path a batch is simulated in one call and the observer's
+    (from ``Interpreter.run_batched``). A batch is simulated in one
+    :meth:`~MemoryHierarchy.access_batch` call, and the observer's
     ``observe_batch`` hook (if its owner defines one) sees the whole
-    column; otherwise the batch is expanded and handled per access.
-    Either way the metrics are bitwise identical to the scalar trace's:
-    latencies accumulate one at a time in trace order.
+    column. The metrics are bitwise identical to the scalar trace's:
+    latencies accumulate in trace order, or order-free where every
+    partial sum is exact.
     """
     hier = hierarchy or MemoryHierarchy(config or HierarchyConfig(), num_cores)
     cost = cost or CostModel()
@@ -83,7 +83,6 @@ def simulate(
     max_thread = 0
 
     hier_access = hier.access  # local binding for the hot loop
-    hier_batch = hier.access_batch if hier.supports_batch else None
     bus = events.bus()
     # 0 disables the per-item progress check with a single falsy test.
     progress_mark = PROGRESS_EVERY if bus.active else 0
@@ -131,31 +130,7 @@ def simulate(
         elif isinstance(item, ComputeBurst):
             compute += item.cycles
         elif isinstance(item, AccessBatch):
-            if hier_batch is None:
-                # Hierarchy opts out of the columnar path: expand.
-                # Progress publishes at PROGRESS_EVERY granularity
-                # *inside* the loop so --live output does not stall
-                # for the length of a large batch.
-                for access in item:
-                    latency = hier_access(
-                        access.thread % mod_cores,
-                        access.address,
-                        access.size,
-                        access.is_write,
-                    )
-                    accesses += 1
-                    total_latency += latency
-                    stalls += cost.stall(latency, l1_latency)
-                    if access.thread > max_thread:
-                        max_thread = access.thread
-                    if observer is not None:
-                        observer(access, latency)
-                    if progress_mark and accesses >= progress_mark:
-                        progress_mark = accesses + PROGRESS_EVERY
-                        bus.publish("stage-progress", stage="simulate",
-                                    done=accesses, unit="accesses")
-                continue
-            latencies = hier_batch(
+            latencies = hier.access_batch(
                 item.address, item.size, item.is_write, item.thread
             )
             accesses += item.length

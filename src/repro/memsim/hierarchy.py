@@ -55,12 +55,6 @@ class HierarchyConfig:
     replacement: str = "lru"
 
     @classmethod
-    def xeon_e5_4650l(cls, num_cores: int = 4) -> "HierarchyConfig":
-        """The paper's testbed (shared-L3 slice scaled to one socket)."""
-        del num_cores  # geometry is per-socket; cores set on the hierarchy
-        return cls()
-
-    @classmethod
     def small(cls) -> "HierarchyConfig":
         """A scaled-down hierarchy for fast unit tests: 1KB/8KB/64KB."""
         return cls(
@@ -72,9 +66,10 @@ class HierarchyConfig:
 
 
 #: Walk paths an access can take, as ``walk_accesses`` reports them:
-#: the single-core vector walk, its memo replay and its list walk, the
-#: multi-core per-core vector walk and trace-ordered list walk, and
-#: per-access :meth:`MemoryHierarchy.access`.
+#: the single-core vector walk, its memo replay and the single-core
+#: machine's list batches, the multi-core per-core vector walk and every
+#: other machine's list batches, and per-access
+#: :meth:`MemoryHierarchy.access`.
 WALK_PATHS = (
     "vector", "memo", "list", "general_vector", "general_list", "scalar",
 )
@@ -132,31 +127,16 @@ class MemoryHierarchy:
         self.directory: Optional[MESIDirectory] = (
             MESIDirectory() if self._track_sharing else None
         )
-        # Batched-path bookkeeping. A "simple" machine (one core, no
-        # directory/prefetcher/TLB) takes the inlined single-core walk;
-        # once batches are large enough its caches are promoted to the
-        # numpy tag-array representation (state 1) for good. State -1
-        # means a multi-core machine demoted its private caches back to
-        # lists for good (a write, a line-crossing access, or a
+        # Batched-path bookkeeping (see _walk_batch). Once batches are
+        # large enough an LRU/FIFO machine without prefetcher or TLB
+        # promotes its caches to the numpy tag-array representation
+        # (state 1); one core stays promoted for good. State -1 means a
+        # multi-core machine demoted its private caches back to lists
+        # for good (a write, a line-crossing access, or a
         # row-walk-dominated batch).
-        self._simple_batch = (
-            num_cores == 1
-            and self.directory is None
-            and self.config.prefetch_degree == 0
-            and self.config.tlb is None
-        )
-        # The multi-core machine without prefetcher or TLB walks its
-        # list caches inline, and its private caches vector-walk
-        # write-free batches (same states; random replacement stays on
-        # lists).
-        self._inline_general = not self._simple_batch and (
-            self.config.prefetch_degree == 0
-            and self.config.tlb is None
-            and self.config.replacement != "random"
-        )
         self._vector_state = 0
-        # Steady-state walk memo, attached at vector promotion (see
-        # repro.memsim.memo); None until then or when disabled.
+        # Steady-state walk memo, attached at single-core vector
+        # promotion (see repro.memsim.memo); None until then.
         self._walk_memo = None
         # Accesses simulated per walk path (see walk_accesses), and
         # batches and host seconds (timed under telemetry only) per
@@ -247,26 +227,10 @@ class MemoryHierarchy:
     # -- batched access path -----------------------------------------------
 
     #: Smallest batch worth promoting the private caches to the numpy
-    #: tag-array representation; below it the inlined list walks win.
+    #: tag-array representation; below it the inlined list walk wins.
     #: Tests lower it (per instance) to force the vector paths onto
     #: tiny batches.
     VECTOR_MIN_BATCH = 256
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when :meth:`access_batch` is exact for this machine.
-
-        Every configuration batches. The single-core simple machine (no
-        directory, prefetcher, or TLB) takes the vectorized tag-array
-        walk (:mod:`repro.memsim.vectorwalk`) or, for small batches and
-        numpy-less installs, the inlined list walk; the multi-core
-        machine without prefetcher or TLB takes the per-core vector walk
-        or the inlined trace-ordered list walk; every other machine
-        takes a chunked trace-ordered loop that honors the batch's write
-        and thread columns. Parity with per-access :meth:`access` stays
-        byte-identical either way.
-        """
-        return True
 
     def access_batch(self, addresses, sizes, is_write=None, thread=None):
         """Latency column for a column of accesses (any machine).
@@ -305,24 +269,30 @@ class MemoryHierarchy:
         return counts
 
     def _walk_batch(self, addresses, sizes, is_write, thread):
-        """``(walk path, latencies)`` for one batch."""
-        if self._simple_batch:
-            return self._walk_simple(addresses, sizes, is_write)
-        if self._inline_general:
-            return self._walk_multicore(addresses, sizes, is_write, thread)
-        return "general_list", self._access_batch_general(
-            addresses, sizes, is_write, thread
-        )
+        """``(walk path, latencies)`` for one batch.
 
-    def _walk_simple(self, addresses, sizes, is_write):
-        """The single-core simple machine: the vectorized tag-array walk
-        (through the walk memo when it is on) once batches are big
-        enough, else the inlined list walk."""
-        if vectorwalk.HAVE_NUMPY:
+        A machine with a prefetcher, a TLB or random replacement takes
+        the chunked trace-ordered loop (:meth:`_access_batch_general`).
+        Every other machine has bare LRU/FIFO caches: with numpy and
+        batches big enough, one core takes the vector walk (through the
+        walk memo) and several cores take the per-core vector walk of
+        write-free batches (:meth:`_walk_write_free`); any other batch
+        takes the inlined trace-ordered list walk (:meth:`_walk_lists`).
+        List batches credit ``list`` on the single-core machine without
+        prefetcher or TLB and ``general_list`` on every other.
+        """
+        cfg = self.config
+        bare = cfg.prefetch_degree == 0 and cfg.tlb is None
+        single = self.num_cores == 1
+        list_path = "list" if bare and single else "general_list"
+        if not bare or cfg.replacement == "random":
+            return list_path, self._access_batch_general(
+                addresses, sizes, is_write, thread
+            )
+        if vectorwalk.HAVE_NUMPY and single:
             if (
                 self._vector_state == 0
                 and len(addresses) >= self.VECTOR_MIN_BATCH
-                and self.config.replacement != "random"
             ):
                 self._promote_to_vector()
             if self._vector_state == 1:
@@ -334,182 +304,41 @@ class MemoryHierarchy:
                 hits = memo.hits
                 latencies = memo.walk(self, addresses, sizes, is_write)
                 return ("memo" if memo.hits != hits else "vector"), latencies
-        return "list", self._walk_single_list(addresses, sizes)
+        elif vectorwalk.HAVE_NUMPY:
+            latencies = self._walk_write_free(
+                addresses, sizes, is_write, thread
+            )
+            if latencies is not None:
+                return "general_vector", latencies
+        return list_path, self._walk_lists(addresses, sizes, is_write, thread)
 
-    def _walk_single_list(self, addresses, sizes) -> List[float]:
-        """Inlined list walk of the single-core simple machine, with a
-        same-line memo (writes are unobservable without a directory)."""
-        cfg = self.config
-        core = self.cores[0]
-        l1, l2, l3 = core.l1, core.l2, self.l3
-        line_bits = self._line_bits
-        l1_lat = cfg.l1.latency
-        l2_lat = cfg.l2.latency
-        l3_lat = cfg.l3.latency
-        dram_lat = cfg.dram_latency
-        out: List[float] = []
-        append = out.append
-        prev_line = -1
-
-        if cfg.replacement == "random":
-            # Victim choice draws from each cache's RNG; the method path
-            # keeps the draw sequence identical to scalar access().
-            l1_access, l2_access, l3_access = l1.access, l2.access, l3.access
-            l1_fill, l2_fill = l1.fill, l2.fill
-            dram = 0
-            for address, size in zip(addresses, sizes):
-                first = address >> line_bits
-                if (address + size - 1) >> line_bits != first:
-                    # Split access: rare; take the full scalar path
-                    # (writes are indistinguishable from reads without
-                    # a directory).
-                    self.dram_accesses += dram
-                    dram = 0
-                    append(self.access(0, address, size, False))
-                    prev_line = -1
-                    continue
-                if first == prev_line:
-                    l1.hits += 1
-                    append(l1_lat)
-                    continue
-                prev_line = first
-                if l1_access(first):
-                    append(l1_lat)
-                elif l2_access(first):
-                    l1_fill(first)
-                    append(l2_lat)
-                else:
-                    if l3_access(first):
-                        latency = l3_lat
-                    else:
-                        dram += 1
-                        latency = dram_lat
-                    l2_fill(first)
-                    l1_fill(first)
-                    append(latency)
-            self.dram_accesses += dram
-            return out
-
-        # LRU/FIFO: the whole walk inlines to list operations. The level
-        # arithmetic mirrors SetAssociativeCache.access exactly — a miss
-        # allocates immediately (so the follow-up fill() in the scalar
-        # path is a no-op we can skip), LRU promotes on non-MRU hits,
-        # FIFO does not, both evict the list head.
-        promote = cfg.replacement == "lru"
-        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
-        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
-        l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
-        l1_hits = l1_misses = l1_evicts = 0
-        l2_hits = l2_misses = l2_evicts = 0
-        l3_hits = l3_misses = l3_evicts = 0
-        dram = 0
-        for address, size in zip(addresses, sizes):
-            first = address >> line_bits
-            if (address + size - 1) >> line_bits != first:
-                # Flush local counters so the scalar call sees a
-                # consistent hierarchy, then take the full path (the
-                # write bit is unobservable without a directory).
-                l1.hits += l1_hits; l1.misses += l1_misses
-                l1.evictions += l1_evicts
-                l2.hits += l2_hits; l2.misses += l2_misses
-                l2.evictions += l2_evicts
-                l3.hits += l3_hits; l3.misses += l3_misses
-                l3.evictions += l3_evicts
-                self.dram_accesses += dram
-                l1_hits = l1_misses = l1_evicts = 0
-                l2_hits = l2_misses = l2_evicts = 0
-                l3_hits = l3_misses = l3_evicts = 0
-                dram = 0
-                append(self.access(0, address, size, False))
-                prev_line = -1
-                continue
-            if first == prev_line:
-                l1_hits += 1
-                append(l1_lat)
-                continue
-            prev_line = first
-            tags = l1_sets[first & l1_mask]
-            if first in tags:
-                l1_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l1_lat)
-                continue
-            l1_misses += 1
-            if len(tags) >= l1_ways:
-                del tags[0]
-                l1_evicts += 1
-            tags.append(first)
-            tags = l2_sets[first & l2_mask]
-            if first in tags:
-                l2_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l2_lat)
-                continue
-            l2_misses += 1
-            if len(tags) >= l2_ways:
-                del tags[0]
-                l2_evicts += 1
-            tags.append(first)
-            tags = l3_sets[first & l3_mask]
-            if first in tags:
-                l3_hits += 1
-                if promote and tags[-1] != first:
-                    tags.remove(first)
-                    tags.append(first)
-                append(l3_lat)
-                continue
-            l3_misses += 1
-            if len(tags) >= l3_ways:
-                del tags[0]
-                l3_evicts += 1
-            tags.append(first)
-            dram += 1
-            append(dram_lat)
-        l1.hits += l1_hits; l1.misses += l1_misses; l1.evictions += l1_evicts
-        l2.hits += l2_hits; l2.misses += l2_misses; l2.evictions += l2_evicts
-        l3.hits += l3_hits; l3.misses += l3_misses; l3.evictions += l3_evicts
-        self.dram_accesses += dram
-        return out
-
-    def _walk_multicore(self, addresses, sizes, is_write, thread):
-        """The multi-core machine without prefetcher or TLB (LRU/FIFO).
+    def _walk_write_free(self, addresses, sizes, is_write, thread):
+        """The multi-core machine's per-core vector walk, or None.
 
         A batch with no writes and no line-crossing access takes the
         per-core vector walk once batches are big enough (and every
-        such batch after promotion). Any other batch takes the inlined
-        trace-ordered list walk; on a promoted machine it demotes the
-        private caches back to lists first, for good — a trace that
-        mixes writes into its batches is the list walk's case.
+        such batch after promotion). Any other batch returns None, for
+        the list walk; on a promoted machine it demotes the private
+        caches back to lists first, for good — a trace that mixes
+        writes into its batches is the list walk's case.
         """
         n = len(addresses)
         state = self._vector_state
+        if state < 0 or not n or (state == 0 and n < self.VECTOR_MIN_BATCH):
+            return None
+        line_bits = self._line_bits
+        address = vectorwalk.as_column(addresses)
+        lines = address >> line_bits
+        last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
         if (
-            state >= 0
-            and n
-            and vectorwalk.HAVE_NUMPY
-            and (state == 1 or n >= self.VECTOR_MIN_BATCH)
-        ):
-            line_bits = self._line_bits
-            address = vectorwalk.as_column(addresses)
-            lines = address >> line_bits
-            last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
-            if (
-                is_write is None or not vectorwalk.as_column(is_write).any()
-            ) and (lines == last).all():
-                if state == 0:
-                    self._promote_to_vector()
-                return "general_vector", self._walk_multicore_vector(
-                    lines, thread
-                )
-            if state == 1:
-                self._demote_from_vector()
-        return "general_list", self._walk_multicore_lists(
-            addresses, sizes, is_write, thread
-        )
+            is_write is None or not vectorwalk.as_column(is_write).any()
+        ) and (lines == last).all():
+            if state == 0:
+                self._promote_to_vector()
+            return self._walk_multicore_vector(lines, thread)
+        if state == 1:
+            self._demote_from_vector()
+        return None
 
     def _walk_multicore_vector(self, lines, thread):
         """Per-core vector walk of one write-free, split-free batch.
@@ -569,8 +398,8 @@ class MemoryHierarchy:
 
     def _walk_private_lists(self, core, lines) -> List[int]:
         """Levels (0 = L1 hit, 1 = L2 hit, 2 = miss) of one core's read
-        subsequence on its list L1/L2, as :meth:`_walk_multicore_lists`
-        walks them."""
+        subsequence on its list L1/L2, as :meth:`_walk_lists` walks
+        them."""
         promote = self.config.replacement == "lru"
         l1, l2 = core.l1, core.l2
         l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
@@ -652,19 +481,21 @@ class MemoryHierarchy:
         self.dram_accesses += misses
         return out
 
-    def _walk_multicore_lists(
+    def _walk_lists(
         self, addresses, sizes, is_write, thread
     ) -> List[float]:
-        """Inlined trace-ordered walk of the multi-core list machine.
+        """Inlined trace-ordered walk of the LRU/FIFO list machine, on
+        any number of cores.
 
         Every access walks L1 → L2 → L3 on the list caches exactly as
         :meth:`_access_line` does at prefetch degree 0: a miss
         allocates at once (so the scalar path's follow-up ``fill``
         calls are no-ops and evict nothing, which is also why the
-        directory never hears an eviction here), a write first purges
-        the line from every other core's L1/L2 and takes the
-        directory's write transition, and a read that misses L2 takes
-        its read transition. Hit/miss/eviction counters accumulate
+        directory never hears an eviction here). With a directory, a
+        write first purges the line from every other core's L1/L2 and
+        takes the directory's write transition, and a read that misses
+        L2 takes its read transition; without one the write bit is
+        unobservable. Hit/miss/eviction counters accumulate
         locally and are flushed per batch, and before each
         line-crossing access, which takes :meth:`access`.
         """
@@ -778,7 +609,7 @@ class MemoryHierarchy:
         return out
 
     def _flush_counts(self, counts) -> None:
-        """Add :meth:`_walk_multicore_lists`' local counters to the
+        """Add :meth:`_walk_lists`' local counters to the
         caches (an L3 miss is one DRAM fetch) and zero them."""
         for c, core in enumerate(self.cores):
             core.l1.hits += counts[0][c]
@@ -799,7 +630,7 @@ class MemoryHierarchy:
         self, addresses, sizes, is_write=None, thread=None
     ) -> List[float]:
         """Chunked trace-ordered walk for the prefetch, TLB and random-
-        replacement machines.
+        replacement machines, on any number of cores.
 
         One call per batch instead of one :class:`MemoryAccess` object
         per access: the loop reads the raw columns, maps threads to
@@ -855,8 +686,8 @@ class MemoryHierarchy:
     def _promote_to_vector(self) -> None:
         """Convert the private caches to tag arrays.
 
-        The simple machine's L3 is its one core's too and joins them,
-        with the walk memo. A shared L3 stays a list cache: as tag
+        A single-core machine's L3 is its one core's too and joins
+        them, with the walk memo. A shared L3 stays a list cache: as tag
         arrays the 20 MB L3 of a 4-core run raised peak RSS by a
         quarter, and only private misses reach it.
         """
@@ -865,10 +696,9 @@ class MemoryHierarchy:
         for core in self.cores:
             core.l1 = vectorwalk.TagArrayCache(core.l1)
             core.l2 = vectorwalk.TagArrayCache(core.l2)
-        if self._simple_batch:
+        if self.num_cores == 1:
             self.l3 = vectorwalk.TagArrayCache(self.l3)
-            if memo.enabled():
-                self._walk_memo = memo.WalkMemo()
+            self._walk_memo = memo.WalkMemo()
         self._vector_state = 1
 
     def _demote_from_vector(self) -> None:

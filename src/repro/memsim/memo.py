@@ -53,7 +53,6 @@ access crossing a line boundary) never memoize.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import Dict, Tuple
 
@@ -73,11 +72,6 @@ MEMO_CAP = 128
 #: chunk: after this many records with not a single replay, the memo
 #: turns itself off for the rest of the run.
 GIVE_UP_RECORDS = 24
-
-
-def enabled() -> bool:
-    """Walk memoization is on unless ``REPRO_WALK_MEMO=0``."""
-    return os.environ.get("REPRO_WALK_MEMO", "1") != "0"
 
 
 class _LevelRecord:

@@ -71,7 +71,8 @@ L1/L2 alone, for write-free batches (see
 cache.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
-and the hierarchy keeps its inlined list walk.
+and every LRU/FIFO machine walks its list caches
+(``MemoryHierarchy._walk_lists``).
 """
 
 from __future__ import annotations

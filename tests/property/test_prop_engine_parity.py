@@ -218,11 +218,11 @@ class TestPipelineParity:
 class TestConfigParity:
     """Batch exactness over the full machine-configuration space.
 
-    supports_batch no longer excludes multi-core, coherence, prefetch,
-    TLB, or any replacement policy; every combination must stay
-    byte-identical to the scalar walk, whichever internal path it takes
-    (single-core vector or list walk, multi-core per-core vector or
-    trace-ordered list walk, or the chunked general loop).
+    Every combination of cores, coherence, prefetch, TLB and
+    replacement policy batches, and must stay byte-identical to the
+    scalar walk whichever internal path it takes (single-core vector
+    walk, multi-core per-core vector walk, trace-ordered list walk, or
+    the chunked general loop).
     ``vector_min`` forces promotion at batch length 1 or forbids it
     entirely, so both cache representations run under the property.
     """

@@ -23,6 +23,7 @@ from repro.program import (
     AccessBatch,
     Function,
     Loop,
+    MemoryAccess,
     WorkloadBuilder,
     affine,
 )
@@ -167,26 +168,54 @@ class TestHierarchyBatch:
         640 * k for k in range(96)
     ] + [0, 64, 4096]
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_batch_matches_scalar_walk(self, policy):
+    def columns(self, split):
+        """``ADDRESSES`` at size 4; ``split`` adds a same-line repeat
+        at the start and, at the end, a line-crossing access between two
+        touches of a line in the same L1 set, then a same-line
+        repeat."""
+        addresses = list(self.ADDRESSES)
+        if not split:
+            return addresses, [4] * len(addresses)
+        addresses = [0, 8] + addresses + [4096, 60, 4100, 4104]
+        sizes = [4] * len(addresses)
+        sizes[-3] = 8
+        return addresses, sizes
+
+    @pytest.mark.parametrize("policy, split", [
+        pytest.param(policy, split, id=policy + ("-split" if split else ""))
+        for split in (False, True) for policy in ("lru", "fifo", "random")
+    ])
+    def test_batch_matches_scalar_walk(self, policy, split):
+        # One core with promotion out of reach: LRU/FIFO batches take
+        # the list walk, random ones the chunked loop, which resolves
+        # L1 hits inline and hands every other access to access().
         config = HierarchyConfig(replacement=policy)
-        sizes = [4] * len(self.ADDRESSES)
+        addresses, sizes = self.columns(split)
         reference = MemoryHierarchy(config, 1)
         expected = [
-            reference.access(0, a, s, False)
-            for a, s in zip(self.ADDRESSES, sizes)
+            reference.access(0, a, s, False) for a, s in zip(addresses, sizes)
         ]
         hierarchy = MemoryHierarchy(config, 1)
-        got = hierarchy.access_batch(self.ADDRESSES, sizes)
+        hierarchy.VECTOR_MIN_BATCH = 1 << 30
+        got = hierarchy.access_batch(addresses, sizes)
         assert got == expected
-        for mine, theirs in zip(
-            (hierarchy.l3, hierarchy.cores[0].l1, hierarchy.cores[0].l2),
-            (reference.l3, reference.cores[0].l1, reference.cores[0].l2),
-        ):
-            assert (mine.hits, mine.misses, mine.evictions) == (
-                theirs.hits, theirs.misses, theirs.evictions
+        assert machine_state(hierarchy) == machine_state(reference)
+        line = config.line_size
+        single = [
+            (a + s - 1) // line == a // line for a, s in zip(addresses, sizes)
+        ]
+        if policy == "random":
+            listed = sum(
+                1 for one, latency in zip(single, expected)
+                if one and latency == config.l1.latency
             )
-        assert hierarchy.dram_accesses == reference.dram_accesses
+        else:
+            listed = sum(single)
+        assert listed > 0
+        assert hierarchy.walk_accesses() == {
+            "vector": 0, "memo": 0, "list": listed, "general_vector": 0,
+            "general_list": 0, "scalar": len(addresses) - listed,
+        }
 
     def test_split_accesses_match_scalar(self):
         # size 8 at line_size-4 crosses a line boundary: the batch
@@ -214,7 +243,6 @@ class TestHierarchyBatch:
             for a, s, w, t in zip(addresses, sizes, writes, threads)
         ]
         hierarchy = MemoryHierarchy(config, num_cores)
-        assert hierarchy.supports_batch
         got = hierarchy.access_batch(addresses, sizes, writes, threads)
         assert got == expected
         assert hierarchy.miss_summary() == reference.miss_summary()
@@ -232,15 +260,6 @@ class TestHierarchyBatch:
             tlb=TLBConfig(l1_entries=8, l1_ways=4, l2_entries=16, l2_ways=4)
         )
         self.run_general_parity(config, 1)
-
-    def test_every_configuration_supports_batch(self):
-        for config, cores in [
-            (HierarchyConfig(), 4),
-            (HierarchyConfig(prefetch_degree=2), 1),
-            (HierarchyConfig(tlb=TLBConfig()), 2),
-            (HierarchyConfig(replacement="random"), 3),
-        ]:
-            assert MemoryHierarchy(config, cores).supports_batch
 
 
 class TestVectorWalk:
@@ -342,7 +361,8 @@ class TestVectorWalk:
 
     def test_random_policy_never_promotes(self):
         # Random replacement replays an RNG stream whose draw order the
-        # vector walk cannot reproduce: it must stay on the list walk.
+        # vector walk cannot reproduce: it must stay on the chunked
+        # trace-ordered loop.
         addresses, sizes = self.columns()
         hierarchy = self.make("random")
         reference = MemoryHierarchy(HierarchyConfig(replacement="random"), 1)
@@ -606,38 +626,41 @@ class TestWalkPaths:
         assert counts["vector"] + counts["memo"] == 12000
 
 
-class TestExpansionProgress:
-    def test_expanded_batches_publish_progress_inside_the_loop(self, monkeypatch):
-        # When a hierarchy opts out of the columnar path the engine
-        # expands each batch per access; progress must be published at
-        # PROGRESS_EVERY granularity *inside* the expansion loop, not
-        # once per (potentially huge) batch.
+class TestSimulateProgress:
+    def test_batches_publish_monotone_progress(self, monkeypatch):
+        # With a live event bus, simulate publishes stage-progress once
+        # at least PROGRESS_EVERY accesses have passed since the last
+        # publication, checked at the end of each batch.
         import repro.memsim.engine as engine_mod
         from repro.telemetry import events
         from repro.telemetry.events import EventBus
 
         monkeypatch.setattr(engine_mod, "PROGRESS_EVERY", 16)
-        monkeypatch.setattr(
-            MemoryHierarchy, "supports_batch", property(lambda self: False)
-        )
         bound = program(Mod(affine("i", 1, 0), ELEMENTS), stop=200)
-        trace = list(Interpreter(bound).run_batched())
-        batches = [t for t in trace if isinstance(t, AccessBatch)]
-        assert batches and max(b.length for b in batches) > 64
+        trace = list(Interpreter(bound).run_batched()) * 4
+        ends, done = set(), 0
+        for item in trace:
+            if isinstance(item, AccessBatch):
+                done += item.length
+                ends.add(done)
+            elif isinstance(item, MemoryAccess):
+                done += 1
+        assert len(ends) >= 4
         seen = []
         bus = EventBus()
         bus.subscribe(
             lambda e: seen.append(e) if e.type == "stage-progress" else None
         )
         with events.use(bus):
-            simulate(iter(trace), config=HierarchyConfig())
+            metrics = simulate(iter(trace), config=HierarchyConfig())
+        assert metrics.accesses == done
         assert len(seen) >= 4
         assert all(e.data["stage"] == "simulate" for e in seen)
+        assert all(e.data["unit"] == "accesses" for e in seen)
         dones = [e.data["done"] for e in seen]
-        assert dones == sorted(dones)
-        # Granularity: consecutive publications are ~PROGRESS_EVERY
-        # apart, so at least one pair lands inside a single batch.
-        assert min(b - a for a, b in zip(dones, dones[1:])) <= 2 * 16
+        assert dones == sorted(set(dones))
+        # Each publication lands at the end of a batch.
+        assert set(dones) <= ends
 
 
 class TestSamplerBatch:

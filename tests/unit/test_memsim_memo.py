@@ -30,21 +30,28 @@ def counters(hier):
     )
 
 
+def memoless():
+    """A promoted single-core machine with its walk memo detached: the
+    plain vector walk every memo replay must reproduce."""
+    hier = MemoryHierarchy(HierarchyConfig(), 1)
+    hier._promote_to_vector()
+    hier._walk_memo = None
+    return hier
+
+
 def run_sequence(hier, batches):
     return [list(hier.access_batch(*cols)) for cols in batches]
 
 
 class TestEquivalence:
-    def test_repeated_batches_replay_byte_identically(self, monkeypatch):
+    def test_repeated_batches_replay_byte_identically(self):
         cols = columns()
         batches = [cols] * 6  # same objects: the identity fast path
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "0")
-        plain = MemoryHierarchy(HierarchyConfig(), 1)
+        plain = memoless()
         expected = run_sequence(plain, batches)
         assert plain._walk_memo is None
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
         memoized = MemoryHierarchy(HierarchyConfig(), 1)
         got = run_sequence(memoized, batches)
 
@@ -54,7 +61,7 @@ class TestEquivalence:
         assert walk_memo is not None
         assert walk_memo.hits >= 1  # steady state was reached and used
 
-    def test_interleaved_batches_stay_identical(self, monkeypatch):
+    def test_interleaved_batches_stay_identical(self):
         # A, B, A, B, ...: state keeps shifting under each key, so the
         # memo must detect stale fingerprints and fall back to the real
         # walk without changing a byte.
@@ -62,11 +69,9 @@ class TestEquivalence:
         b = columns(seed=2, base=1 << 15)
         batches = [a, b, a, b, a, a, b, b, a]
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "0")
-        plain = MemoryHierarchy(HierarchyConfig(), 1)
+        plain = memoless()
         expected = run_sequence(plain, batches)
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
         memoized = MemoryHierarchy(HierarchyConfig(), 1)
         got = run_sequence(memoized, batches)
 
@@ -75,15 +80,17 @@ class TestEquivalence:
 
 
 class TestMechanics:
-    def test_kill_switch_disables_attachment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK_MEMO", "0")
-        assert not memo.enabled()
-        hier = MemoryHierarchy(HierarchyConfig(), 1)
-        hier.access_batch(*columns())
+    def test_detached_memo_walks_vector(self):
+        hier = memoless()
+        cols = columns()
+        for _ in range(3):
+            hier.access_batch(*cols)
         assert hier._walk_memo is None
+        counts = hier.walk_accesses()
+        assert counts["memo"] == 0
+        assert counts["vector"] == 3 * len(cols[0])
 
-    def test_small_batches_bypass_the_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
+    def test_small_batches_bypass_the_memo(self):
         hier = MemoryHierarchy(HierarchyConfig(), 1)
         hier.access_batch(*columns())  # promote + attach
         walk_memo = hier._walk_memo
@@ -93,19 +100,17 @@ class TestMechanics:
         hier.access_batch(*small)
         assert (walk_memo.hits, walk_memo.misses, walk_memo.recorded) == before
 
-    def test_content_key_matches_across_distinct_objects(self, monkeypatch):
+    def test_content_key_matches_across_distinct_objects(self):
         # Equal column *values* in fresh objects must find the same
         # entry: the key is content-addressed, identity is only a fast
         # path.
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
         hier = MemoryHierarchy(HierarchyConfig(), 1)
         for _ in range(4):
             hier.access_batch(*columns(seed=4))  # fresh objects each time
         walk_memo = hier._walk_memo
         assert walk_memo.hits >= 1
 
-    def test_capacity_bounds_recorded_entries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
+    def test_capacity_bounds_recorded_entries(self):
         hier = MemoryHierarchy(HierarchyConfig(), 1)
         hier.access_batch(*columns())  # promote + attach
         hier._walk_memo = walk_memo = memo.WalkMemo(cap=2)
@@ -113,8 +118,7 @@ class TestMechanics:
             hier.access_batch(*columns(n=256, seed=10 + seed))
         assert len(walk_memo.entries) <= 2
 
-    def test_hitless_memo_shuts_itself_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
+    def test_hitless_memo_shuts_itself_off(self):
         hier = MemoryHierarchy(HierarchyConfig(), 1)
         hier.access_batch(*columns())
         hier._walk_memo = walk_memo = memo.WalkMemo()
@@ -125,18 +129,16 @@ class TestMechanics:
 
 
 class TestConvergence:
-    def test_repeated_dense_reuse_batch_reaches_memo_hits(self, monkeypatch):
+    def test_repeated_dense_reuse_batch_reaches_memo_hits(self):
         # The row walk writes rows back in stamp order, the layout the
         # bulk insert leaves, so a repeat that ends in an equal cache
         # state also matches the memo's positional fingerprint.
         addresses = array("q", dense_reuse(n=1024))
         batch = (addresses, array("q", [8] * len(addresses)))
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "0")
-        plain = MemoryHierarchy(HierarchyConfig(), 1)
+        plain = memoless()
         expected = run_sequence(plain, [batch] * 6)
 
-        monkeypatch.setenv("REPRO_WALK_MEMO", "1")
         memoized = MemoryHierarchy(HierarchyConfig(), 1)
         got = run_sequence(memoized, [batch] * 6)
 
