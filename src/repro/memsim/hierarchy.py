@@ -243,12 +243,13 @@ class MemoryHierarchy:
         machines with a coherence directory or several cores — exactly
         where the engine passes the real columns.
 
-        The vector paths return a float64 ndarray, the list paths a
+        The vector paths return a float64 ndarray, the list walk a
         list. Each batch's accesses are credited to the walk path that
         took them (:meth:`walk_accesses`); those a path hands to
-        :meth:`access` count as ``scalar``. The batch itself counts
-        once for its path, and its host seconds too while a telemetry
-        session is active.
+        :meth:`access` (line-crossing accesses, and most of the
+        prefetch, TLB and random-replacement machines' accesses) count
+        as ``scalar``. The batch itself counts once for its path, and
+        its host seconds too while a telemetry session is active.
         """
         scalar = self._scalar_walks
         start = time.perf_counter() if telemetry_enabled() else None
@@ -271,25 +272,21 @@ class MemoryHierarchy:
     def _walk_batch(self, addresses, sizes, is_write, thread):
         """``(walk path, latencies)`` for one batch.
 
-        A machine with a prefetcher, a TLB or random replacement takes
-        the chunked trace-ordered loop (:meth:`_access_batch_general`).
-        Every other machine has bare LRU/FIFO caches: with numpy and
-        batches big enough, one core takes the vector walk (through the
-        walk memo) and several cores take the per-core vector walk of
-        write-free batches (:meth:`_walk_write_free`); any other batch
-        takes the inlined trace-ordered list walk (:meth:`_walk_lists`).
-        List batches credit ``list`` on the single-core machine without
-        prefetcher or TLB and ``general_list`` on every other.
+        With numpy and batches big enough, a machine with bare LRU/FIFO
+        caches (no prefetcher, TLB or random replacement) vector-walks:
+        one core through the walk memo, several cores each core's
+        write-free batches (:meth:`_walk_write_free`). Every other batch
+        takes the inlined trace-ordered list walk (:meth:`_walk_lists`),
+        crediting ``list`` on a single-core machine without prefetcher
+        or TLB and ``general_list`` on every other.
         """
         cfg = self.config
         bare = cfg.prefetch_degree == 0 and cfg.tlb is None
         single = self.num_cores == 1
-        list_path = "list" if bare and single else "general_list"
-        if not bare or cfg.replacement == "random":
-            return list_path, self._access_batch_general(
-                addresses, sizes, is_write, thread
-            )
-        if vectorwalk.HAVE_NUMPY and single:
+        vector = (
+            bare and cfg.replacement != "random" and vectorwalk.HAVE_NUMPY
+        )
+        if vector and single:
             if (
                 self._vector_state == 0
                 and len(addresses) >= self.VECTOR_MIN_BATCH
@@ -304,12 +301,13 @@ class MemoryHierarchy:
                 hits = memo.hits
                 latencies = memo.walk(self, addresses, sizes, is_write)
                 return ("memo" if memo.hits != hits else "vector"), latencies
-        elif vectorwalk.HAVE_NUMPY:
+        elif vector:
             latencies = self._walk_write_free(
                 addresses, sizes, is_write, thread
             )
             if latencies is not None:
                 return "general_vector", latencies
+        list_path = "list" if bare and single else "general_list"
         return list_path, self._walk_lists(addresses, sizes, is_write, thread)
 
     def _walk_write_free(self, addresses, sizes, is_write, thread):
@@ -484,8 +482,8 @@ class MemoryHierarchy:
     def _walk_lists(
         self, addresses, sizes, is_write, thread
     ) -> List[float]:
-        """Inlined trace-ordered walk of the LRU/FIFO list machine, on
-        any number of cores.
+        """Inlined trace-ordered walk of the list caches, for every
+        machine on any number of cores.
 
         Every access walks L1 → L2 → L3 on the list caches exactly as
         :meth:`_access_line` does at prefetch degree 0: a miss
@@ -495,9 +493,17 @@ class MemoryHierarchy:
         write first purges the line from every other core's L1/L2 and
         takes the directory's write transition, and a read that misses
         L2 takes its read transition; without one the write bit is
-        unobservable. Hit/miss/eviction counters accumulate
-        locally and are flushed per batch, and before each
-        line-crossing access, which takes :meth:`access`.
+        unobservable. A line-crossing access takes :meth:`access`.
+
+        A machine with a prefetcher, a TLB or random replacement
+        resolves only L1 hits here, adding the core's translation on a
+        TLB machine; every L1 miss, and with a directory every write,
+        takes :meth:`access`, so the streamer table, the TLB and the
+        replacement RNG see the scalar event order.
+
+        Hit/miss/eviction counters accumulate locally and are added to
+        the caches once, at the end of the batch: they are plain sums
+        that nothing reads mid-batch.
         """
         cfg = self.config
         cores = self.cores
@@ -505,6 +511,12 @@ class MemoryHierarchy:
         directory = self.directory
         line_bits = self._line_bits
         promote = cfg.replacement == "lru"
+        dtlbs = [core.dtlb for core in cores] if cfg.tlb is not None else None
+        hand_off = (
+            cfg.prefetch_degree != 0 or dtlbs is not None
+            or cfg.replacement == "random"
+        )
+        access = self.access
         l1_lat = cfg.l1.latency
         l2_lat = cfg.l2.latency
         l3_lat = cfg.l3.latency
@@ -519,14 +531,14 @@ class MemoryHierarchy:
             holders_of = directory._lines.get
             dir_read = directory.read
             dir_write = directory.write
-        # Per core: L1 hits/misses/evictions, L2 hits/misses/evictions;
-        # then the L3's hits/misses/evictions. A latency with no
-        # coherence extra is appended as the level's own float (equal
-        # to ``latency + 0.0``) rather than a new one per access, which
-        # keeps large batches' columns small.
-        counts = [[0] * ncores for _ in range(6)] + [[0, 0, 0]]
-        l1_hits, l1_misses, l1_evicts = counts[:3]
-        l2_hits, l2_misses, l2_evicts, l3c = counts[3:]
+        # Per core: L1 hits/misses/evictions, L2 hits/misses/evictions.
+        # A latency with no coherence extra is appended as the level's
+        # own float (equal to ``latency + 0.0``) rather than a new one
+        # per access, which keeps large batches' columns small.
+        l1_hits, l1_misses, l1_evicts, l2_hits, l2_misses, l2_evicts = (
+            [0] * ncores for _ in range(6)
+        )
+        l3_hits = l3_misses = l3_evicts = 0
         n = len(addresses)
         writes = is_write if is_write is not None else repeat(0, n)
         threads = thread if thread is not None else repeat(0, n)
@@ -537,12 +549,15 @@ class MemoryHierarchy:
             core_id = t % ncores
             line = address >> line_bits
             if (address + size - 1) >> line_bits != line:
-                self._flush_counts(counts)
-                append(self.access(core_id, address, size, write != 0))
+                append(access(core_id, address, size, write != 0))
                 prev_line = -1
                 continue
             extra = 0.0
             if write and directory is not None:
+                if hand_off:
+                    append(access(core_id, address, size, True))
+                    prev_line = -1
+                    continue
                 holders = holders_of(line)
                 if holders:
                     for other in holders:
@@ -558,6 +573,11 @@ class MemoryHierarchy:
                 # This core's last access touched the same line and
                 # left it L1-MRU: a hit whose promotion is a no-op.
                 l1_hits[core_id] += 1
+                if dtlbs is not None:
+                    # A TLB machine hands directory writes off, so
+                    # there is no coherence extra to keep; a
+                    # single-line access lies in one page.
+                    extra = dtlbs[core_id].translate(address)
                 append(l1_lat + extra if extra else l1_lat)
                 continue
             prev_line = line
@@ -568,7 +588,12 @@ class MemoryHierarchy:
                 if promote and tags[-1] != line:
                     tags.remove(line)
                     tags.append(line)
+                if dtlbs is not None:
+                    extra = dtlbs[core_id].translate(address)
                 append(l1_lat + extra if extra else l1_lat)
+                continue
+            if hand_off:
+                append(access(core_id, address, size, write != 0))
                 continue
             l1_misses[core_id] += 1
             if len(tags) >= l1_ways:
@@ -590,95 +615,32 @@ class MemoryHierarchy:
             tags.append(line)
             tags = l3_sets[line & l3_mask]
             if line in tags:
-                l3c[0] += 1
+                l3_hits += 1
                 if promote and tags[-1] != line:
                     tags.remove(line)
                     tags.append(line)
                 latency = l3_lat
             else:
-                l3c[1] += 1
+                l3_misses += 1
                 if len(tags) >= l3_ways:
                     del tags[0]
-                    l3c[2] += 1
+                    l3_evicts += 1
                 tags.append(line)
                 latency = dram_lat
             if directory is not None and not write:
                 extra += dir_read(core_id, line)
             append(latency + extra if extra else latency)
-        self._flush_counts(counts)
-        return out
-
-    def _flush_counts(self, counts) -> None:
-        """Add :meth:`_walk_lists`' local counters to the
-        caches (an L3 miss is one DRAM fetch) and zero them."""
-        for c, core in enumerate(self.cores):
-            core.l1.hits += counts[0][c]
-            core.l1.misses += counts[1][c]
-            core.l1.evictions += counts[2][c]
-            core.l2.hits += counts[3][c]
-            core.l2.misses += counts[4][c]
-            core.l2.evictions += counts[5][c]
-        hits, misses, evicts = counts[6]
-        self.l3.hits += hits
-        self.l3.misses += misses
-        self.l3.evictions += evicts
-        self.dram_accesses += misses
-        for column in counts:
-            column[:] = [0] * len(column)
-
-    def _access_batch_general(
-        self, addresses, sizes, is_write=None, thread=None
-    ) -> List[float]:
-        """Chunked trace-ordered walk for the prefetch, TLB and random-
-        replacement machines, on any number of cores.
-
-        One call per batch instead of one :class:`MemoryAccess` object
-        per access: the loop reads the raw columns, maps threads to
-        cores, and honors the write bit, so multi-core traces, the MESI
-        directory, the stream prefetcher, and the TLB all see exactly
-        the event sequence the scalar path produces. A single-line read
-        (or directory-less write) that hits L1 is resolved inline —
-        nothing below L1 can observe it — and everything else takes the
-        full :meth:`access` path.
-        """
-        cfg = self.config
-        cores = self.cores
-        directory = self.directory
-        mod_cores = self.num_cores
-        line_bits = self._line_bits
-        l1_lat = cfg.l1.latency
-        promote = cfg.replacement == "lru"
-        access = self.access
-        l1s = [core.l1 for core in cores]
-        l1_sets = [core.l1._sets for core in cores]
-        l1_mask = cores[0].l1._set_mask
-        dtlbs = [core.dtlb for core in cores]
-        has_tlb = dtlbs[0] is not None
-        n = len(addresses)
-        out = [0.0] * n
-        for i in range(n):
-            address = addresses[i]
-            size = sizes[i]
-            write = is_write is not None and is_write[i] != 0
-            core_id = thread[i] % mod_cores if thread is not None else 0
-            first = address >> line_bits
-            if (address + size - 1) >> line_bits == first and not (
-                write and directory is not None
-            ):
-                tags = l1_sets[core_id][first & l1_mask]
-                if first in tags:
-                    l1s[core_id].hits += 1
-                    if promote and tags[-1] != first:
-                        tags.remove(first)
-                        tags.append(first)
-                    if has_tlb:
-                        # Single line implies single page (pages are a
-                        # multiple of the line size): one translation.
-                        out[i] = l1_lat + dtlbs[core_id].translate(address)
-                    else:
-                        out[i] = l1_lat
-                    continue
-            out[i] = access(core_id, address, size, write)
+        for c, core in enumerate(cores):
+            core.l1.hits += l1_hits[c]
+            core.l1.misses += l1_misses[c]
+            core.l1.evictions += l1_evicts[c]
+            core.l2.hits += l2_hits[c]
+            core.l2.misses += l2_misses[c]
+            core.l2.evictions += l2_evicts[c]
+        l3.hits += l3_hits
+        l3.misses += l3_misses
+        l3.evictions += l3_evicts
+        self.dram_accesses += l3_misses
         return out
 
     # -- vector-path state management ---------------------------------------

@@ -99,11 +99,13 @@ def as_column(values):
 
 
 class TagArrayCache:
-    """Array-backed cache level, API-compatible with the list cache.
+    """Array-backed cache level.
 
     Built *from* a :class:`SetAssociativeCache` (promotion) and
     convertible back (:meth:`to_list_cache`, demotion), preserving
-    recency order and counters exactly in both directions.
+    recency order and counters exactly in both directions. It serves
+    the part of the list cache's protocol a promoted machine's scalar
+    :meth:`~repro.memsim.hierarchy.MemoryHierarchy.access` uses.
     """
 
     __slots__ = (
@@ -162,7 +164,7 @@ class TagArrayCache:
         cache.evictions = self.evictions
         return cache
 
-    # -- scalar operations (split accesses, invalidations, tests) --------
+    # -- scalar operations (split accesses, invalidations) ---------------
 
     def access(self, line: int) -> bool:
         """Touch ``line``; returns True on hit. Misses allocate."""
@@ -186,7 +188,7 @@ class TagArrayCache:
         return False
 
     def fill(self, line: int) -> Optional[int]:
-        """Install ``line`` without counting a hit/miss (prefetch path)."""
+        """Install ``line`` without counting a hit/miss."""
         set_index = line & self._set_mask
         row = self.tags[set_index]
         stamps = self.stamps[set_index]
@@ -203,10 +205,6 @@ class TagArrayCache:
         stamps[victim] = self.clock
         return evicted
 
-    def contains(self, line: int) -> bool:
-        """Non-destructive residency probe."""
-        return bool((self.tags[line & self._set_mask] == line).any())
-
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; returns True if it was."""
         set_index = line & self._set_mask
@@ -218,22 +216,9 @@ class TagArrayCache:
         self.stamps[set_index, way] = 0
         return True
 
-    def resident_lines(self) -> int:
-        return int((self.stamps > 0).sum())
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,12 @@
 """Paper-scale golden artifacts: the Table 3/4 JSON and ART's analysis.
 
 ``tests/integration/test_golden_artifacts.py`` byte-compares the live
-CLI output against the committed files.  Every walk path the batched
-engine can take feeds these numbers, so the comparison is also the
-end-to-end parity check across paths at paper scale.
+CLI output against the committed files.  Every walk path the default
+machine takes at paper scale feeds these numbers, so the comparison is
+also the end-to-end parity check across those paths.  The prefetch,
+TLB and random-replacement machines feed none of them; the ablation
+machines' engine parity is checked at workload scale in
+``tests/integration/test_engine_parity.py``.
 
 Refresh after an intended change to a paper number::
 

@@ -221,8 +221,9 @@ class TestConfigParity:
     Every combination of cores, coherence, prefetch, TLB and
     replacement policy batches, and must stay byte-identical to the
     scalar walk whichever internal path it takes (single-core vector
-    walk, multi-core per-core vector walk, trace-ordered list walk, or
-    the chunked general loop).
+    walk, multi-core per-core vector walk, or the trace-ordered list
+    walk, which on prefetch, TLB and random-replacement machines hands
+    every access but an L1 hit to the scalar walk).
     ``vector_min`` forces promotion at batch length 1 or forbids it
     entirely, so both cache representations run under the property.
     """

@@ -60,8 +60,8 @@ def machine_state(hierarchy):
     """Everything a walk can change, comparable across cache
     representations: every cache's resident lines in recency order
     (tag arrays via ``to_list_cache``) and counters, DRAM fetches,
-    prefetcher state, and the directory's holder map, per-line
-    invalidations and protocol counters."""
+    prefetcher state, each core's DTLB levels, and the directory's
+    holder map, per-line invalidations and protocol counters."""
     caches = [hierarchy.l3] + [
         cache for core in hierarchy.cores for cache in (core.l1, core.l2)
     ]
@@ -76,6 +76,13 @@ def machine_state(hierarchy):
         [
             (core.prefetcher._table, core.prefetcher.issued,
              core.prefetched, core.prefetch_useful)
+            for core in hierarchy.cores
+        ],
+        [
+            None if core.dtlb is None else [
+                (level._sets, level.hits, level.misses)
+                for level in (core.dtlb.l1, core.dtlb.l2)
+            ]
             for core in hierarchy.cores
         ],
         None if directory is None else (
@@ -186,9 +193,9 @@ class TestHierarchyBatch:
         for split in (False, True) for policy in ("lru", "fifo", "random")
     ])
     def test_batch_matches_scalar_walk(self, policy, split):
-        # One core with promotion out of reach: LRU/FIFO batches take
-        # the list walk, random ones the chunked loop, which resolves
-        # L1 hits inline and hands every other access to access().
+        # One core with promotion out of reach: every batch takes the
+        # list walk, which on the random machine resolves only L1 hits
+        # inline and hands every other access to access().
         config = HierarchyConfig(replacement=policy)
         addresses, sizes = self.columns(split)
         reference = MemoryHierarchy(config, 1)
@@ -232,34 +239,70 @@ class TestHierarchyBatch:
         assert hierarchy.dram_accesses == reference.dram_accesses
 
     def run_general_parity(self, config, num_cores):
-        """Batch vs per-access parity on a non-simple configuration."""
-        addresses = self.ADDRESSES
-        sizes = [4] * len(addresses)
+        """Batch vs per-access parity of the split columns with a write
+        and a thread column; returns the batched hierarchy and how many
+        single-line accesses the reference resolved as L1 hits that
+        take no directory write."""
+        addresses, sizes = self.columns(split=True)
         writes = [k % 3 == 0 for k in range(len(addresses))]
         threads = [k % (num_cores + 1) for k in range(len(addresses))]
+        # A read, another core's write and a re-read of one line: the
+        # write must end the reader's run of same-line repeats.
+        addresses += [192] * 3
+        sizes += [4] * 3
+        writes += [False, True, False]
+        threads += [0, 1, 0]
+        line = config.line_size
         reference = MemoryHierarchy(config, num_cores)
-        expected = [
-            reference.access(t % num_cores, a, s, w)
-            for a, s, w, t in zip(addresses, sizes, writes, threads)
-        ]
+        expected, l1_hits = [], 0
+        for a, s, w, t in zip(addresses, sizes, writes, threads):
+            l1 = reference.cores[t % num_cores].l1
+            hits = l1.hits
+            expected.append(reference.access(t % num_cores, a, s, w))
+            if (
+                (a + s - 1) // line == a // line
+                and l1.hits > hits
+                and not (w and reference.directory)
+            ):
+                l1_hits += 1
         hierarchy = MemoryHierarchy(config, num_cores)
         got = hierarchy.access_batch(addresses, sizes, writes, threads)
         assert got == expected
-        assert hierarchy.miss_summary() == reference.miss_summary()
+        assert machine_state(hierarchy) == machine_state(reference)
+        return hierarchy, l1_hits
+
+    def check_hand_offs(self, config):
+        # On one core and on two (where the write and thread columns
+        # reach the directory), the list walk resolves L1 hits that
+        # take no directory write inline and hands every other access
+        # to access(), so the streamer, the TLB and the replacement RNG
+        # see the scalar event order.
+        for cores in (1, 2):
+            hierarchy, inline = self.run_general_parity(config, cores)
+            walked = hierarchy.walk_accesses()
+            assert 0 < inline < sum(walked.values())
+            bare = config.prefetch_degree == 0 and config.tlb is None
+            credits = dict.fromkeys(WALK_PATHS, 0)
+            credits["list" if bare and cores == 1 else "general_list"] = inline
+            credits["scalar"] = sum(walked.values()) - inline
+            assert walked == credits
 
     def test_batch_covers_multicore_coherence(self):
         # Two cores with the MESI directory engaged: the write and
         # thread columns must reach the directory in trace order.
-        self.run_general_parity(HierarchyConfig(), 2)
+        hierarchy, _ = self.run_general_parity(HierarchyConfig(), 2)
+        assert hierarchy.walk_accesses()["scalar"] == 1
 
     def test_batch_covers_prefetcher(self):
-        self.run_general_parity(HierarchyConfig(prefetch_degree=2), 1)
+        self.check_hand_offs(HierarchyConfig(prefetch_degree=2))
 
     def test_batch_covers_tlb(self):
-        config = HierarchyConfig(
+        self.check_hand_offs(HierarchyConfig(
             tlb=TLBConfig(l1_entries=8, l1_ways=4, l2_entries=16, l2_ways=4)
-        )
-        self.run_general_parity(config, 1)
+        ))
+
+    def test_batch_covers_random_replacement(self):
+        self.check_hand_offs(HierarchyConfig(replacement="random"))
 
 
 class TestVectorWalk:
@@ -269,6 +312,12 @@ class TestVectorWalk:
         hier = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
         hier.VECTOR_MIN_BATCH = vector_min
         return hier
+
+    @staticmethod
+    def vector_walked(hierarchy):
+        """Whether the batches took the vector walk or its memo."""
+        walked = hierarchy.walk_accesses()
+        return walked["vector"] + walked["memo"] > 0 and walked["list"] == 0
 
     def columns(self):
         # Hits, conflict evictions, duplicate missing lines in one
@@ -308,7 +357,7 @@ class TestVectorWalk:
         assert hierarchy.dram_accesses == reference.dram_accesses
 
     def test_sequential_batches_share_state(self):
-        pytest.importorskip("repro.memsim.vectorwalk")
+        pytest.importorskip("numpy")
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(), 1)
         hierarchy = self.make()
@@ -321,11 +370,12 @@ class TestVectorWalk:
             got.extend(hierarchy.access_batch(addresses, sizes))
         assert got == expected
         assert hierarchy.l3.hits == reference.l3.hits
+        assert self.vector_walked(hierarchy)
 
     def test_scalar_access_works_after_promotion(self):
         # A promoted hierarchy must still serve per-access calls (the
         # tag arrays implement the scalar protocol too).
-        pytest.importorskip("repro.memsim.vectorwalk")
+        pytest.importorskip("numpy")
         addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(), 1)
         hierarchy = self.make()
@@ -333,6 +383,7 @@ class TestVectorWalk:
             reference.access(0, a, s, False)
             for a, s in zip(addresses, sizes)
         ]
+        assert self.vector_walked(hierarchy)
         assert hierarchy.access(0, 12345, 4, False) == reference.access(
             0, 12345, 4, False
         )
@@ -361,8 +412,8 @@ class TestVectorWalk:
 
     def test_random_policy_never_promotes(self):
         # Random replacement replays an RNG stream whose draw order the
-        # vector walk cannot reproduce: it must stay on the chunked
-        # trace-ordered loop.
+        # vector walk cannot reproduce: it must stay on the
+        # trace-ordered list walk.
         addresses, sizes = self.columns()
         hierarchy = self.make("random")
         reference = MemoryHierarchy(HierarchyConfig(replacement="random"), 1)
@@ -428,7 +479,7 @@ class TestMulticoreWalk:
         assert hierarchy._vector_state == 0
         assert hierarchy.invalidations > 0
 
-    def test_list_walk_flushes_around_line_crossing_accesses(self):
+    def test_line_crossing_accesses_take_access(self):
         hierarchy = self.check(
             [self.crossing(), self.crossing(writes=True)],
             vector_min=1 << 30,
