@@ -9,9 +9,6 @@ on 3.9 — same API, just without the memory savings there.
 :func:`effective_cpu_count` is the one place that answers "how many
 CPUs may this process actually use": the runner pool's default worker
 count goes through it rather than ``os.cpu_count()``.
-:func:`uses_runner` is the one place that answers whether a ``jobs``/
-``cache`` pair sends work through :mod:`repro.runner`; it lives here,
-not in the runner package, so the serial path never imports the pool.
 """
 
 from __future__ import annotations
@@ -49,11 +46,3 @@ def effective_cpu_count() -> int:
     except (AttributeError, OSError):
         return os.cpu_count() or 1
 
-
-def uses_runner(jobs: int, cache) -> bool:
-    """Whether ``jobs``/``cache`` put :mod:`repro.runner` in play.
-
-    Any ``jobs`` other than 1 does, 0 and below included: those mean
-    one worker per :func:`effective_cpu_count`.  So does a ``cache``.
-    """
-    return jobs != 1 or cache is not None

@@ -38,13 +38,15 @@ recorder dumps the last events to ``telemetry/flightrec.json``
 ``--telemetry DIR`` (export spans/metrics for the run) and — for
 ``analyze``/``table3`` — ``--json`` (machine-readable results).
 
-The experiment commands (``table3``, ``optimize``, ``summary``,
-``overhead``, ``sensitivity``) also accept ``--jobs N`` (fan the
-independent workload runs over N worker processes) and ``--cache DIR``
-(content-addressed result cache: warm re-runs of unchanged
-workload/config pairs execute nothing and print byte-identical
-output).  Both are handled by :mod:`repro.runner`; a summary line with
-the hit/miss/execution counts goes to stderr.
+The experiment commands (``table3``, ``summary``, ``overhead``,
+``sensitivity``) run every workload as a :mod:`repro.runner` task under
+one :class:`~repro.runner.Runner` built from ``--jobs N`` (fan the
+tasks over N worker processes) and ``--cache DIR`` (content-addressed
+result cache: warm re-runs of unchanged workload/config pairs execute
+nothing and print byte-identical output); afterwards a summary line
+with the runner's hit/miss/execution counts goes to stderr.
+``optimize`` accepts ``--cache`` alone: with it (and without ``--out``
+or ``--verify``) the cycle runs as one cached runner task.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from ._compat import uses_runner
 from .core import OfflineAnalyzer, derive_plans, optimize, recommend_regrouping
 from .memsim import speedup
 from .profiler import Monitor
@@ -67,11 +68,16 @@ _ZOO = workload_zoo()
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """``--jobs``/``--cache``: the parallel-runner knobs."""
+    """``--jobs``/``--cache``: the runner's settings."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run independent workloads on N worker "
                              "processes (default: 1, serial; 0 = one "
                              "per effective CPU)")
+    _add_cache_arg(parser)
+
+
+def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
+    """``--cache``: the runner's result cache."""
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="content-addressed result cache; warm re-runs "
                              "of unchanged (workload, config) pairs return "
@@ -150,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_engine_arg(p)
         _add_observability_args(p)
         if name == "optimize":
-            _add_runner_args(p)
+            _add_cache_arg(p)
             p.add_argument("--verify", action="store_true",
                            help="gate the advised split behind the static "
                                 "split-safety verifier: UNSAFE/UNKNOWN advice "
@@ -376,35 +382,32 @@ def _live_scope(args):
             writer.close()
 
 
-def _runner_stats(args):
-    """A RunnerStats to accumulate into, when the runner is in play."""
-    if uses_runner(args.jobs, args.cache):
-        from .runner import RunnerStats
+def _runner(args):
+    """The command's one :class:`~repro.runner.Runner`: its settings
+    from ``--jobs``/``--cache``, and afterwards its counts."""
+    from .runner import Runner
 
-        return RunnerStats()
-    return None
+    return Runner(jobs=getattr(args, "jobs", 1), cache=args.cache)
 
 
-def _print_runner_stats(stats, args=None) -> None:
+def _print_runner_summary(runner, args) -> None:
     """One stderr line with the runner's hit/miss/execution counts.
 
     stderr so machine-readable stdout (``--json``) stays clean and cold
-    vs warm runs diff clean; CI greps this line to prove a warm cache
-    re-run executed nothing.  The line also rides the event bus (for
-    the JSONL stream / flight recorder) and honors ``--quiet``.
+    vs warm runs diff clean; a test greps this line to prove a warm
+    cache re-run executed nothing.  The line also rides the event bus
+    (for the JSONL stream / flight recorder) and honors ``--quiet``.
     """
-    if stats is None:
-        return
-    summary = stats.describe()
+    summary = runner.describe()
     from .telemetry import events
 
     bus = events.bus()
     if bus.active:
         # The ProgressReporter subscriber relays the summary to stderr.
         bus.publish("task-finish", kind="runner-stats", summary=summary,
-                    tasks=stats.tasks, hits=stats.cache_hits,
-                    misses=stats.cache_misses, executed=stats.executed)
-    elif not getattr(args, "quiet", False):
+                    tasks=runner.tasks, hits=runner.cache_hits,
+                    misses=runner.cache_misses, executed=runner.executed)
+    elif not args.quiet:
         print(summary, file=sys.stderr)
 
 
@@ -581,8 +584,7 @@ def _maybe_write_package(args, report, workload, run, out) -> None:
 
 
 def _cmd_optimize(args, out) -> int:
-    runner = uses_runner(args.jobs, args.cache)
-    if runner and not args.out and not args.verify:
+    if args.cache and not args.out and not args.verify:
         return _cmd_optimize_via_runner(args, out)
     with _telemetry_scope(args, out):
         workload, monitor, run, bound = _monitored_run(args)
@@ -638,7 +640,7 @@ def _cmd_optimize_via_runner(args, out) -> int:
     """
     from .runner import TaskSpec, run_tasks
 
-    stats = _runner_stats(args)
+    runner = _runner(args)
     params = {"scale": args.scale, "period": args.period,
               "engine": getattr(args, "engine", "batched")}
     spec = TaskSpec(
@@ -647,9 +649,8 @@ def _cmd_optimize_via_runner(args, out) -> int:
         params=params,
     )
     with _telemetry_scope(args, out):
-        (record,) = run_tasks([spec], jobs=args.jobs, cache=args.cache,
-                              stats=stats)
-    _print_runner_stats(stats, args)
+        (record,) = run_tasks([spec], runner=runner)
+    _print_runner_summary(runner, args)
     print(record["report"], file=out)
     if not record["advice"]:
         print("\nno split recommended", file=out)
@@ -681,12 +682,11 @@ def _cmd_table3(args, out) -> int:
     from .experiments import run_all, table3, table4
     from .experiments.optimization import results_json
 
-    stats = _runner_stats(args)
+    runner = _runner(args)
     with _telemetry_scope(args, out):
-        results = run_all(scale=args.scale, jobs=args.jobs,
-                          cache=args.cache, runner_stats=stats,
+        results = run_all(scale=args.scale, runner=runner,
                           engine=getattr(args, "engine", "batched"))
-    _print_runner_stats(stats, args)
+    _print_runner_summary(runner, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)
         return 0
@@ -766,10 +766,9 @@ def _cmd_art(args, out) -> int:
 def _cmd_overhead(args, out) -> int:
     from .experiments import run_suite_overheads
 
-    stats = _runner_stats(args)
-    result = run_suite_overheads(args.suite, jobs=args.jobs,
-                                 cache=args.cache, runner_stats=stats)
-    _print_runner_stats(stats, args)
+    runner = _runner(args)
+    result = run_suite_overheads(args.suite, runner=runner)
+    _print_runner_summary(runner, args)
     print(result.chart(), file=out)
     return 0
 
@@ -796,13 +795,10 @@ def _cmd_views(args, out) -> int:
 def _cmd_sensitivity(args, out) -> int:
     from .experiments import sensitivity_table, sweep_sampling_period
 
-    stats = _runner_stats(args)
+    runner = _runner(args)
     workload = TABLE2_WORKLOADS[args.workload](scale=args.scale)
-    points = sweep_sampling_period(
-        workload, args.periods, jobs=args.jobs, cache=args.cache,
-        runner_stats=stats,
-    )
-    _print_runner_stats(stats, args)
+    points = sweep_sampling_period(workload, args.periods, runner=runner)
+    _print_runner_summary(runner, args)
     print(sensitivity_table(workload.name, points).render(), file=out)
     return 0
 
@@ -822,16 +818,14 @@ def _cmd_cache(args, out) -> int:
 def _cmd_summary(args, out) -> int:
     from .experiments import run_complete_evaluation
 
-    stats = _runner_stats(args)
+    runner = _runner(args)
     report = run_complete_evaluation(
         scale=args.scale,
         include_suites=not args.no_suites,
         progress=lambda message: print(message, file=out),
-        jobs=args.jobs,
-        cache=args.cache,
-        runner_stats=stats,
+        runner=runner,
     )
-    _print_runner_stats(stats, args)
+    _print_runner_summary(runner, args)
     print(file=out)
     print(report.render(), file=out)
     return 0

@@ -9,14 +9,16 @@ run once after changing anything load-bearing, and what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .accuracy import run_accuracy_sweep
 from .art_analysis import figure6, run_art_analysis, table5
 from .optimization import run_all, table3, table4
 from .overhead_suite import run_suite_overheads
 from .report import Table
+
+if TYPE_CHECKING:
+    from ..runner import Runner
 
 
 @dataclass
@@ -42,25 +44,21 @@ def run_complete_evaluation(
     scale: float = 1.0,
     include_suites: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    cache: Union[str, Path, None] = None,
-    runner_stats=None,
+    runner: Optional["Runner"] = None,
 ) -> EvaluationReport:
     """Regenerate Tables 3-6, Figures 4-6, and the Eq 4 study.
 
     ``progress`` (if given) receives a line per stage, for CLI feedback
-    during the multi-minute full-scale run.  ``jobs``/``cache`` fan the
-    independent pieces — the seven optimization cycles and the suite
-    kernels — through :mod:`repro.runner`; ``runner_stats`` accumulates
-    across all of them.
+    during the multi-minute full-scale run.  The independent pieces —
+    the seven optimization cycles and the suite kernels — run through
+    :mod:`repro.runner` under ``runner`` (default: inline, uncached),
+    whose counts accumulate across all of them.
     """
     say = progress or (lambda message: None)
     report = EvaluationReport()
 
     say("running the seven optimization cycles (Tables 3-4)...")
-    results = run_all(
-        scale=scale, jobs=jobs, cache=cache, runner_stats=runner_stats
-    )
+    results = run_all(scale=scale, runner=runner)
     report.add("table3", table3(results))
     report.add("table4", table4(results))
 
@@ -74,9 +72,7 @@ def run_complete_evaluation(
     if include_suites:
         say("suite overheads (Figures 4-5)...")
         for section, suite in (("figure4", "rodinia"), ("figure5", "spec")):
-            overheads = run_suite_overheads(
-                suite, jobs=jobs, cache=cache, runner_stats=runner_stats
-            )
+            overheads = run_suite_overheads(suite, runner=runner)
             report.add(section, overheads.table())
 
     say("Eq 4 accuracy sweep...")

@@ -4,26 +4,27 @@ Tables 3 and 4 are two views of the same seven runs, so the runner
 executes each benchmark once and both table builders render from the
 shared results.
 
-The seven cycles are independent, so :func:`run_all` can fan them out
-over a ``multiprocessing`` pool (``jobs``) and memoize them in a
-content-addressed cache (``cache``) via :mod:`repro.runner`.  Each
-benchmark samples with a rank-offset seed (``base_seed + rank``, the
-same derivation ``profile_processes`` uses per rank), so results are a
-pure function of the task list: serial, parallel, and cached runs all
-agree byte for byte.
+The seven cycles are independent tasks, and :func:`run_all` runs them
+through :mod:`repro.runner`: inline by default, or fanned out over a
+``multiprocessing`` pool and memoized in a content-addressed cache as
+its :class:`~repro.runner.Runner` says.  Benchmark ``rank`` samples
+with seed ``rank`` (the rank-offset derivation ``profile_processes``
+uses), so results are a pure function of the task list: serial,
+parallel, and cached runs all agree byte for byte.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .._compat import uses_runner
 from ..core.analyzer import OfflineAnalyzer
 from ..core.pipeline import OptimizationResult, optimize
 from ..profiler.monitor import Monitor
 from ..workloads import TABLE2_WORKLOADS
 from .report import Table
+
+if TYPE_CHECKING:
+    from ..runner import Runner
 
 #: Paper values for side-by-side reporting: name -> (speedup, overhead %).
 PAPER_TABLE3 = {
@@ -78,7 +79,7 @@ def benchmark_record(result: OptimizationResult) -> Dict[str, object]:
 
 
 class BenchmarkRecord:
-    """A cached/parallel benchmark result, duck-typed for the builders.
+    """One benchmark's runner record, duck-typed for the builders.
 
     Exposes the same ``speedup`` / ``overhead_percent`` /
     ``miss_reduction`` / ``summary_row()`` surface as
@@ -114,45 +115,32 @@ def run_all(
     *,
     scale: float = 1.0,
     names: Optional[List[str]] = None,
-    jobs: int = 1,
-    cache: Union[str, Path, None] = None,
-    base_seed: int = 0,
-    runner_stats=None,
+    runner: Optional["Runner"] = None,
     engine: str = "batched",
-) -> Dict[str, object]:
-    """All (or the named subset of) Table 2 benchmarks.
+) -> Dict[str, BenchmarkRecord]:
+    """All (or the named subset of) Table 2 benchmarks, as
+    :class:`BenchmarkRecord` values.
 
-    Benchmark ``rank`` samples with seed ``base_seed + rank`` in every
-    mode.  With ``jobs`` other than 1 (0 = one worker per CPU) or a
-    ``cache`` directory the cycles run through
-    :func:`repro.runner.run_tasks` and the values are
-    :class:`BenchmarkRecord`; otherwise they are full
-    :class:`OptimizationResult` objects.  Both expose the surface the
-    table builders use, and both produce identical rendered output.
-    ``engine`` picks the trace execution mode (scalar/batched); the
-    results are identical either way, so it is part of each task's
-    cache key only to keep keys honest about how a record was produced.
+    Each benchmark is one :func:`repro.runner.run_tasks` task; benchmark
+    ``rank`` samples with seed ``rank``.  ``runner`` sets the worker
+    count and the result cache (default: inline, uncached).  ``engine``
+    picks the trace execution mode (scalar/batched); the results are
+    identical either way, so it is part of each task's cache key only
+    to keep keys honest about how a record was produced.
     """
-    chosen = names if names is not None else list(TABLE2_WORKLOADS)
-    if not uses_runner(jobs, cache):
-        return {
-            name: run_benchmark(
-                name, scale=scale, seed=base_seed + rank, engine=engine,
-            )
-            for rank, name in enumerate(chosen)
-        }
-    from ..runner import TaskSpec, derive_seed, run_tasks
+    from ..runner import TaskSpec, run_tasks
 
+    chosen = names if names is not None else list(TABLE2_WORKLOADS)
     specs = [
         TaskSpec(
             kind="optimize",
             name=name,
             params={"scale": scale, "engine": engine},
-            seed=derive_seed(base_seed, rank),
+            seed=rank,
         )
         for rank, name in enumerate(chosen)
     ]
-    records = run_tasks(specs, jobs=jobs, cache=cache, stats=runner_stats)
+    records = run_tasks(specs, runner=runner)
     return {
         name: BenchmarkRecord(record)
         for name, record in zip(chosen, records)

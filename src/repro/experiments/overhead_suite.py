@@ -9,13 +9,14 @@ give its percentages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .._compat import uses_runner
 from ..profiler.monitor import Monitor
 from ..workloads.suites import KernelSpec, suite_by_name
 from .report import Table, bar_chart
+
+if TYPE_CHECKING:
+    from ..runner import Runner
 
 #: Paper-reported suite averages.
 PAPER_AVERAGES = {"rodinia": 8.2, "spec": 4.2}
@@ -60,43 +61,32 @@ class SuiteOverheads:
 def run_suite_overheads(
     suite: str,
     *,
-    sampling_period: int = 499,
     limit: int = 0,
-    jobs: int = 1,
-    cache: Union[str, Path, None] = None,
-    base_seed: int = 0,
-    runner_stats=None,
+    runner: Optional["Runner"] = None,
 ) -> SuiteOverheads:
     """Monitor every kernel in ``suite`` and collect its overhead.
 
     ``limit`` > 0 monitors only the first N kernels (for quick tests).
-    Kernel ``rank`` samples with seed ``base_seed + rank`` in every
-    mode; ``jobs`` other than 1 or a ``cache`` directory routes the
-    kernels through :func:`repro.runner.run_tasks` with identical
-    results.
+    Each kernel is one :func:`repro.runner.run_tasks` task at the
+    paper's period 499; kernel ``rank`` samples with seed ``rank``.
+    ``runner`` sets the worker count and the result cache (default:
+    inline, uncached).
     """
+    from ..runner import TaskSpec, run_tasks
+
     kernels = suite_by_name(suite)
     if limit:
         kernels = kernels[:limit]
-    if not uses_runner(jobs, cache):
-        rows: List[Tuple[str, float]] = [
-            (spec.name,
-             kernel_overhead(spec, sampling_period, seed=base_seed + rank))
-            for rank, spec in enumerate(kernels)
-        ]
-        return SuiteOverheads(suite=suite, rows=rows)
-    from ..runner import TaskSpec, derive_seed, run_tasks
-
     specs = [
         TaskSpec(
             kind="kernel-overhead",
             name=kernel.name,
-            params={"suite": suite, "sampling_period": sampling_period},
-            seed=derive_seed(base_seed, rank),
+            params={"suite": suite, "sampling_period": 499},
+            seed=rank,
         )
         for rank, kernel in enumerate(kernels)
     ]
-    records = run_tasks(specs, jobs=jobs, cache=cache, stats=runner_stats)
+    records = run_tasks(specs, runner=runner)
     rows = [
         (kernel.name, record["overhead_percent"])
         for kernel, record in zip(kernels, records)

@@ -12,10 +12,8 @@ until streams starve below ~10 unique samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .._compat import uses_runner
 from ..core.analyzer import OfflineAnalyzer
 from ..core.pipeline import derive_plans
 from ..layout.splitting import SplitPlan
@@ -23,6 +21,9 @@ from ..profiler.monitor import Monitor
 from ..program.builder import BoundProgram
 from ..workloads.base import PaperWorkload
 from .report import Table
+
+if TYPE_CHECKING:
+    from ..runner import Runner
 
 
 @dataclass
@@ -59,9 +60,9 @@ def measure_period_point(
 
     Overhead is priced at the swept period itself (deployment_period
     None): the sweep's point is the cost/quality trade at *this* rate,
-    not at the paper's fixed 10,000.  ``bound`` lets the serial sweep
-    reuse one built program; building fresh gives identical results
-    (the build is deterministic), which is what parallel workers do.
+    not at the paper's fixed 10,000.  ``bound`` lets a caller reuse one
+    built program across points; building fresh gives identical results
+    (the build is deterministic), which is what runner tasks do.
     """
     analyzer = analyzer or OfflineAnalyzer()
     bound = bound if bound is not None else workload.build_original()
@@ -87,36 +88,25 @@ def sweep_sampling_period(
     workload: PaperWorkload,
     periods: Sequence[int],
     *,
-    analyzer: Optional[OfflineAnalyzer] = None,
     seed: int = 0,
-    jobs: int = 1,
-    cache: Union[str, Path, None] = None,
-    runner_stats=None,
+    runner: Optional["Runner"] = None,
 ) -> List[PeriodPoint]:
     """Run the full pipeline once per period and score the advice.
 
     Every point samples with the *same* seed: the sweep compares
     periods at fixed randomness, so per-point seed offsets would
-    confound the comparison.  ``jobs`` other than 1 or a ``cache``
-    directory routes the points through :func:`repro.runner.run_tasks`
-    (the workload must then be a named Table 2 workload, so workers can
-    rebuild it from its name).
+    confound the comparison.  Each point is one
+    :func:`repro.runner.run_tasks` task, rebuilt from the workload's
+    name and scale, so the workload must be a named Table 2 workload.
+    ``runner`` sets the worker count and the result cache (default:
+    inline, uncached).
     """
-    if not uses_runner(jobs, cache):
-        bound = workload.build_original()
-        return [
-            measure_period_point(
-                workload, period, analyzer=analyzer, seed=seed, bound=bound,
-            )
-            for period in periods
-        ]
     from ..runner import TaskSpec, run_tasks
     from ..workloads import TABLE2_WORKLOADS
 
     if workload.name not in TABLE2_WORKLOADS:
         raise ValueError(
-            f"parallel/cached sweeps need a Table 2 workload name, "
-            f"got {workload.name!r}"
+            f"sweeps need a Table 2 workload name, got {workload.name!r}"
         )
     specs = [
         TaskSpec(
@@ -127,7 +117,7 @@ def sweep_sampling_period(
         )
         for period in periods
     ]
-    records = run_tasks(specs, jobs=jobs, cache=cache, stats=runner_stats)
+    records = run_tasks(specs, runner=runner)
     return [PeriodPoint(**record) for record in records]
 
 

@@ -197,16 +197,23 @@ class MemoryHierarchy:
 
         # L2 miss: consult the streamer before going to L3. At degree 0
         # it never issues and no one reads its table, so it is skipped
-        # (the batched walks never call it either).
+        # (the batched walks never call it either). A prefetched line
+        # registers with the directory as a read by this core, so a
+        # remote write invalidates it; the prefetch's cache-to-cache
+        # extra is not charged to the demand access.
         if core.prefetcher.degree:
             for pf_line in core.prefetcher.observe_miss(line):
                 if not self.l3.contains(pf_line):
                     self.dram_accesses += 1
                     self.l3.fill(pf_line)
+                if self.directory is not None:
+                    self.directory.read(core_id, pf_line)
                 evicted_pf = core.l2.fill(pf_line)
                 core.prefetched.add(pf_line)
                 if evicted_pf is not None:
                     core.prefetched.discard(evicted_pf)
+                    if self.directory is not None:
+                        self.directory.evict(core.id, evicted_pf)
 
         if self.l3.access(line):
             latency = cfg.l3.latency

@@ -1,8 +1,9 @@
-"""``repro.runner``: the parallel experiment executor.
+"""``repro.runner``: the experiment executor.
 
 The experiment harness runs many independent (workload, config) pairs —
 the seven Table 3 optimization cycles, dozens of suite kernels, a
-period sweep.  This package fans those tasks out over a
+period sweep — and every one of them runs here, inline at ``jobs=1``.
+This package fans those tasks out over a
 ``multiprocessing`` pool and memoizes their results in an on-disk
 content-addressed cache, mirroring how the paper's profiler itself
 scales: independent per-rank work, deterministic per-rank seeds, and a
@@ -15,20 +16,20 @@ cheap merge at the end.
   package version, so warm re-runs of unchanged pairs return instantly
   and byte-identically;
 - :mod:`~repro.runner.pool` — :func:`run_tasks`, the executor: cache
-  lookups, the worker pool, telemetry capture/absorb, and
-  :class:`RunnerStats`.
+  lookups, the worker pool and telemetry capture/absorb, all set by
+  one :class:`Runner` (worker count, cache, and the run counts).
 
 Results are JSON-encodable records (never live objects), so a record
 read back from the cache is exactly what a fresh execution returns.
 """
 
 from .cache import ResultCache, as_cache
-from .pool import RunnerStats, run_tasks
+from .pool import Runner, run_tasks
 from .tasks import TaskSpec, derive_seed, execute_task, register_task_kind
 
 __all__ = [
     "ResultCache",
-    "RunnerStats",
+    "Runner",
     "TaskSpec",
     "as_cache",
     "derive_seed",

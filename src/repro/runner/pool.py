@@ -31,19 +31,29 @@ from .tasks import TaskSpec, execute_task
 
 
 @dataclass
-class RunnerStats:
-    """What one (or several accumulated) ``run_tasks`` calls did.
+class Runner:
+    """How an experiment runs its tasks, and what those runs did.
 
-    Passed in by callers that want the numbers, like
-    :class:`~repro.profiler.merge.MergeStats` — the records themselves
-    are unaffected.
+    ``jobs`` caps the worker-pool size (1 = execute inline; 0 or a
+    negative value = one worker per effective CPU, honoring affinity
+    limits).  ``cache`` (a directory or :class:`ResultCache`)
+    short-circuits tasks whose content address already has a stored
+    record.  The counts accumulate over every :func:`run_tasks` call
+    made with this runner, like :class:`~repro.profiler.merge.MergeStats`;
+    the records themselves are unaffected by either setting.
     """
 
-    tasks: int = 0
     jobs: int = 1
+    cache: Union[ResultCache, str, Path, None] = None
+    tasks: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     executed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.jobs <= 0:
+            self.jobs = effective_cpu_count()
+        self.cache = as_cache(self.cache)
 
     def describe(self) -> str:
         return (
@@ -72,27 +82,19 @@ def _worker(payload: Tuple[TaskSpec, bool]):
 
 
 def run_tasks(
-    specs: Sequence[TaskSpec],
-    *,
-    jobs: int = 1,
-    cache: Union[ResultCache, str, Path, None] = None,
-    stats: Optional[RunnerStats] = None,
+    specs: Sequence[TaskSpec], *, runner: Optional[Runner] = None
 ) -> List[object]:
     """Run ``specs`` and return their records, in spec order.
 
-    ``jobs`` caps the worker-pool size (1 = execute inline; 0 or a
-    negative value = one worker per effective CPU, honoring affinity
-    limits).  ``cache`` (a directory or :class:`ResultCache`)
-    short-circuits tasks whose content address already has a stored
-    record; only misses execute.  ``stats``, when given, accumulates
-    hit/miss/execution counts.
+    ``runner`` (default: inline, uncached) supplies the worker count and
+    the result cache, and accumulates hit/miss/execution counts; only
+    cache misses execute.
     """
-    if jobs <= 0:
-        jobs = effective_cpu_count()
-    store = as_cache(cache)
-    if stats is not None:
-        stats.tasks += len(specs)
-        stats.jobs = max(1, jobs)
+    if runner is None:
+        runner = Runner()
+    jobs = runner.jobs
+    store = runner.cache
+    runner.tasks += len(specs)
 
     records: List[Optional[object]] = [None] * len(specs)
     pending: List[int] = []
@@ -109,11 +111,10 @@ def run_tasks(
         else:
             pending.append(index)
 
-    if stats is not None and store is not None:
-        stats.cache_hits += len(specs) - len(pending)
-        stats.cache_misses += len(pending)
-    if stats is not None:
-        stats.executed += len(pending)
+    if store is not None:
+        runner.cache_hits += len(specs) - len(pending)
+        runner.cache_misses += len(pending)
+    runner.executed += len(pending)
 
     if pending:
         total = len(pending)

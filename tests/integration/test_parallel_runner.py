@@ -1,9 +1,10 @@
 """Parallel runner parity: jobs=N and warm caches reproduce serial runs.
 
 The acceptance bar for :mod:`repro.runner`: ``--jobs 4`` output is
-byte-identical to a serial run, a warm ``--cache`` re-run executes zero
-workloads while producing byte-identical output, and telemetry exported
-from a parallel run matches what a serial run records.
+byte-identical to a serial (``jobs=1``, inline) run, a warm ``--cache``
+re-run executes zero workloads while producing byte-identical output,
+and telemetry exported from a parallel run matches what a serial run
+records.
 """
 
 import io
@@ -18,8 +19,8 @@ from repro.experiments import (
     run_suite_overheads,
     sweep_sampling_period,
 )
-from repro.experiments.optimization import results_json
-from repro.runner import RunnerStats
+from repro.experiments.optimization import results_json, run_benchmark
+from repro.runner import Runner
 from repro.telemetry import to_jsonable
 from repro.workloads import TABLE2_WORKLOADS
 
@@ -37,66 +38,76 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def two_workers():
+    return Runner(jobs=2)
+
+
 class TestParallelParity:
     def test_parallel_run_matches_serial(self):
         serial = run_all(scale=SCALE, names=NAMES)
-        parallel = run_all(scale=SCALE, names=NAMES, jobs=2)
+        parallel = run_all(scale=SCALE, names=NAMES, runner=two_workers())
         assert canonical(parallel) == canonical(serial)
 
     def test_record_surface_matches_result_surface(self):
-        serial = run_all(scale=SCALE, names=NAMES)
-        parallel = run_all(scale=SCALE, names=NAMES, jobs=2)
-        for name in NAMES:
-            assert parallel[name].speedup == serial[name].speedup
-            assert parallel[name].overhead_percent == \
-                serial[name].overhead_percent
-            assert parallel[name].miss_reduction == \
-                serial[name].miss_reduction
-            assert parallel[name].summary_row() == serial[name].summary_row()
+        records = run_all(scale=SCALE, names=NAMES, runner=two_workers())
+        for rank, name in enumerate(NAMES):
+            live = run_benchmark(name, scale=SCALE, seed=rank)
+            assert records[name].speedup == live.speedup
+            assert records[name].overhead_percent == live.overhead_percent
+            assert records[name].miss_reduction == live.miss_reduction
+            assert records[name].summary_row() == live.summary_row()
 
     def test_suite_overheads_parallel_matches_serial(self):
         serial = run_suite_overheads("rodinia", limit=4)
-        parallel = run_suite_overheads("rodinia", limit=4, jobs=2)
+        parallel = run_suite_overheads("rodinia", limit=4,
+                                       runner=two_workers())
         assert parallel.rows == serial.rows
 
     def test_sensitivity_parallel_matches_serial(self):
         workload = TABLE2_WORKLOADS["Mser"](scale=SCALE)
         periods = [100, 499]
         serial = sweep_sampling_period(workload, periods)
-        parallel = sweep_sampling_period(workload, periods, jobs=2)
+        parallel = sweep_sampling_period(workload, periods,
+                                         runner=two_workers())
         assert parallel == serial
 
     def test_sensitivity_parallel_rejects_anonymous_workloads(self):
         workload = TABLE2_WORKLOADS["Mser"](scale=SCALE)
         workload.name = "not-in-table2"
         with pytest.raises(ValueError, match="Table 2 workload"):
-            sweep_sampling_period(workload, [499], jobs=2)
+            sweep_sampling_period(workload, [499], runner=two_workers())
+
+    def test_sensitivity_serial_rejects_anonymous_workloads(self):
+        workload = TABLE2_WORKLOADS["Mser"](scale=SCALE)
+        workload.name = "not-in-table2"
+        with pytest.raises(ValueError, match="Table 2 workload"):
+            sweep_sampling_period(workload, [499])
 
 
 class TestCacheParity:
     def test_warm_cache_is_byte_identical_and_executes_nothing(self, tmp_path):
-        cold_stats = RunnerStats()
-        cold = run_all(scale=SCALE, names=NAMES, cache=tmp_path,
-                       runner_stats=cold_stats)
-        assert cold_stats.executed == len(NAMES)
+        cold_runner = Runner(cache=tmp_path)
+        cold = run_all(scale=SCALE, names=NAMES, runner=cold_runner)
+        assert cold_runner.executed == len(NAMES)
 
-        warm_stats = RunnerStats()
-        warm = run_all(scale=SCALE, names=NAMES, cache=tmp_path,
-                       runner_stats=warm_stats)
-        assert warm_stats.executed == 0
-        assert warm_stats.cache_hits == len(NAMES)
+        warm_runner = Runner(cache=tmp_path)
+        warm = run_all(scale=SCALE, names=NAMES, runner=warm_runner)
+        assert warm_runner.executed == 0
+        assert warm_runner.cache_hits == len(NAMES)
         assert canonical(warm) == canonical(cold)
 
     def test_parallel_warm_cache_matches_parallel_cold(self, tmp_path):
-        cold = run_all(scale=SCALE, names=NAMES, jobs=2, cache=tmp_path)
-        warm = run_all(scale=SCALE, names=NAMES, jobs=2, cache=tmp_path)
+        cold = run_all(scale=SCALE, names=NAMES,
+                       runner=Runner(jobs=2, cache=tmp_path))
+        warm = run_all(scale=SCALE, names=NAMES,
+                       runner=Runner(jobs=2, cache=tmp_path))
         assert canonical(warm) == canonical(cold)
 
 
 class TestTelemetryAbsorption:
     def test_parallel_run_fills_parent_session(self):
         with telemetry.session() as parallel_session:
-            run_all(scale=SCALE, names=NAMES, jobs=2)
+            run_all(scale=SCALE, names=NAMES, runner=two_workers())
         with telemetry.session() as serial_session:
             run_all(scale=SCALE, names=NAMES)
 
@@ -118,7 +129,7 @@ class TestTelemetryAbsorption:
 
     def test_parallel_counters_match_serial(self):
         with telemetry.session() as parallel_session:
-            run_all(scale=SCALE, names=NAMES, jobs=2)
+            run_all(scale=SCALE, names=NAMES, runner=two_workers())
         with telemetry.session() as serial_session:
             run_all(scale=SCALE, names=NAMES)
 
@@ -157,6 +168,18 @@ class TestCliParity:
         _, parallel = run_cli("table3", "--scale", "0.1", "--json",
                               "--jobs", "2")
         assert parallel == serial
+
+    def test_table3_cache_round_trip_matches_plain_run(self, tmp_path,
+                                                        capsys):
+        argv = ("table3", "--scale", "0.05", "--json")
+        cached = (*argv, "--jobs", "2", "--cache", str(tmp_path))
+        _, cold = run_cli(*cached)
+        capsys.readouterr()
+        _, warm = run_cli(*cached)
+        assert warm == cold
+        assert "misses=0 executed=0" in capsys.readouterr().err
+        _, plain = run_cli(*argv)
+        assert plain == cold
 
     def test_optimize_via_runner_matches_serial(self, tmp_path):
         _, serial = run_cli("optimize", "Mser", "--scale", "0.1")

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro._compat import uses_runner
 from repro.cli import _build_parser, main
+from repro.workloads.suites import suite_by_name
 
 
 def run_cli(*argv):
@@ -334,6 +334,17 @@ class TestRunnerCacheKeys:
             for period in (127, 509, 2003, 8009, 32003)
         ]
 
+    def test_overhead_params(self, captured_specs, tmp_path):
+        with pytest.raises(_Captured):
+            run_cli("overhead", "rodinia", "--quiet",
+                    "--cache", str(tmp_path))
+        assert captured_specs == [
+            {"kind": "kernel-overhead", "name": kernel.name,
+             "params": {"suite": "rodinia", "sampling_period": 499},
+             "seed": rank}
+            for rank, kernel in enumerate(suite_by_name("rodinia"))
+        ]
+
     def test_optimize_params(self, captured_specs, tmp_path):
         with pytest.raises(_Captured):
             run_cli("optimize", "179.ART", "--quiet",
@@ -346,28 +357,17 @@ class TestRunnerCacheKeys:
 
 
 class TestRunnerDispatch:
-    """``--jobs 0`` means one worker per effective CPU, so it puts the
-    runner in play exactly as ``--jobs 2`` does."""
+    """Every experiment command runs through the runner; ``optimize``
+    does exactly when ``--cache`` is given (without ``--out`` or
+    ``--verify``), and ``--jobs 0`` means one worker per effective CPU."""
 
-    @pytest.mark.parametrize("argv, expected", [
-        ([], False),
-        (["--jobs", "1"], False),
-        (["--jobs", "0"], True),
-        (["--jobs", "2"], True),
-        (["--cache", "DIR"], True),
-        (["--jobs", "1", "--cache", "DIR"], True),
-    ])
-    def test_uses_runner(self, argv, expected):
-        args = _build_parser().parse_args(["table3", *argv])
-        assert uses_runner(args.jobs, args.cache) is expected
-
-    def test_optimize_jobs_0_matches_jobs_1(self, capsys):
+    def test_optimize_jobs_0_matches_jobs_1(self, capsys, tmp_path):
         argv = ("optimize", "462.libquantum", "--scale", "0.1")
-        code_serial, text_serial = run_cli(*argv, "--jobs", "1")
+        code_plain, text_plain = run_cli(*argv)
         assert "runner:" not in capsys.readouterr().err
-        code_auto, text_auto = run_cli(*argv, "--jobs", "0")
-        assert code_serial == code_auto == 0
-        assert text_auto == text_serial
+        code_cached, text_cached = run_cli(*argv, "--cache", str(tmp_path))
+        assert code_plain == code_cached == 0
+        assert text_cached == text_plain
         assert "runner: tasks=1" in capsys.readouterr().err
 
     def test_table3_jobs_0_prints_runner_stats(self, capsys):
@@ -386,7 +386,7 @@ class TestCliSurface:
                     "--json", "--live", "--out", "--period", "--quiet",
                     "--scale", "--telemetry"],
         "optimize": ["--cache", "--deadline", "--engine", "--flightrec",
-                     "--jobs", "--live", "--out", "--period", "--quiet",
+                     "--live", "--out", "--period", "--quiet",
                      "--scale", "--telemetry", "--verify"],
         "lint": ["--format", "--scale", "--strict"],
         "verify": ["--scale"],

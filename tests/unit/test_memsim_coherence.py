@@ -115,6 +115,19 @@ class TestHierarchyCoherence:
         assert base == hier.config.l1.latency
         assert hier.invalidations == 0
 
+    def test_remote_write_invalidates_prefetched_line(self):
+        """A line the streamer prefetched into core 0's L2 is a copy the
+        directory must know about: core 1's write invalidates it, and
+        core 0's re-read misses its private caches."""
+        hier = MemoryHierarchy(HierarchyConfig(prefetch_degree=2),
+                               num_cores=2)
+        for address in (0, 64, 128, 192):
+            hier.access(0, address, 8, False)
+        hier.access(1, 192, 8, True)
+        assert hier.invalidations == 1
+        latency = hier.access(0, 192, 8, False)
+        assert latency >= hier.config.l3.latency
+
     def test_writeback_counted_in_summary(self):
         hier = self._hier()
         hier.access(0, 0x4000, 8, True)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.runner import (
     ResultCache,
-    RunnerStats,
+    Runner,
     TaskSpec,
     as_cache,
     derive_seed,
@@ -118,34 +118,36 @@ class TestRunTasks:
         assert [r["seed"] for r in records] == [0, 1, 2]
 
     def test_stats_accumulate(self, echo_kind, tmp_path):
-        stats = RunnerStats()
+        runner = Runner(cache=tmp_path)
         specs = [spec(name) for name in "ab"]
-        run_tasks(specs, cache=tmp_path, stats=stats)
-        run_tasks(specs, cache=tmp_path, stats=stats)
-        assert stats.tasks == 4
-        assert stats.cache_misses == 2
-        assert stats.cache_hits == 2
-        assert stats.executed == 2
-        assert "hits=2 misses=2 executed=2" in stats.describe()
+        run_tasks(specs, runner=runner)
+        run_tasks(specs, runner=runner)
+        assert runner.tasks == 4
+        assert runner.cache_misses == 2
+        assert runner.cache_hits == 2
+        assert runner.executed == 2
+        assert "hits=2 misses=2 executed=2" in runner.describe()
 
     def test_warm_cache_executes_nothing(self, echo_kind, tmp_path):
         specs = [spec(name, seed=i) for i, name in enumerate("abcd")]
-        cold = run_tasks(specs, cache=tmp_path)
+        cold = run_tasks(specs, runner=Runner(cache=tmp_path))
         assert len(echo_kind) == 4
-        warm_stats = RunnerStats()
-        warm = run_tasks(specs, cache=tmp_path, stats=warm_stats)
+        warm_runner = Runner(cache=tmp_path)
+        warm = run_tasks(specs, runner=warm_runner)
         assert len(echo_kind) == 4  # zero new executions
-        assert warm_stats.executed == 0
+        assert warm_runner.executed == 0
         assert warm == cold
 
     def test_cold_and_warm_output_byte_identical(self, echo_kind, tmp_path):
         specs = [spec(name, seed=i, scale=0.25) for i, name in
                  enumerate(["462.libquantum", "Mser", "TSP"])]
-        cold = json.dumps(run_tasks(specs, cache=tmp_path), sort_keys=True)
-        warm = json.dumps(run_tasks(specs, cache=tmp_path), sort_keys=True)
+        cold = json.dumps(run_tasks(specs, runner=Runner(cache=tmp_path)),
+                          sort_keys=True)
+        warm = json.dumps(run_tasks(specs, runner=Runner(cache=tmp_path)),
+                          sort_keys=True)
         assert cold == warm
 
     def test_jobs_capped_by_pending_work(self, echo_kind):
         # jobs > len(specs) must not crash; single pending task runs inline.
-        records = run_tasks([spec("solo")], jobs=8)
+        records = run_tasks([spec("solo")], runner=Runner(jobs=8))
         assert records[0]["name"] == "solo"
