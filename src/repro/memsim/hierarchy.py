@@ -46,7 +46,6 @@ class HierarchyConfig:
     #: signal the paper's Table 4 reports. The prefetch ablation bench
     #: turns it on explicitly.
     prefetch_degree: int = 0
-    coherence: bool = True
     #: Optional per-core data TLB (see memsim.tlb); None keeps the
     #: Table 3/4 calibration purely cache-driven.
     tlb: Optional["TLBConfig"] = None
@@ -61,18 +60,14 @@ class HierarchyConfig:
             l1=LevelConfig(1024, 2, 4.0),
             l2=LevelConfig(8 * 1024, 4, 12.0),
             l3=LevelConfig(64 * 1024, 8, 42.0),
-            prefetch_degree=0,
         )
 
 
 #: Walk paths an access can take, as ``walk_accesses`` reports them:
-#: the single-core vector walk, its memo replay and the single-core
-#: machine's list batches, the multi-core per-core vector walk and every
-#: other machine's list batches, and per-access
+#: the single-core vector walk and its memo replay, every machine's
+#: list walk, the multi-core per-core vector walk, and per-access
 #: :meth:`MemoryHierarchy.access`.
-WALK_PATHS = (
-    "vector", "memo", "list", "general_vector", "general_list", "scalar",
-)
+WALK_PATHS = ("vector", "memo", "list", "general_vector", "scalar")
 
 
 class _Core:
@@ -117,23 +112,22 @@ class MemoryHierarchy:
             seed=997,
         )
         self.dram_accesses = 0
-        # MESI directory, kept only when coherence is on and there is
-        # more than one core. The directory is slightly conservative:
-        # silent LRU evictions from private caches are not reported, so
-        # it may believe a copy exists that is already gone (like a real
-        # imprecise snoop filter); the resulting invalidations are
-        # no-ops on the SRAM side.
-        self._track_sharing = self.config.coherence and num_cores > 1
+        # MESI directory, kept only when there is more than one core.
+        # The directory is slightly conservative: silent LRU evictions
+        # from private caches are not reported, so it may believe a copy
+        # exists that is already gone (like a real imprecise snoop
+        # filter); the resulting invalidations are no-ops on the SRAM
+        # side.
         self.directory: Optional[MESIDirectory] = (
-            MESIDirectory() if self._track_sharing else None
+            MESIDirectory() if num_cores > 1 else None
         )
         # Batched-path bookkeeping (see _walk_batch). Once batches are
         # large enough an LRU/FIFO machine without prefetcher or TLB
         # promotes its caches to the numpy tag-array representation
         # (state 1); one core stays promoted for good. State -1 means a
-        # multi-core machine demoted its private caches back to lists
-        # for good (a write, a line-crossing access, or a
-        # row-walk-dominated batch).
+        # multi-core machine went to list caches for good (a write or a
+        # line-crossing access after promotion, or a core too dense for
+        # the chunked walk; see _walk_multicore).
         self._vector_state = 0
         # Steady-state walk memo, attached at single-core vector
         # promotion (see repro.memsim.memo); None until then.
@@ -282,16 +276,14 @@ class MemoryHierarchy:
         With numpy and batches big enough, a machine with bare LRU/FIFO
         caches (no prefetcher, TLB or random replacement) vector-walks:
         one core through the walk memo, several cores each core's
-        write-free batches (:meth:`_walk_write_free`). Every other batch
-        takes the inlined trace-ordered list walk (:meth:`_walk_lists`),
-        crediting ``list`` on a single-core machine without prefetcher
-        or TLB and ``general_list`` on every other.
+        write-free batches (:meth:`_walk_multicore`). Every other batch
+        takes the inlined trace-ordered list walk (:meth:`_walk_lists`).
         """
         cfg = self.config
-        bare = cfg.prefetch_degree == 0 and cfg.tlb is None
         single = self.num_cores == 1
         vector = (
-            bare and cfg.replacement != "random" and vectorwalk.HAVE_NUMPY
+            cfg.prefetch_degree == 0 and cfg.tlb is None
+            and cfg.replacement != "random" and vectorwalk.HAVE_NUMPY
         )
         if vector and single:
             if (
@@ -309,44 +301,26 @@ class MemoryHierarchy:
                 latencies = memo.walk(self, addresses, sizes, is_write)
                 return ("memo" if memo.hits != hits else "vector"), latencies
         elif vector:
-            latencies = self._walk_write_free(
+            latencies = self._walk_multicore(
                 addresses, sizes, is_write, thread
             )
             if latencies is not None:
                 return "general_vector", latencies
-        list_path = "list" if bare and single else "general_list"
-        return list_path, self._walk_lists(addresses, sizes, is_write, thread)
+        return "list", self._walk_lists(addresses, sizes, is_write, thread)
 
-    def _walk_write_free(self, addresses, sizes, is_write, thread):
+    def _walk_multicore(self, addresses, sizes, is_write, thread):
         """The multi-core machine's per-core vector walk, or None.
 
-        A batch with no writes and no line-crossing access takes the
-        per-core vector walk once batches are big enough (and every
-        such batch after promotion). Any other batch returns None, for
-        the list walk; on a promoted machine it demotes the private
-        caches back to lists first, for good — a trace that mixes
-        writes into its batches is the list walk's case.
-        """
-        n = len(addresses)
-        state = self._vector_state
-        if state < 0 or not n or (state == 0 and n < self.VECTOR_MIN_BATCH):
-            return None
-        line_bits = self._line_bits
-        address = vectorwalk.as_column(addresses)
-        lines = address >> line_bits
-        last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
-        if (
-            is_write is None or not vectorwalk.as_column(is_write).any()
-        ) and (lines == last).all():
-            if state == 0:
-                self._promote_to_vector()
-            return self._walk_multicore_vector(lines, thread)
-        if state == 1:
-            self._demote_from_vector()
-        return None
-
-    def _walk_multicore_vector(self, lines, thread):
-        """Per-core vector walk of one write-free, split-free batch.
+        The batch is routed before any cache state changes. It
+        vector-walks once batches are big enough (and every batch after
+        promotion) if it has no write, no line-crossing access, and
+        every core's subsequence has chunk bounds
+        (:func:`vectorwalk.plan`). Otherwise it returns None, for the
+        list walk: a write or a line-crossing access demotes a promoted
+        machine, and a core too dense for the chunked walk (pointer
+        chasing) sends the machine to lists whether promoted or not;
+        both for good. Each run builds a fresh hierarchy, so waiting for
+        a streak of such batches would cost a large part of the run.
 
         Without a write nothing invalidates a remote copy, so a core's
         private L1/L2 state depends only on its own subsequence: each
@@ -355,42 +329,48 @@ class MemoryHierarchy:
         the shared L3 and the directory's read transition in trace
         order (:meth:`_shared_fills`), the only state cores share.
 
-        The row-walk share is checked after every core: once more than
-        half of the accesses walked so far took the row walk (pointer
-        chasing), the private caches demote and the remaining cores
-        walk their list caches. Each run builds a fresh hierarchy, so
-        waiting for a streak of slow batches would cost a large part of
-        the run.
-
         Returns a float64 ndarray, which ``simulate`` sums order-free.
         That is exact because every latency is an integer number of
         cycles: the level latencies (which ``simulate`` checks) plus the
         directory's cache-to-cache extra (40 cycles).
         """
+        n = len(addresses)
+        state = self._vector_state
+        if state < 0 or not n or (state == 0 and n < self.VECTOR_MIN_BATCH):
+            return None
         np = vectorwalk._np
-        n = len(lines)
+        line_bits = self._line_bits
+        address = vectorwalk.as_column(addresses)
+        lines = address >> line_bits
+        last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
+        if (
+            is_write is not None and vectorwalk.as_column(is_write).any()
+        ) or (lines != last).any():
+            if state == 1:
+                self._demote_from_vector()
+            return None
         if thread is None:
             core_of = np.zeros(n, dtype=np.int64)
         else:
             core_of = vectorwalk.as_column(thread) % self.num_cores
-        # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
-        levels = np.zeros(n, dtype=np.intp)
-        row_walked = walked = 0
+        shares = []
         for core in self.cores:
             at = np.flatnonzero(core_of == core.id)
-            if len(at) == 0:
-                continue
-            if self._vector_state == 1:
-                own = np.zeros(len(at), dtype=np.intp)
-                row_walked += vectorwalk.cascade(
-                    (core.l1, core.l2), lines[at], own
-                )
-                levels[at] = own
-                walked += len(at)
-                if row_walked * 2 > walked:
+            if len(at):
+                own = lines[at]
+                planned = vectorwalk.plan(own)
+                if planned[2] is None:  # no chunk bounds: too dense
                     self._demote_from_vector()
-            else:
-                levels[at] = self._walk_private_lists(core, lines[at].tolist())
+                    return None
+                shares.append((core, at, own, planned))
+        if state == 0:
+            self._promote_to_vector()
+        # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
+        levels = np.zeros(n, dtype=np.intp)
+        for core, at, own, planned in shares:
+            own_levels = np.zeros(len(at), dtype=np.intp)
+            vectorwalk.cascade((core.l1, core.l2), own, planned, own_levels)
+            levels[at] = own_levels
         cfg = self.config
         lut = np.array([cfg.l1.latency, cfg.l2.latency, 0.0])
         latencies = lut[levels]
@@ -400,52 +380,6 @@ class MemoryHierarchy:
                 lines[missed].tolist(), core_of[missed].tolist()
             )
         return latencies
-
-    def _walk_private_lists(self, core, lines) -> List[int]:
-        """Levels (0 = L1 hit, 1 = L2 hit, 2 = miss) of one core's read
-        subsequence on its list L1/L2, as :meth:`_walk_lists` walks
-        them."""
-        promote = self.config.replacement == "lru"
-        l1, l2 = core.l1, core.l2
-        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
-        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
-        l1_hits = l1_evicts = l2_hits = l2_evicts = misses = 0
-        out: List[int] = []
-        append = out.append
-        for line in lines:
-            tags = l1_sets[line & l1_mask]
-            if line in tags:
-                l1_hits += 1
-                if promote and tags[-1] != line:
-                    tags.remove(line)
-                    tags.append(line)
-                append(0)
-                continue
-            if len(tags) >= l1_ways:
-                del tags[0]
-                l1_evicts += 1
-            tags.append(line)
-            tags = l2_sets[line & l2_mask]
-            if line in tags:
-                l2_hits += 1
-                if promote and tags[-1] != line:
-                    tags.remove(line)
-                    tags.append(line)
-                append(1)
-                continue
-            misses += 1
-            if len(tags) >= l2_ways:
-                del tags[0]
-                l2_evicts += 1
-            tags.append(line)
-            append(2)
-        l1.hits += l1_hits
-        l1.misses += len(out) - l1_hits
-        l1.evictions += l1_evicts
-        l2.hits += l2_hits
-        l2.misses += misses
-        l2.evictions += l2_evicts
-        return out
 
     def _shared_fills(self, lines, core_ids) -> List[float]:
         """Latencies of private read misses, resolved in trace order
@@ -671,14 +605,16 @@ class MemoryHierarchy:
         self._vector_state = 1
 
     def _demote_from_vector(self) -> None:
-        """Back to list caches for good (multi-core private caches).
+        """Send a multi-core machine to list caches for good, converting
+        promoted private caches back.
 
         The conversion preserves state exactly, so results do not
         change — only speed does.
         """
-        for core in self.cores:
-            core.l1 = core.l1.to_list_cache()
-            core.l2 = core.l2.to_list_cache()
+        if self._vector_state == 1:
+            for core in self.cores:
+                core.l1 = core.l1.to_list_cache()
+                core.l2 = core.l2.to_list_cache()
         self._vector_state = -1
 
     @property

@@ -66,9 +66,11 @@ latency is byte-identical to the scalar walk — asserted by the
 engine-parity suites.
 
 The multi-core machine reuses :func:`cascade` on each core's private
-L1/L2 alone, for write-free batches (see
-``MemoryHierarchy._walk_multicore_vector``); its shared L3 stays a list
-cache.
+L1/L2 alone (see ``MemoryHierarchy._walk_multicore``), for write-free
+batches in which every core's :func:`plan` has chunk bounds; its shared
+L3 stays a list cache. It routes a batch with a dense core to its list
+walk before touching any cache, so it never row-walks: only the
+single-core machine does.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and every LRU/FIFO machine walks its list caches
@@ -280,7 +282,7 @@ def _walk_segment(caches, hier, lines, latencies_out, lut):
     """Walk one split-free segment through L1/L2/L3; latencies and the
     DRAM fetch count go to the caller's column and hierarchy."""
     levels = _np.zeros(len(lines), dtype=_np.intp)
-    cascade(caches, lines, levels)
+    cascade(caches, lines, plan(lines), levels)
     hier.dram_accesses += int(_np.count_nonzero(levels == len(caches)))
     latencies_out[:] = lut[levels]
 
@@ -290,24 +292,15 @@ def _walk_segment(caches, hier, lines, latencies_out, lut):
 CUT_CAP = 64
 
 
-def cascade(caches, lines, levels):
-    """Walk one split-free segment through ``caches`` in place.
+def plan(lines):
+    """``(positions, stream, bounds)`` for one split-free segment.
 
-    Records each access's deepest level in ``levels`` (zeros on entry):
-    ``d`` when ``caches[d]`` hit, ``len(caches)`` when every level
-    missed. Returns the number of accesses the row walk took (0 or
-    ``len(lines)``).
-
-    The deduped stream is chopped at duplicate boundaries: a cut lands
-    on every access whose line already appeared in the current chunk,
-    so each chunk touches pairwise-distinct lines and the per-level
-    walk needs no order-dependent replay. Chunks execute sequentially
-    on the same arrays (stamps stay globally monotone — every level
-    keeps ``base = clock + 1`` with segment-wide positions), so the
-    chop is invisible to the result. The cuts depend only on the line
-    column; a stream that would fragment into more than ``CUT_CAP``
-    chunks (a line re-accessed every few steps at distance the
-    run-length dedup cannot see) takes the row walk instead, whole.
+    ``positions`` are the run heads (an access to a different line than
+    the one before it), ``stream`` their lines, and ``bounds`` the end
+    offsets of the duplicate-free chunks :func:`cascade` cuts the
+    stream into, or None when it needs more than ``CUT_CAP`` of them
+    (the row walk's case). The plan depends only on the line column,
+    so a caller can route a segment on it before touching any cache.
     """
     np = _np
     m = len(lines)
@@ -315,15 +308,33 @@ def cascade(caches, lines, levels):
     heads[0] = True
     np.not_equal(lines[1:], lines[:-1], out=heads[1:])
     positions = np.flatnonzero(heads)
-    # Run tails: same line as the immediately preceding access, which
-    # left it L1-MRU — a guaranteed hit whose promotion is a no-op.
-    caches[0].hits += m - len(positions)
     stream = lines if len(positions) == m else lines[positions]
-    bounds = _chunk_bounds(stream)
-    row_walked = 0
+    return positions, stream, _chunk_bounds(stream)
+
+
+def cascade(caches, lines, planned, levels):
+    """Walk one split-free segment through ``caches`` in place.
+
+    ``planned`` is :func:`plan` of ``lines``. Records each access's
+    deepest level in ``levels`` (zeros on entry): ``d`` when
+    ``caches[d]`` hit, ``len(caches)`` when every level missed.
+
+    Run tails (same line as the immediately preceding access, which
+    left it L1-MRU) are guaranteed hits whose promotion is a no-op, so
+    only the deduped stream walks. It walks chunk by chunk: each chunk
+    touches pairwise-distinct lines, so the per-level walk needs no
+    order-dependent replay. Chunks execute sequentially on the same
+    arrays (stamps stay globally monotone — every level keeps
+    ``base = clock + 1`` with segment-wide positions), so the chop is
+    invisible to the result. A stream with no bounds (a line
+    re-accessed every few steps at distance the run-length dedup cannot
+    see) takes the row walk instead, whole.
+    """
+    positions, stream, bounds = planned
+    m = len(lines)
+    caches[0].hits += m - len(positions)
     if bounds is None:
         _row_walk(caches, stream, positions, levels)
-        row_walked = m
     else:
         start = 0
         for end in bounds:
@@ -334,7 +345,6 @@ def cascade(caches, lines, levels):
     for cache in caches:
         # Stamps issued this segment were clock + 1 + position.
         cache.clock += m
-    return row_walked
 
 
 def _chunk_bounds(stream):

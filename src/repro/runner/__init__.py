@@ -10,7 +10,7 @@ scales: independent per-rank work, deterministic per-rank seeds, and a
 cheap merge at the end.
 
 - :mod:`~repro.runner.tasks` — :class:`TaskSpec` (one picklable unit of
-  work), the task-kind registry, and rank-offset seed derivation;
+  work) and the task-kind registry;
 - :mod:`~repro.runner.cache` — :class:`ResultCache`, keyed by a hash of
   the task's kind, workload name, config parameters, seed, and the
   package version, so warm re-runs of unchanged pairs return instantly
@@ -25,14 +25,13 @@ read back from the cache is exactly what a fresh execution returns.
 
 from .cache import ResultCache, as_cache
 from .pool import Runner, run_tasks
-from .tasks import TaskSpec, derive_seed, execute_task, register_task_kind
+from .tasks import TaskSpec, execute_task, register_task_kind
 
 __all__ = [
     "ResultCache",
     "Runner",
     "TaskSpec",
     "as_cache",
-    "derive_seed",
     "execute_task",
     "register_task_kind",
     "run_tasks",

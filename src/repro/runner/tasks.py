@@ -1,4 +1,4 @@
-"""Task specs, the task-kind registry, and deterministic seeds.
+"""Task specs and the task-kind registry.
 
 A :class:`TaskSpec` is one self-contained, picklable unit of experiment
 work: *which* computation (``kind``), *on what* (``name``), *how*
@@ -12,12 +12,9 @@ Records must be JSON-encodable (they are passed through
 :func:`repro.telemetry.to_jsonable` on the way out), because they are
 what the result cache stores and what warm runs hand back verbatim.
 
-Seeds follow the same rank-offset derivation
-:func:`repro.profiler.multiprocess.profile_processes` uses for MPI-style
-ranks: ``seed = base_seed + rank``, where ``rank`` is the task's index
-in the deterministic task list.  The derivation depends only on the
-list, never on scheduling, so parallel runs reproduce serial runs
-exactly.
+Every spec carries its own seed, fixed when the experiment builds its
+task list (task ``rank`` samples with seed ``rank``), never by
+scheduling, so parallel runs reproduce serial runs exactly.
 """
 
 from __future__ import annotations
@@ -43,16 +40,6 @@ class TaskSpec:
             "params": dict(self.params),
             "seed": self.seed,
         }
-
-
-def derive_seed(base_seed: int, rank: int) -> int:
-    """Rank-offset seed, as ``profile_processes`` derives per-rank seeds.
-
-    Deterministic in the task list alone: task ``rank`` always samples
-    with ``base_seed + rank`` no matter how many workers run or in what
-    order they finish.
-    """
-    return base_seed + rank
 
 
 TaskExecutor = Callable[[TaskSpec], object]

@@ -1,0 +1,43 @@
+"""Which walk path simulates each access of the multi-core workloads.
+
+The unit tests pin routing on hand-made batches; this pins it on the
+real programs behind the ``table3-coherent`` and ``coherent-writes``
+benchmark workloads: the original program of CLOMP, Health, NN and
+OverlapView, simulated once each on its 4-core MESI machine at full
+scale (under 2 s for the four). Smaller scales change how the
+interpreter cuts batches, and at 0.05 Health's routing changes too.
+"""
+
+import pytest
+
+from repro.memsim.engine import simulate
+from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
+from repro.program.interp import Interpreter
+from repro.workloads import workload_zoo
+
+#: ``{path: accesses}`` for one run of each original program; every
+#: other path is credited 0. CLOMP and NN read without writes, so the
+#: per-core vector walk takes them whole. Health chases pointers: a
+#: core of its first batch is too dense for the chunked walk, so the
+#: machine takes the list walk from its first access. OverlapView's
+#: write batches take the list walk on the unpromoted machine; its last
+#: three batches, write-free, promote it and vector-walk.
+CREDITS = {
+    "CLOMP 1.2": {"general_vector": 884_736},
+    "Health": {"list": 352_256},
+    "NN": {"general_vector": 395_264},
+    "OverlapView": {"general_vector": 16_896, "list": 229_376},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CREDITS))
+def test_original_program_walk_paths(name):
+    pytest.importorskip("numpy")
+    workload = workload_zoo()[name](scale=1.0)
+    threads = workload.num_threads
+    hierarchy = MemoryHierarchy(HierarchyConfig(), threads)
+    interp = Interpreter(workload.build_original(), num_threads=threads)
+    simulate(interp.run_batched(), hierarchy=hierarchy)
+    credits = dict.fromkeys(WALK_PATHS, 0)
+    credits.update(CREDITS[name])
+    assert hierarchy.walk_accesses() == credits

@@ -218,8 +218,8 @@ class TestPipelineParity:
 class TestConfigParity:
     """Batch exactness over the full machine-configuration space.
 
-    Every combination of cores, coherence, prefetch, TLB and
-    replacement policy batches, and must stay byte-identical to the
+    Every combination of cores (two or more share the MESI directory),
+    cache geometry, prefetch, TLB and replacement policy batches, and must stay byte-identical to the
     scalar walk whichever internal path it takes (single-core vector
     walk, multi-core per-core vector walk, or the trace-ordered list
     walk, which on prefetch, TLB and random-replacement machines hands
@@ -272,8 +272,8 @@ def parallel_loop(line, body):
 
 class TestMulticoreWalkParity:
     """The 4-core walk's transitions on fixed programs: promotion by a
-    write-free batch, then demotion by a write batch or by a batch most
-    of whose accesses the vector walk would replay."""
+    write-free batch, then demotion by a write batch or by a batch one
+    of whose cores re-uses lines too densely for the chunked walk."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
         pytest.importorskip("numpy")
@@ -295,14 +295,15 @@ class TestMulticoreWalkParity:
         # The read loop vector-walks; the write loop demotes for good,
         # so the re-read walks the lists.
         assert counts["general_vector"] == ELEMENTS
-        assert counts["general_list"] == 2 * ELEMENTS
+        assert counts["list"] == 2 * ELEMENTS
         assert hierarchy._vector_state == -1
         assert hierarchy.invalidations > 0
 
     def test_replay_heavy_body_demotes(self):
         pytest.importorskip("numpy")
-        # 64-byte elements; six lines sharing one L1 and one L2 set of
-        # the small geometry, visited in random order by four threads.
+        # 64-byte elements; a sweep over them promotes, then six lines
+        # sharing one L1 and one L2 set of the small geometry, visited
+        # in random order by four threads, demote before any core walks.
         wide = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
         config = HierarchyConfig.small()
         sets = config.l2.size_bytes // (config.l2.ways * config.line_size)
@@ -311,18 +312,23 @@ class TestMulticoreWalkParity:
         table = [rng.randrange(6) * sets for _ in range(n)]
         builder = WorkloadBuilder("thrash")
         builder.add_aos(wide, 6 * sets, name="A")
-        loop = Loop(line=1, var="i", start=0, stop=n, body=[
-            Access(line=2, array="A", field="x",
-                   index=Indirect.of(table, affine("i", 1, 0))),
+        sweep = Loop(line=1, var="i", start=0, stop=6 * sets, body=[
+            Access(line=2, array="A", field="x", index=affine("i", 1, 0)),
         ], end_line=3, parallel=True)
-        bound = builder.build([Function("main", [loop])])
+        thrash = Loop(line=4, var="j", start=0, stop=n, body=[
+            Access(line=5, array="A", field="x",
+                   index=Indirect.of(table, affine("j", 1, 0))),
+        ], end_line=6, parallel=True)
+        bound = builder.build([Function("main", [sweep, thrash])])
         hierarchies = []
         scalar = run_pipeline(bound, 4, False, pebs, config=config)
         batched = run_pipeline(bound, 4, True, pebs, config=config,
                                vector_min=1, capture=hierarchies.append)
         assert scalar == batched
         (hierarchy,) = hierarchies
-        assert hierarchy.walk_accesses()["general_vector"] == n
+        counts = hierarchy.walk_accesses()
+        assert counts["general_vector"] == 6 * sets
+        assert counts["list"] == n
         assert hierarchy._vector_state == -1
 
 

@@ -8,8 +8,6 @@ sampler's batched countdown, and the satellite fixes that rode along
 (first-sample stagger, engine validation).
 """
 
-import random
-
 import pytest
 
 from repro.layout import INT, StructType
@@ -221,7 +219,7 @@ class TestHierarchyBatch:
         assert listed > 0
         assert hierarchy.walk_accesses() == {
             "vector": 0, "memo": 0, "list": listed, "general_vector": 0,
-            "general_list": 0, "scalar": len(addresses) - listed,
+            "scalar": len(addresses) - listed,
         }
 
     def test_split_accesses_match_scalar(self):
@@ -281,9 +279,8 @@ class TestHierarchyBatch:
             hierarchy, inline = self.run_general_parity(config, cores)
             walked = hierarchy.walk_accesses()
             assert 0 < inline < sum(walked.values())
-            bare = config.prefetch_degree == 0 and config.tlb is None
             credits = dict.fromkeys(WALK_PATHS, 0)
-            credits["list" if bare and cores == 1 else "general_list"] = inline
+            credits["list"] = inline
             credits["scalar"] = sum(walked.values()) - inline
             assert walked == credits
 
@@ -510,53 +507,54 @@ class TestMulticoreWalk:
         hierarchy = self.check([self.columns()], vector_min=1 << 30)
         assert hierarchy._vector_state == 0
 
+    def dense(self):
+        """A batch whose first three cores' shares are distinct lines
+        and whose fourth core's share is dense re-use, past the chunked
+        walk's cuts."""
+        sparse = [640 * k for k in range(96)]
+        addresses = sparse + dense_reuse(n=600)
+        n = len(addresses)
+        thread = [k % 3 for k in range(len(sparse))] + [3] * (n - len(sparse))
+        return addresses, [4] * n, [0] * n, thread
+
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_row_walk_matches_scalar(self, policy, monkeypatch):
-        # Every core's share of a dense-reuse batch needs the row walk;
-        # the first core's demotes the machine, so one core row-walks
-        # and the rest walk their lists, all exactly.
+    def test_dense_later_core_lists_the_batch(self, policy, monkeypatch):
+        # Routing happens before any core walks: one dense share sends
+        # the whole batch, and the machine for good, to the list walk.
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
-        addresses = dense_reuse(n=2400)
-        n = len(addresses)
-        thread = [k * self.CORES // n for k in range(n)]
-        batch = (addresses, [4] * n, [0] * n, thread)
+        batch = self.dense()
         hierarchy = self.check(
             [batch], config=HierarchyConfig(replacement=policy)
         )
-        assert len(calls) == 1
+        counts = dict.fromkeys(WALK_PATHS, 0)
+        counts["list"] = len(batch[0])
+        assert hierarchy.walk_accesses() == counts
         assert hierarchy._vector_state == -1
+        assert calls == []
 
-    def test_replay_dominated_batch_demotes_within_itself(self):
+    def test_dense_first_batch_never_promotes(self, monkeypatch):
         pytest.importorskip("numpy")
-        # Six lines sharing one L1 and one L2 set, revisited at random:
-        # each core's accesses take the row walk, so the walk demotes
-        # after the first core and the other three walk their lists.
-        config = HierarchyConfig.small()
-        stride = config.line_size * config.l2.size_bytes // (
-            config.l2.ways * config.line_size
+        promoted = []
+        monkeypatch.setattr(
+            MemoryHierarchy, "_promote_to_vector",
+            lambda self: promoted.append(self),
         )
-        n = 2000
-        rng = random.Random(0)
-        addresses = [rng.randrange(6) * stride for _ in range(n)]
-        thread = [k * self.CORES // n for k in range(n)]
-        listed = []
-        hierarchy = MemoryHierarchy(config, self.CORES)
-        walk = hierarchy._walk_private_lists
-        hierarchy._walk_private_lists = lambda core, lines: (
-            listed.append(core.id) or walk(core, lines)
-        )
-        hierarchy.VECTOR_MIN_BATCH = 1
-        reference = MemoryHierarchy(config, self.CORES)
-        expected = [
-            reference.access(t, a, 4, False)
-            for a, t in zip(addresses, thread)
-        ]
-        got = hierarchy.access_batch(addresses, [4] * n, [0] * n, thread)
-        assert list(got) == expected
-        assert machine_state(hierarchy) == machine_state(reference)
+        hierarchy = self.check([self.dense(), self.columns()])
+        assert promoted == []
         assert hierarchy._vector_state == -1
-        assert listed == [1, 2, 3]
+        assert hierarchy.walk_accesses()["general_vector"] == 0
+
+    def test_dense_batch_after_promotion_demotes_exactly(self, monkeypatch):
+        pytest.importorskip("numpy")
+        calls = spy_row_walk(monkeypatch)
+        batches = [self.columns(), self.dense(), self.columns()]
+        hierarchy = self.check(batches)
+        assert hierarchy._vector_state == -1
+        counts = hierarchy.walk_accesses()
+        assert counts["general_vector"] == len(batches[0][0])
+        assert counts["list"] == len(batches[1][0]) + len(batches[2][0])
+        assert calls == []
 
     def test_scalar_access_works_after_promotion(self):
         pytest.importorskip("numpy")
@@ -597,9 +595,9 @@ class TestWalkPaths:
             (config, 1, self.batches(1), 1, "vector"),
             (config, 1, self.batches(1), 1 << 30, "list"),
             (config, 4, self.batches(4), 1, "general_vector"),
-            (config, 4, self.batches(4), 1 << 30, "general_list"),
+            (config, 4, self.batches(4), 1 << 30, "list"),
             (HierarchyConfig(prefetch_degree=2), 2, self.batches(2), 1,
-             "general_list"),
+             "list"),
             (config, 1, scalar, 1, "scalar"),
         ]
         for config, cores, items, vector_min, path in cases:
@@ -610,8 +608,8 @@ class TestWalkPaths:
         hierarchy = MemoryHierarchy(HierarchyConfig(), 2)
         hierarchy.access_batch([0, 60, 128], [4, 8, 4], [0, 0, 0], [0, 1, 0])
         assert hierarchy.walk_accesses() == {
-            "vector": 0, "memo": 0, "list": 0, "general_vector": 0,
-            "general_list": 2, "scalar": 1,
+            "vector": 0, "memo": 0, "list": 2, "general_vector": 0,
+            "scalar": 1,
         }
 
     def test_exported_per_path(self):
@@ -628,7 +626,7 @@ class TestWalkPaths:
             for path in WALK_PATHS
         }
         assert exported == hierarchy.walk_accesses()
-        assert exported["general_list"] == 2
+        assert exported["list"] == 2
 
 
     def test_batches_and_seconds_exported_per_path(self):
@@ -649,8 +647,7 @@ class TestWalkPaths:
             untimed.access_batch(addresses, [4, 8, 4], [0, 0, 0], [0, 1, 0])
         batches = exported("repro_memsim_walk_batches_total", untimed)
         assert batches == {
-            "vector": 0, "memo": 0, "list": 0, "general_vector": 0,
-            "general_list": 3,
+            "vector": 0, "memo": 0, "list": 3, "general_vector": 0,
         }
         # Timing happens only inside a telemetry session.
         assert set(
@@ -660,8 +657,8 @@ class TestWalkPaths:
         with telemetry.session():
             timed.access_batch(addresses, [4, 8, 4], [0, 0, 0], [0, 1, 0])
         seconds = exported("repro_memsim_walk_seconds_total", timed)
-        assert seconds["general_list"] > 0.0
-        assert sum(seconds.values()) == seconds["general_list"]
+        assert seconds["list"] > 0.0
+        assert sum(seconds.values()) == seconds["list"]
 
     def test_promoted_single_core_never_credits_the_list_walk(self):
         # Dense-reuse batches no longer demote the single-core machine:

@@ -74,17 +74,6 @@ class TestMultiCore:
         # Core 0 must refetch past its private caches.
         assert hier.access(0, 0x1000, 8, False) > config().l1.latency
 
-    def test_coherence_disabled_by_config(self):
-        cfg = HierarchyConfig.small()
-        cfg = HierarchyConfig(
-            line_size=cfg.line_size, l1=cfg.l1, l2=cfg.l2, l3=cfg.l3,
-            dram_latency=cfg.dram_latency, prefetch_degree=0, coherence=False,
-        )
-        hier = MemoryHierarchy(cfg, num_cores=2)
-        hier.access(0, 0x1000, 8, False)
-        hier.access(1, 0x1000, 8, True)
-        assert hier.invalidations == 0
-
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
             MemoryHierarchy(config(), num_cores=0)

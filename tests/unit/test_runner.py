@@ -9,7 +9,6 @@ from repro.runner import (
     Runner,
     TaskSpec,
     as_cache,
-    derive_seed,
     execute_task,
     register_task_kind,
     run_tasks,
@@ -37,19 +36,6 @@ def echo_kind():
 
 def spec(name="w", seed=0, **params):
     return TaskSpec(kind="echo-test", name=name, params=params, seed=seed)
-
-
-class TestSeeds:
-    def test_rank_offset_derivation(self):
-        assert derive_seed(0, 0) == 0
-        assert derive_seed(7, 3) == 10
-
-    def test_matches_profile_processes_convention(self):
-        # profile_processes seeds rank r with base + r; the runner must
-        # derive identically so parallel experiments reproduce MPI-style
-        # profiling runs.
-        base = 42
-        assert [derive_seed(base, r) for r in range(4)] == [42, 43, 44, 45]
 
 
 class TestTaskRegistry:
