@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..telemetry.session import enabled as telemetry_enabled
 from . import vectorwalk
 from .cache import SetAssociativeCache
-from .coherence import MESIDirectory
+from .coherence import CODE_MASK, E_CODE, HOLDER_SHIFT, M_CODE, MESIDirectory
 from .prefetch import StreamPrefetcher
 from .tlb import DataTLB, TLBConfig
 
@@ -173,11 +173,16 @@ class MemoryHierarchy:
         extra = 0.0
         if is_write and self.directory is not None:
             # Purge remote copies, then take ownership (S/I -> M).
-            for other in self.directory.invalidated_cores(line):
-                if other != core_id:
-                    self.cores[other].l1.invalidate(line)
-                    self.cores[other].l2.invalidate(line)
-                    self.cores[other].prefetched.discard(line)
+            remote = (
+                self.directory._lines.get(line, 0) >> HOLDER_SHIFT
+                & ~(1 << core_id)
+            )
+            while remote:
+                other = self.cores[(remote & -remote).bit_length() - 1]
+                remote &= remote - 1
+                other.l1.invalidate(line)
+                other.l2.invalidate(line)
+                other.prefetched.discard(line)
             extra = self.directory.write(core_id, line)
 
         if core.l1.access(line):
@@ -377,24 +382,37 @@ class MemoryHierarchy:
         missed = np.flatnonzero(levels == 2)
         if len(missed):
             latencies[missed] = self._shared_fills(
-                lines[missed].tolist(), core_of[missed].tolist()
+                lines[missed].tolist(),
+                (1 << (core_of[missed] + HOLDER_SHIFT)).tolist(),
             )
         return latencies
 
-    def _shared_fills(self, lines, core_ids) -> List[float]:
+    def _shared_fills(self, lines, bits) -> List[float]:
         """Latencies of private read misses, resolved in trace order
-        through the shared (list) L3 and the directory's read fill."""
+        through the shared (list) L3 and the directory's read fill.
+
+        ``bits`` holds each miss's core as its directory holder bit.
+        The read fill is :meth:`MESIDirectory.read` applied inline to
+        the line's word: a first reader takes E, any other read ends
+        every holder S, and a dirty copy held by another core is
+        forwarded cache-to-cache. Forwards (each also a writeback) are
+        added to the directory's stats once, at the end.
+        """
         cfg = self.config
         l3 = self.l3
         l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
         l3_lat = cfg.l3.latency
         dram_lat = cfg.dram_latency
         promote = cfg.replacement == "lru"
-        read = self.directory.read if self.directory is not None else None
-        hits = misses = evicts = 0
+        directory = self.directory
+        words = directory._lines
+        word_of = words.get
+        c2c_lat = directory.c2c_latency
+        holders_mask = ~CODE_MASK
+        hits = misses = evicts = forwards = 0
         out: List[float] = []
         append = out.append
-        for line, core_id in zip(lines, core_ids):
+        for line, bit in zip(lines, bits):
             tags = l3_sets[line & l3_mask]
             if line in tags:
                 hits += 1
@@ -409,15 +427,23 @@ class MemoryHierarchy:
                     evicts += 1
                 tags.append(line)
                 latency = dram_lat
-            if read is not None:
-                extra = read(core_id, line)
-                if extra:
-                    latency += extra
+            word = word_of(line, 0)
+            if not word:
+                words[line] = bit | E_CODE
+            else:
+                shared = (word | bit) & holders_mask
+                if shared != word:
+                    words[line] = shared
+                    if word & CODE_MASK == M_CODE and word != bit | M_CODE:
+                        forwards += 1
+                        latency += c2c_lat
             append(latency)
         l3.hits += hits
         l3.misses += misses
         l3.evictions += evicts
         self.dram_accesses += misses
+        directory.stats.writebacks += forwards
+        directory.stats.cache_to_cache += forwards
         return out
 
     def _walk_lists(
@@ -431,9 +457,10 @@ class MemoryHierarchy:
         allocates at once (so the scalar path's follow-up ``fill``
         calls are no-ops and evict nothing, which is also why the
         directory never hears an eviction here). With a directory, a
-        write first purges the line from every other core's L1/L2 and
-        takes the directory's write transition, and a read that misses
-        L2 takes its read transition; without one the write bit is
+        write first purges the line from the L1/L2 of every other core
+        the directory lists as a holder and calls its ``write``, and a
+        read that misses L2 applies its read transition inline (as
+        :meth:`_shared_fills` does); without one the write bit is
         unobservable. A line-crossing access takes :meth:`access`.
 
         A machine with a prefetcher, a TLB or random replacement
@@ -469,9 +496,12 @@ class MemoryHierarchy:
         l3 = self.l3
         l3_sets, l3_mask, l3_ways = l3._sets, l3._set_mask, l3.ways
         if directory is not None:
-            holders_of = directory._lines.get
-            dir_read = directory.read
+            words = directory._lines
+            word_of = words.get
             dir_write = directory.write
+            c2c_lat = directory.c2c_latency
+            holders_mask = ~CODE_MASK
+        forwards = 0
         # Per core: L1 hits/misses/evictions, L2 hits/misses/evictions.
         # A latency with no coherence extra is appended as the level's
         # own float (equal to ``latency + 0.0``) rather than a new one
@@ -499,16 +529,16 @@ class MemoryHierarchy:
                     append(access(core_id, address, size, True))
                     prev_line = -1
                     continue
-                holders = holders_of(line)
-                if holders:
-                    for other in holders:
-                        if other != core_id:
-                            tags = l1_sets[other][line & l1_mask]
-                            if line in tags:
-                                tags.remove(line)
-                            tags = l2_sets[other][line & l2_mask]
-                            if line in tags:
-                                tags.remove(line)
+                remote = word_of(line, 0) >> HOLDER_SHIFT & ~(1 << core_id)
+                while remote:
+                    other = (remote & -remote).bit_length() - 1
+                    remote &= remote - 1
+                    tags = l1_sets[other][line & l1_mask]
+                    if line in tags:
+                        tags.remove(line)
+                    tags = l2_sets[other][line & l2_mask]
+                    if line in tags:
+                        tags.remove(line)
                 extra = dir_write(core_id, line)
             if line == prev_line and core_id == prev_core:
                 # This core's last access touched the same line and
@@ -569,7 +599,18 @@ class MemoryHierarchy:
                 tags.append(line)
                 latency = dram_lat
             if directory is not None and not write:
-                extra += dir_read(core_id, line)
+                # MESIDirectory.read, inline (see _shared_fills).
+                bit = 1 << (core_id + HOLDER_SHIFT)
+                word = word_of(line, 0)
+                if not word:
+                    words[line] = bit | E_CODE
+                else:
+                    shared = (word | bit) & holders_mask
+                    if shared != word:
+                        words[line] = shared
+                        if word & CODE_MASK == M_CODE and word != bit | M_CODE:
+                            forwards += 1
+                            extra = c2c_lat
             append(latency + extra if extra else latency)
         for c, core in enumerate(cores):
             core.l1.hits += l1_hits[c]
@@ -582,6 +623,9 @@ class MemoryHierarchy:
         l3.misses += l3_misses
         l3.evictions += l3_evicts
         self.dram_accesses += l3_misses
+        if forwards:
+            directory.stats.writebacks += forwards
+            directory.stats.cache_to_cache += forwards
         return out
 
     # -- vector-path state management ---------------------------------------

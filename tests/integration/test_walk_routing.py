@@ -1,4 +1,5 @@
-"""Which walk path simulates each access of the multi-core workloads.
+"""Which walk path simulates each access of the multi-core workloads,
+and where each run leaves the MESI directory.
 
 The unit tests pin routing on hand-made batches; this pins it on the
 real programs behind the ``table3-coherent`` and ``coherent-writes``
@@ -29,6 +30,18 @@ CREDITS = {
     "OverlapView": {"general_vector": 16_896, "list": 229_376},
 }
 
+#: The directory at the end of the same runs: lines held, then
+#: invalidations, writebacks, cache-to-cache transfers and upgrades.
+#: The three Table 3 programs never write a shared line. OverlapView's
+#: writes purge 12 remote copies; its dirty lines are forwarded to the
+#: next core that reads them.
+DIRECTORY = {
+    "CLOMP 1.2": (30_720, 0, 0, 0, 0),
+    "Health": (57_856, 0, 0, 0, 0),
+    "NN": (57_344, 0, 0, 0, 0),
+    "OverlapView": (10_240, 12, 7_692, 7_692, 0),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CREDITS))
 def test_original_program_walk_paths(name):
@@ -41,3 +54,8 @@ def test_original_program_walk_paths(name):
     credits = dict.fromkeys(WALK_PATHS, 0)
     credits.update(CREDITS[name])
     assert hierarchy.walk_accesses() == credits
+    summary = hierarchy.miss_summary()
+    assert (len(hierarchy.directory._lines),) + tuple(
+        summary[key]
+        for key in ("invalidations", "writebacks", "cache_to_cache", "upgrades")
+    ) == DIRECTORY[name]

@@ -491,6 +491,26 @@ class TestMulticoreWalk:
         assert hasattr(hierarchy.cores[3].l2, "to_list_cache")
         assert not hasattr(hierarchy.l3, "to_list_cache")
 
+    def test_vector_walk_forwards_dirty_remote_lines(self):
+        # Core 0 writes 16 lines in a list-walked batch (a write never
+        # promotes), then cores 1 and 2 read them in a write-free batch
+        # that promotes and vector-walks: core 1's private misses reach
+        # the directory's read fill in _shared_fills, which forwards
+        # each dirty line once; core 2 then finds it Shared.
+        pytest.importorskip("numpy")
+        addresses = [640 * k for k in range(16)]
+        n = len(addresses)
+        written = (addresses, [4] * n, [1] * n, [0] * n)
+        read = (addresses * 2, [4] * 2 * n, [0] * 2 * n, [1] * n + [2] * n)
+        before = self.check([written])
+        assert before.walk_accesses()["list"] == n
+        assert before.directory.stats.cache_to_cache == 0
+        hierarchy = self.check([written, read])
+        assert hierarchy._vector_state == 1
+        assert hierarchy.walk_accesses()["general_vector"] == 2 * n
+        stats = hierarchy.directory.stats
+        assert stats.cache_to_cache == stats.writebacks == n
+
     def test_write_batch_after_promotion_demotes_exactly(self):
         pytest.importorskip("numpy")
         hierarchy = self.check(

@@ -68,6 +68,39 @@ class TestDirectoryStates:
         assert d.stats.invalidations == 0
         assert d.state(0, 100) == MODIFIED
 
+    def test_stale_modified_holder_rereading_first_forwards_nothing(self):
+        # The same deviation for a dirty line: a dirty copy is forwarded
+        # only when its first reader is another core. If the M holder
+        # re-reads first, it ends Shared with no writeback, and no later
+        # reader is forwarded the line.
+        d = MESIDirectory()
+        d.write(0, 100)
+        assert d.read(0, 100) == 0.0
+        assert d.state(0, 100) == SHARED
+        assert d.read(1, 100) == 0.0
+        assert d.read(2, 100) == 0.0
+        assert d.stats.writebacks == d.stats.cache_to_cache == 0
+        assert [d.state(c, 100) for c in range(3)] == [SHARED] * 3
+
+    def test_remote_first_reader_is_the_only_one_forwarded(self):
+        d = MESIDirectory()
+        d.write(0, 100)
+        assert d.read(1, 100) == d.c2c_latency
+        assert d.read(2, 100) == 0.0
+        assert d.read(0, 100) == 0.0
+        assert d.stats.writebacks == d.stats.cache_to_cache == 1
+
+    def test_write_counts_every_remote_sharer(self):
+        d = MESIDirectory()
+        for core in range(4):
+            d.read(core, 100)
+        assert d.write(2, 100) == d.upgrade_latency
+        assert d.stats.invalidations == 3
+        assert d.stats.line_invalidations == {100: 3}
+        assert [d.state(c, 100) for c in range(4)] == [
+            None, None, MODIFIED, None,
+        ]
+
     def test_evicting_dirty_line_writes_back(self):
         d = MESIDirectory()
         d.write(0, 100)
