@@ -719,6 +719,10 @@ class MemoryHierarchy:
                 "repro_memsim_walk_memo_stale_total",
                 help="memo entries invalidated by a pre-state mismatch",
             ).add(memo.stale)
+            registry.gauge(
+                "repro_memsim_walk_memo_bytes",
+                help="array bytes held by the memo's entries",
+            ).set(memo.nbytes())
         for path, count in self.walk_accesses().items():
             registry.counter(
                 "repro_memsim_walk_accesses_total",

@@ -10,21 +10,28 @@ walk — same hits, same victims, same latencies — shifted only by the
 recency clock.
 
 This module caches the *outcome* of a vector walk (latency column,
-counter deltas, and the post-state of every touched set, with stamps
-encoded relative to the clock) keyed by a content hash of the address
-and size columns, and replays it whenever the current pre-state of the
-touched sets matches the recorded fingerprint exactly.
+counter deltas, and the cells of every touched set the walk changed,
+with stamps encoded relative to the clock) keyed by a content hash of
+the address and size columns, and replays it whenever the current
+pre-state of the touched sets matches the recorded fingerprint exactly.
 
 Soundness
 ---------
 A memo hit requires, for each cache level, over every set the recorded
 walk touched:
 
-- identical ``tags`` rows (same resident lines per way — this also
-  pins the empty-way mask, because ``tag == -1`` iff ``stamp == 0`` is
-  a :class:`~repro.memsim.vectorwalk.TagArrayCache` invariant), and
 - identical *clock-relative* ``stamps`` rows (``stamp - clock`` per
-  occupied way).
+  occupied way, ``+1`` per empty way), and
+- identical ``tags`` rows at every occupied way.
+
+The first pins the empty-way mask: ``stamp == 0`` iff ``tag == -1`` is
+a :class:`~repro.memsim.vectorwalk.TagArrayCache` invariant, and no
+occupied way can hold a relative stamp of ``+1`` because stamps never
+exceed the clock.  With the empty ways pinned, the second compares
+``tag - base`` clamped at ``-1`` against the recorded offsets (``-1``
+at the empty ways), which is exact: a resident line below the level's
+``base`` clamps to ``-1`` only at an occupied way, where the recorded
+offset is at least 0.
 
 Clock-relative stamp equality implies the recency *order* inside each
 set is identical, ties (empty ways) sit at identical positions, and
@@ -38,9 +45,33 @@ are neither read nor written by the walk (probes, inserts, and
 eviction accounting are all confined to the probed sets, and which
 lines cascade to L2/L3 is itself determined level by level by the
 fingerprinted state above; whether a segment takes the row walk depends
-only on its line column, which the key pins).  The replay is therefore byte-identical to
-re-running the walk: same latencies, counters, tags and relative
-stamps.
+only on its line column, which the key pins).  The replay is therefore
+byte-identical to re-running the walk: same latencies, counters, tags
+and relative stamps.  It writes only the ways whose stamp the recorded
+walk changed, which include every way whose line changed (a level
+issues each stamp to one access, so no two ways of a set share one);
+every other touched way already holds the value the fingerprint just
+verified.
+
+Entry layout
+------------
+Per level, an entry keeps the touched sets (a ``(lo, hi)`` span when
+they are one contiguous run), the fingerprint, and the changed cells:
+
+- ``fp_rel``: int32 relative stamps, one per touched way;
+- ``fp_tags``: int32 tag offsets from a per-level ``base`` (the lowest
+  resident tag, or 0 when every tag already fits);
+- ``cells``: int32 flat indices of the changed ways into the level's
+  arrays, with their new tags (int64) and clock-relative stamps
+  (int32, ``post_rel``), plus the positions among them the walk left
+  empty (``emptied``).
+
+Each array falls back to int64 when its values do not fit int32 (tags
+spread over more than 2**31 lines, or a clock past 2**31); matching
+stays exact and positional either way.  The fingerprint thus costs 8
+bytes per touched way, against 34 for the four int64 rows and two
+masks an entry used to hold, and a steady-state walk changes only a
+few percent of the ways it touches.
 
 Keys are content hashes of the address and size columns, with an
 identity fast path for the common case of the interpreter's batch
@@ -64,8 +95,10 @@ from .vectorwalk import _np, as_column
 MEMO_MIN_BATCH = 256
 
 #: Entries kept per hierarchy before LRU eviction.  An entry holds the
-#: latency column plus touched-set snapshots — small next to the tag
-#: arrays, but unbounded workloads should not accumulate them forever.
+#: latency column plus a fingerprint of every touched way, so a batch
+#: that sweeps the L3 records megabytes (179.ART's original run ends
+#: holding 14.7 MB in 9 entries); the cap keeps unbounded workloads
+#: from accumulating them forever.
 MEMO_CAP = 128
 
 #: Recording overhead is a pure loss for workloads that never repeat a
@@ -73,13 +106,36 @@ MEMO_CAP = 128
 #: turns itself off for the rest of the run.
 GIVE_UP_RECORDS = 24
 
+_INT32 = (-(1 << 31), (1 << 31) - 1)
+
+
+def _relative(stamps, clock):
+    """Clock-relative ``stamps`` with +1 at the empty ways, in int32
+    while the clock fits: stamps lie in ``[0, clock]``, so neither they
+    nor the result overflow, and ``-clock`` marks exactly stamp 0."""
+    if clock <= _INT32[1]:
+        rel = stamps.astype(_np.int32)
+        rel -= clock
+    else:
+        rel = stamps - clock
+    _np.copyto(rel, 1, where=rel == -clock)
+    return rel
+
+
+def _narrow(values):
+    """A copy of ``values``: int32 when every value fits, else int64."""
+    fits = not values.size or (
+        _INT32[0] <= int(values.min()) and int(values.max()) <= _INT32[1]
+    )
+    return values.astype(_np.int32 if fits else _np.int64)
+
 
 class _LevelRecord:
     """Fingerprint + outcome for one cache level of one memoized walk."""
 
     __slots__ = (
-        "sets", "span", "fp_tags", "fp_rel", "fp_empty", "post_tags",
-        "post_rel", "post_zero", "d_hits", "d_misses", "d_evictions",
+        "sets", "span", "base", "fp_tags", "fp_rel", "cells", "post_tags",
+        "post_rel", "emptied", "d_hits", "d_misses", "d_evictions",
     )
 
     def rows(self, matrix):
@@ -90,11 +146,13 @@ class _LevelRecord:
             return matrix[self.span[0]:self.span[1]]
         return matrix[self.sets]
 
-    def scatter(self, matrix, values) -> None:
-        if self.span is not None:
-            matrix[self.span[0]:self.span[1]] = values
-        else:
-            matrix[self.sets] = values
+    def nbytes(self) -> int:
+        return sum(
+            a.nbytes for a in (
+                self.sets, self.fp_tags, self.fp_rel, self.cells,
+                self.post_tags, self.post_rel, self.emptied,
+            ) if a is not None
+        )
 
 
 class _Entry:
@@ -120,6 +178,13 @@ class WalkMemo:
         self.misses = 0
         self.stale = 0
         self.recorded = 0
+
+    def nbytes(self) -> int:
+        """Bytes of the numpy arrays the entries hold."""
+        return sum(
+            entry.latencies.nbytes + sum(lvl.nbytes() for lvl in entry.levels)
+            for entry in self.entries.values()
+        )
 
     # -- keying -------------------------------------------------------------
 
@@ -181,6 +246,49 @@ class WalkMemo:
             return int(sets[0]), int(sets[-1]) + 1
         return None
 
+    @staticmethod
+    def _fingerprint(lvl, pre_tags, pre_stamps, pre_clock) -> None:
+        """Store the pre-state of ``lvl``'s touched rows compactly,
+        overwriting the (private) snapshot rows it is given."""
+        np = _np
+        lvl.fp_rel = _relative(pre_stamps, pre_clock)
+        lvl.base = 0
+        high = int(pre_tags.max()) if pre_tags.size else -1
+        if high > _INT32[1]:
+            # Viewed unsigned, an empty way's -1 is the largest value,
+            # so the minimum is the lowest resident tag.
+            base = int(pre_tags.view(np.uint64).min())
+            if high - base <= _INT32[1]:
+                pre_tags -= base
+                np.maximum(pre_tags, -1, out=pre_tags)
+                lvl.base = base
+        lvl.fp_tags = pre_tags.astype(
+            np.int32 if high - lvl.base <= _INT32[1] else np.int64
+        )
+
+    @staticmethod
+    def _changes(lvl, cache, sets, pre_stamps, pre_clock) -> None:
+        """Store the ways the walk changed: flat indices into the
+        level's arrays, new tags and clock-relative new stamps.
+
+        A way whose line changed has a new stamp too: a level issues
+        each stamp to one access, so no two ways of a set share one.
+        """
+        np = _np
+        post_stamps = lvl.rows(cache.stamps)
+        changed = np.flatnonzero(post_stamps != pre_stamps)
+        ways = cache.ways
+        if lvl.span is not None:
+            cells = changed + lvl.span[0] * ways
+        else:
+            cells = sets[changed // ways] * ways + changed % ways
+        lvl.cells = _narrow(cells)
+        lvl.post_tags = lvl.rows(cache.tags).reshape(-1)[changed]
+        new_stamps = post_stamps.reshape(-1)[changed]
+        emptied = np.flatnonzero(new_stamps == 0)
+        lvl.emptied = emptied if len(emptied) else None
+        lvl.post_rel = _narrow(new_stamps - pre_clock)
+
     def _record(self, hier, address, size, is_write, key):
         np = _np
         line_bits = hier._line_bits
@@ -232,8 +340,8 @@ class WalkMemo:
             else:
                 sets = self._touched_sets(cache, first[levels >= depth])
             lvl = _LevelRecord()
-            lvl.sets = sets
             lvl.span = self._span_of(sets)
+            lvl.sets = sets if lvl.span is None else None
             if sets is sup:
                 pre_tags, pre_stamps = snap[0], snap[1]
             elif sup_span is not None and lvl.span is not None:
@@ -249,16 +357,8 @@ class WalkMemo:
                 rows = np.searchsorted(sup, sets)
                 pre_tags = snap[0][rows]
                 pre_stamps = snap[1][rows]
-            pre_clock = snap[2]
-            lvl.fp_tags = pre_tags
-            lvl.fp_empty = pre_tags == -1
-            pre_rel = pre_stamps - pre_clock
-            pre_rel[lvl.fp_empty] = 0
-            lvl.fp_rel = pre_rel
-            post_stamps = lvl.rows(cache.stamps)
-            lvl.post_tags = lvl.rows(cache.tags).copy()
-            lvl.post_zero = post_stamps == 0
-            lvl.post_rel = post_stamps - pre_clock
+            self._changes(lvl, cache, sets, pre_stamps, snap[2])
+            self._fingerprint(lvl, pre_tags, pre_stamps, snap[2])
             lvl.d_hits = cache.hits - snap[3]
             lvl.d_misses = cache.misses - snap[4]
             lvl.d_evictions = cache.evictions - snap[5]
@@ -294,19 +394,24 @@ class WalkMemo:
         core = hier.cores[0]
         caches = (core.l1, core.l2, hier.l3)
         for cache, lvl in zip(caches, entry.levels):
-            if not np.array_equal(lvl.rows(cache.tags), lvl.fp_tags):
-                return None
-            rel = lvl.rows(cache.stamps) - cache.clock
-            # Tag equality pinned the empty ways (tag -1 iff stamp 0),
-            # so normalizing at the recorded empties is exact.
-            rel[lvl.fp_empty] = 0
+            # +1 marks an empty way (stamp 0 iff tag -1); no occupied
+            # way holds it, so this match pins the empty mask.
+            rel = _relative(lvl.rows(cache.stamps), cache.clock)
             if not np.array_equal(rel, lvl.fp_rel):
                 return None
+            tags = lvl.rows(cache.tags)
+            if lvl.base:
+                tags = tags - lvl.base
+                np.maximum(tags, -1, out=tags)
+            if not np.array_equal(tags, lvl.fp_tags):
+                return None
         for cache, lvl in zip(caches, entry.levels):
-            new_stamps = lvl.post_rel + cache.clock
-            new_stamps[lvl.post_zero] = 0
-            lvl.scatter(cache.stamps, new_stamps)
-            lvl.scatter(cache.tags, lvl.post_tags)
+            if len(lvl.cells):
+                stamps = np.add(lvl.post_rel, cache.clock, dtype=np.int64)
+                if lvl.emptied is not None:
+                    stamps[lvl.emptied] = 0
+                cache.stamps.reshape(-1)[lvl.cells] = stamps
+                cache.tags.reshape(-1)[lvl.cells] = lvl.post_tags
             cache.clock += entry.clock_delta
             cache.hits += lvl.d_hits
             cache.misses += lvl.d_misses

@@ -1,0 +1,146 @@
+"""Property: a memoized machine is byte-identical to a memo-free one.
+
+The walk memo replays a recorded vector walk when the touched sets'
+pre-state matches its fingerprint, writing back only the cells the
+walk changed. Random sequences of repeated (same objects or equal
+copies), interleaved and fresh batches run on a single-core machine
+with its memo attached and on one with the memo detached; after every
+batch the two must agree on the latency column, every level's tag and
+stamp arrays, clocks and counters, DRAM fetches, and walk credits.
+
+Batches draw lines from regions far more than 2**31 lines apart, so
+a level's tag offsets overflow int32 and the fingerprint falls back to
+int64, and they start on a cold, partly empty cache, so empty ways sit
+in the fingerprints. An optional warm-up of small batches list-walks
+before the machine promotes: promotion packs each set's lines into its
+first ways, and the first walk that merges into such a set moves them
+behind its empty ways, so some changed cells end empty.
+"""
+
+import random
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+pytest.importorskip("numpy")
+
+from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
+
+#: Region bases, in lines: static-data low addresses, the heap, and a
+#: region 2**32 lines above the heap.
+HEAP_LINE = 0x7F00_0000_0000 >> 6
+REGIONS = (0x1_8000, HEAP_LINE, HEAP_LINE + (1 << 32))
+
+CONFIGS = {"default": HierarchyConfig(), "small": HierarchyConfig.small()}
+
+batch_specs = st.fixed_dictionaries({
+    "pattern": st.sampled_from(("sweep", "random", "pingpong")),
+    "regions": st.lists(
+        st.sampled_from(range(len(REGIONS))), min_size=1, max_size=2,
+        unique=True,
+    ),
+    "n": st.integers(min_value=256, max_value=700),
+    "offset": st.integers(min_value=0, max_value=1 << 12),
+    "seed": st.integers(min_value=0, max_value=1 << 16),
+})
+
+#: A step is a fresh batch, or one to four repeats of an earlier one:
+#: as the same column objects (the key's identity fast path) or as
+#: equal copies (the content hash).
+steps = st.lists(
+    st.one_of(
+        batch_specs.map(lambda spec: ("fresh", spec)),
+        st.tuples(
+            st.just("again"), st.integers(0, 7), st.booleans(),
+            st.integers(1, 4),
+        ),
+    ),
+    min_size=2,
+    max_size=10,
+)
+
+
+def build(spec, config):
+    rng = random.Random(spec["seed"])
+    bases = [REGIONS[r] + spec["offset"] for r in spec["regions"]]
+    set_stride = config.l2.size_bytes // config.l2.ways // config.line_size
+    lines = []
+    for i in range(spec["n"]):
+        base = bases[i % len(bases)] if spec["pattern"] == "sweep" else (
+            rng.choice(bases)
+        )
+        if spec["pattern"] == "sweep":
+            lines.append(base + i // 4)
+        elif spec["pattern"] == "random":
+            lines.append(base + rng.randrange(1 << 11))
+        else:
+            lines.append(base + set_stride * rng.randrange(12))
+    addresses = array("q", [
+        (line << 6) + 8 * rng.randrange(8) for line in lines
+    ])
+    sizes = array("q", [8] * len(addresses))
+    is_write = array("q", [rng.random() < 0.25 for _ in addresses])
+    thread = array("q", [0] * len(addresses))
+    return addresses, sizes, is_write, thread
+
+
+def state(hier):
+    core = hier.cores[0]
+    return [
+        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
+         c.evictions)
+        for c in (core.l1, core.l2, hier.l3)
+    ] + [hier.dram_accesses]
+
+
+class TestMemoParity:
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(sorted(CONFIGS)), st.integers(0, 3), steps)
+    def test_memoized_machine_matches_memo_free_machine(
+        self, name, warmup, plan
+    ):
+        config = CONFIGS[name]
+        plain = MemoryHierarchy(config, 1)
+        memoized = MemoryHierarchy(config, 1)
+        for seed in range(warmup):
+            small = build({
+                "pattern": "random", "regions": [0], "n": 200, "offset": 0,
+                "seed": seed,
+            }, config)
+            plain.access_batch(*small)
+            memoized.access_batch(*small)
+        plain._promote_to_vector()
+        plain._walk_memo = None
+        pool = []
+        replayed = 0
+        for step in plan:
+            if step[0] == "fresh" or not pool:
+                spec = step[1] if step[0] == "fresh" else {
+                    "pattern": "random", "regions": [0], "n": 300,
+                    "offset": 0, "seed": 0,
+                }
+                pool.append(build(spec, config))
+                batches = [pool[-1]]
+            else:
+                cols = pool[step[1] % len(pool)]
+                if step[2]:
+                    cols = tuple(array("q", c) for c in cols)
+                batches = [cols] * step[3]
+            for cols in batches:
+                expected = plain.access_batch(*cols)
+                memo = memoized._walk_memo
+                hits = memo.hits if memo is not None else 0
+                got = memoized.access_batch(*cols)
+                if memoized._walk_memo.hits != hits:
+                    replayed += len(cols[0])
+                assert got.tobytes() == expected.tobytes()
+                assert state(memoized) == state(plain)
+        credits = memoized.walk_accesses()
+        plain_credits = plain.walk_accesses()
+        assert credits["memo"] == replayed
+        assert credits["memo"] + credits["vector"] == plain_credits["vector"]
+        assert plain_credits["memo"] == 0
+        for path in ("list", "general_vector", "scalar"):
+            assert credits[path] == plain_credits[path]

@@ -149,3 +149,252 @@ class TestConvergence:
         assert memoized.walk_accesses()["memo"] == walk_memo.hits * len(
             batch[0]
         )
+
+
+#: First line of the heap: tags this large overflow int32, so a level's
+#: fingerprint stores them as offsets from a base.
+HEAP_LINE = 0x7F00_0000_0000 >> 6
+
+
+def line_batch(lines, repeat=4):
+    """Each line accessed ``repeat`` times, at distinct 8-byte words."""
+    addresses = array("q", [
+        (line << 6) + 8 * k for line in lines for k in range(repeat)
+    ])
+    return addresses, array("q", [8] * len(addresses))
+
+
+#: 8,192 heap lines, twice the L2: every repeat misses the L1 and L2
+#: and hits the L3, where each touched set holds one of them.
+L3_SWEEP = line_batch(range(HEAP_LINE, HEAP_LINE + 8192), repeat=1)
+
+
+def state(hier):
+    core = hier.cores[0]
+    return [
+        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
+         c.evictions)
+        for c in (core.l1, core.l2, hier.l3)
+    ] + [hier.dram_accesses]
+
+
+def snapshot(hier):
+    core = hier.cores[0]
+    return [
+        (c.tags.copy(), c.stamps.copy(), c.clock, c.hits, c.misses,
+         c.evictions)
+        for c in (core.l1, core.l2, hier.l3)
+    ], hier.dram_accesses
+
+
+def restore(hier, snap):
+    core = hier.cores[0]
+    levels, hier.dram_accesses = snap
+    for c, (tags, stamps, clock, hits, misses, evictions) in zip(
+        (core.l1, core.l2, hier.l3), levels
+    ):
+        c.tags[...] = tags
+        c.stamps[...] = stamps
+        c.clock, c.hits, c.misses, c.evictions = clock, hits, misses, evictions
+
+
+def entry_for(walk_memo, batch):
+    return walk_memo.entries[walk_memo._key(batch[0], batch[1], None, None)]
+
+
+def only_entry(walk_memo):
+    (entry,) = walk_memo.entries.values()
+    return entry
+
+
+class TestEncoding:
+    def test_empty_way_refilled_below_the_tag_base_goes_stale(self):
+        # A sweep twice the L2's size reaches the L3 on every repeat,
+        # and leaves each L3 set it touches one line and 19 empty ways.
+        # Refilling one with a line below the level's tag base clamps
+        # to -1 in the tag compare; the stamps must still catch it.
+        batch = L3_SWEEP
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        for _ in range(3):
+            plain.access_batch(*batch)
+            memoized.access_batch(*batch)
+        walk_memo = memoized._walk_memo
+        assert walk_memo.hits == 1
+        l3_record = only_entry(walk_memo).levels[2]
+        assert l3_record.base == HEAP_LINE
+        assert l3_record.fp_tags.dtype == np.int32
+
+        below = HEAP_LINE - memoized.l3.num_sets  # same set, below base
+        for hier in (plain, memoized):
+            l3 = hier.l3
+            set_index = HEAP_LINE & l3._set_mask
+            way = int(np.flatnonzero(l3.stamps[set_index] == 0)[0])
+            l3.tags[set_index, way] = below
+            l3.stamps[set_index, way] = l3.clock
+        offsets = l3_record.rows(memoized.l3.tags) - l3_record.base
+        np.maximum(offsets, -1, out=offsets)
+        assert np.array_equal(offsets, l3_record.fp_tags)
+
+        stale = walk_memo.stale
+        expected = plain.access_batch(*batch)
+        got = memoized.access_batch(*batch)
+        assert walk_memo.stale == stale + 1 and walk_memo.hits == 1
+        assert got.tobytes() == expected.tobytes()
+        assert state(memoized) == state(plain)
+
+    def test_clock_past_int32_records_int64_and_replays(self):
+        # Lines sharing the sweep's L3 sets keep their stamps from
+        # before the clock jumped 2**40, so the L3 fingerprint's
+        # relative stamps overflow int32. Such an old way drifts
+        # further from the clock on every walk, so the machine is
+        # wound back to the recorded pre-state to replay the entry.
+        num_sets = HierarchyConfig().l3.size_bytes // 64 // 20
+        neighbours = line_batch(
+            range(HEAP_LINE + num_sets, HEAP_LINE + num_sets + 8192),
+            repeat=1,
+        )
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        for hier in (plain, memoized):
+            hier.access_batch(*neighbours)
+            hier.l3.clock += 1 << 40  # stamps stay at or below it
+        assert state(memoized) == state(plain)
+        pre = snapshot(memoized)
+        walk_memo = memoized._walk_memo
+        recorded = walk_memo.recorded
+        first = memoized.access_batch(*L3_SWEEP)
+        assert walk_memo.recorded == recorded + 1
+        levels = entry_for(walk_memo, L3_SWEEP).levels
+        assert levels[2].fp_rel.dtype == np.int64
+        assert levels[0].fp_rel.dtype == np.int32
+
+        restore(memoized, pre)
+        got = memoized.access_batch(*L3_SWEEP)
+        expected = plain.access_batch(*L3_SWEEP)
+        assert walk_memo.hits == 1
+        assert got.tobytes() == expected.tobytes() == first.tobytes()
+        assert state(memoized) == state(plain)
+
+    def test_replay_empties_the_ways_its_walk_emptied(self):
+        # Promotion packs a warmed set's lines into its first ways; the
+        # first walk that merges into such a set moves them behind its
+        # empty ways, leaving some changed cells empty. The machine is
+        # wound back to replay that walk, at a later clock.
+        warm = columns(n=200, seed=5)
+        batch = columns(seed=6)
+        plain, memoized = (MemoryHierarchy(HierarchyConfig(), 1)
+                           for _ in range(2))
+        for hier in (plain, memoized):
+            hier.access_batch(*warm)
+            hier._promote_to_vector()
+        plain._walk_memo = None
+        pre = snapshot(memoized)
+        first = memoized.access_batch(*batch)
+        levels = entry_for(memoized._walk_memo, batch).levels
+        assert levels[0].emptied is not None
+
+        restore(memoized, pre)
+        for hier in (plain, memoized):
+            for cache in (hier.cores[0].l1, hier.cores[0].l2, hier.l3):
+                cache.stamps[cache.stamps > 0] += 1000
+                cache.clock += 1000
+        got = memoized.access_batch(*batch)
+        expected = plain.access_batch(*batch)
+        assert memoized._walk_memo.hits == 1
+        assert got.tobytes() == expected.tobytes() == first.tobytes()
+        assert state(memoized) == state(plain)
+
+    def test_tags_over_2_31_lines_apart_record_int64(self):
+        lines = [HEAP_LINE + i for i in range(64)]
+        lines += [HEAP_LINE + (1 << 32) + i for i in range(64)]
+        batch = line_batch(lines)
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        for _ in range(4):
+            assert (
+                memoized.access_batch(*batch).tobytes()
+                == plain.access_batch(*batch).tobytes()
+            )
+        assert state(memoized) == state(plain)
+        assert memoized._walk_memo.hits >= 1
+        l1_record = only_entry(memoized._walk_memo).levels[0]
+        assert l1_record.fp_tags.dtype == np.int64
+        assert l1_record.base == 0
+
+    def test_replay_writes_only_the_changed_cells(self):
+        class Recording(np.ndarray):
+            """Logs the index of every write into a cache's array (not
+            into temporaries computed from it)."""
+
+            writes = []
+
+            def __setitem__(self, key, value):
+                if self.label is not None and np.shares_memory(
+                    self, self.label[2]
+                ):
+                    Recording.writes.append((self.label[:2], np.array(key)))
+                super().__setitem__(key, value)
+
+            def __array_finalize__(self, obj):
+                self.label = getattr(obj, "label", None)
+
+        hier = MemoryHierarchy(HierarchyConfig(), 1)
+        cols = L3_SWEEP
+        for _ in range(3):
+            hier.access_batch(*cols)
+        walk_memo = hier._walk_memo
+        assert walk_memo.hits == 1
+        entry = entry_for(walk_memo, cols)
+        caches = (hier.cores[0].l1, hier.cores[0].l2, hier.l3)
+        for depth, cache in enumerate(caches):
+            for name in ("tags", "stamps"):
+                recording = getattr(cache, name).view(Recording)
+                recording.label = (depth, name, recording)
+                setattr(cache, name, recording)
+        Recording.writes.clear()
+        hier.access_batch(*cols)
+        assert walk_memo.hits == 2
+
+        # The sweep floods the L1 and L2 sets it touches but restamps
+        # one of 20 ways in each L3 set.
+        l3_record = entry.levels[2]
+        assert len(l3_record.cells) * 20 == l3_record.rows(hier.l3.tags).size
+        expected = []
+        for depth, lvl in enumerate(entry.levels):
+            expected += [((depth, "stamps"), lvl.cells),
+                         ((depth, "tags"), lvl.cells)]
+        assert len(Recording.writes) == len(expected)
+        for (label, key), (want_label, cells) in zip(
+            Recording.writes, expected
+        ):
+            assert label == want_label
+            assert np.array_equal(key, cells)
+
+
+class TestFootprint:
+    def test_l3_resident_repeat_stays_under_half_the_int64_rows(self):
+        batch = L3_SWEEP
+        hier = MemoryHierarchy(HierarchyConfig(), 1)
+        for _ in range(3):
+            hier.access_batch(*batch)
+        walk_memo = hier._walk_memo
+        assert walk_memo.hits == 1
+        assert hier.l3.hits >= 8192
+        entry = only_entry(walk_memo)
+        caches = (hier.cores[0].l1, hier.cores[0].l2, hier.l3)
+        touched = sum(
+            lvl.rows(cache.tags).size
+            for cache, lvl in zip(caches, entry.levels)
+        )
+        assert walk_memo.nbytes() < 4 * 8 * touched / 2
+
+    def test_memo_bytes_are_exported(self):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        hier = MemoryHierarchy(HierarchyConfig(), 1)
+        cols = columns()
+        for _ in range(3):
+            hier.access_batch(*cols)
+        registry = MetricsRegistry()
+        hier.export_metrics(registry)
+        gauge = registry.get("repro_memsim_walk_memo_bytes")
+        assert gauge is not None and gauge.kind == "gauge"
+        assert gauge.value == hier._walk_memo.nbytes() > 0
