@@ -717,7 +717,8 @@ class MemoryHierarchy:
             ).add(memo.misses)
             registry.counter(
                 "repro_memsim_walk_memo_stale_total",
-                help="memo entries invalidated by a pre-state mismatch",
+                help="memo entries whose touched sets no longer match in "
+                "tags, empty ways or recency order",
             ).add(memo.stale)
             registry.gauge(
                 "repro_memsim_walk_memo_bytes",

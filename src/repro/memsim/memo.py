@@ -5,73 +5,86 @@ over and over: the interpreter's batch cache re-emits one column object
 per loop body, and at paper scale most chunks are exact repeats (the
 ART workload walks 113 chunks built from 11 distinct columns).  Once
 the cache hierarchy reaches a steady state, replaying an identical
-chunk against bit-identical set contents performs exactly the same
-walk — same hits, same victims, same latencies — shifted only by the
-recency clock.
+chunk against the same set contents (the same lines in the same ways)
+performs exactly the same walk — same hits, same victims, same
+latencies — as long as each touched set ranks its lines in the same
+recency order, however far the clock has moved since.
 
 This module caches the *outcome* of a vector walk (latency column,
-counter deltas, and the cells of every touched set the walk changed,
-with stamps encoded relative to the clock) keyed by a content hash of
-the address and size columns, and replays it whenever the current
-pre-state of the touched sets matches the recorded fingerprint exactly.
+counter deltas, and the cells of every touched set the walk changed)
+keyed by a content hash of the address and size columns, and replays
+it whenever the current pre-state of the touched sets matches the
+recorded fingerprint.
 
 Soundness
 ---------
-A memo hit requires, for each cache level, over every set the recorded
+A memo hit requires, for each cache level, in every set the recorded
 walk touched:
 
-- identical *clock-relative* ``stamps`` rows (``stamp - clock`` per
-  occupied way, ``+1`` per empty way), and
-- identical ``tags`` rows at every occupied way.
+- equal tags at every way,
+- empty ways at the same positions, and
+- the occupied ways ranked in the same stamp order.
 
-The first pins the empty-way mask: ``stamp == 0`` iff ``tag == -1`` is
-a :class:`~repro.memsim.vectorwalk.TagArrayCache` invariant, and no
-occupied way can hold a relative stamp of ``+1`` because stamps never
-exceed the clock.  With the empty ways pinned, the second compares
-``tag - base`` clamped at ``-1`` against the recorded offsets (``-1``
-at the empty ways), which is exact: a resident line below the level's
-``base`` clamps to ``-1`` only at an occupied way, where the recorded
-offset is at least 0.
+Every stamp comparison the walk makes depends only on that order.
+Each compares two old stamps, or an old stamp with one the walk issued,
+and the walk issues stamps above the entry clock, so a new stamp
+outranks every old one. The comparisons are the victim ``argmin``, the
+suspect ranking in ``_resolve_mixed``, the bulk insert's ``argsort`` of
+survivors, its flood test (oldest arrival against the newest
+resident), and the row walk's first-minimum victims and its write-back
+in stamp order; numpy's comparison sorts are deterministic functions
+of the comparison outcomes. Equal tags then give equal hits and misses,
+and equal empty ways equal eviction counts. Untouched sets are neither
+read nor written by the walk (probes, inserts, and eviction accounting
+are all confined to the probed sets, and which lines cascade to L2/L3
+is itself determined level by level by the fingerprinted state above;
+whether a segment takes the row walk depends only on its line column,
+which the key pins).
 
-Clock-relative stamp equality implies the recency *order* inside each
-set is identical, ties (empty ways) sit at identical positions, and
-every stamp comparison the walk performs — victim ``argmin``, suspect
-ranking, bulk-insert ``argsort`` survival, the row walk's first-minimum
-victims and its stamp-order write-back — resolves identically: new
-stamps are always issued above the entry clock, so old-vs-new
-comparisons are position-determined, and numpy's comparison sorts are
-deterministic functions of the comparison outcomes.  Untouched sets
-are neither read nor written by the walk (probes, inserts, and
-eviction accounting are all confined to the probed sets, and which
-lines cascade to L2/L3 is itself determined level by level by the
-fingerprinted state above; whether a segment takes the row walk depends
-only on its line column, which the key pins).  The replay is therefore
-byte-identical to re-running the walk: same latencies, counters, tags
-and relative stamps.  It writes only the ways whose stamp the recorded
-walk changed, which include every way whose line changed (a level
-issues each stamp to one access, so no two ways of a set share one);
-every other touched way already holds the value the fingerprint just
-verified.
+The replay is therefore byte-identical to re-running the walk: same
+latencies, counters and tags. It writes only the ways the recorded walk
+changed, which include every way whose line changed (a level issues
+each stamp to one access, so no two ways of a set share one); every
+other touched way already holds what the walk would leave there. A
+changed way holds one of two things afterwards:
+
+- a stamp the walk issued, written as the replay clock plus the
+  recorded offset; or
+- an old line, or an empty way, moved from another way of its row (the
+  bulk insert and the row walk both rearrange a row by age). It keeps
+  its own stamp, which may differ from the recorded one by any age, so
+  the replay reads it from the source way before writing anything.
 
 Entry layout
 ------------
 Per level, an entry keeps the touched sets (a ``(lo, hi)`` span when
 they are one contiguous run), the fingerprint, and the changed cells:
 
-- ``fp_rel``: int32 relative stamps, one per touched way;
+- ``fp_order``: per touched row, its ways in ascending stamp order,
+  empty ways first (one byte per way, ``uint8`` up to 255 ways), or
+  None when every touched row already lies in that order, as a row the
+  bulk insert or the row walk wrote last does;
+- ``fp_empty``: per touched row, its count of empty ways;
 - ``fp_tags``: int32 tag offsets from a per-level ``base`` (the lowest
-  resident tag, or 0 when every tag already fits);
+  resident tag, or 0 when every tag already fits), int64 when the tags
+  spread over more than 2**31 lines;
 - ``cells``: int32 flat indices of the changed ways into the level's
-  arrays, with their new tags (int64) and clock-relative stamps
-  (int32, ``post_rel``), plus the positions among them the walk left
-  empty (``emptied``).
+  arrays, with their new tags (int64); for the first
+  ``len(post_rel)`` of them, the walk's stamps relative to the entry
+  clock (int32, ``post_rel``: at most the batch length), and for the
+  rest the flat index of the way each moved from (``sources``).
 
-Each array falls back to int64 when its values do not fit int32 (tags
-spread over more than 2**31 lines, or a clock past 2**31); matching
-stays exact and positional either way.  The fingerprint thus costs 8
-bytes per touched way, against 34 for the four int64 rows and two
-masks an entry used to hold, and a steady-state walk changes only a
-few percent of the ways it touches.
+Replay verifies the order without sorting: it gathers each row's live
+stamps in ``fp_order`` (or takes the rows as they are) and checks them
+0 over the first ``fp_empty`` ways and strictly increasing after them
+(stamps are never negative).
+That pins the empty ways on its own, which the tag compare cannot do:
+``tag - base`` clamps at ``-1``, so a resident line below ``base``
+reads like an empty way there. With the empty ways pinned, the clamped
+compare is exact, since the recorded offset at an occupied way is at
+least 0. The fingerprint costs at most 5 bytes per touched way (4
+without a permutation), and a steady-state walk changes only a few
+percent of the ways it touches.
 
 Keys are content hashes of the address and size columns, with an
 identity fast path for the common case of the interpreter's batch
@@ -97,7 +110,7 @@ MEMO_MIN_BATCH = 256
 #: Entries kept per hierarchy before LRU eviction.  An entry holds the
 #: latency column plus a fingerprint of every touched way, so a batch
 #: that sweeps the L3 records megabytes (179.ART's original run ends
-#: holding 14.7 MB in 9 entries); the cap keeps unbounded workloads
+#: holding 10.3 MB in 9 entries); the cap keeps unbounded workloads
 #: from accumulating them forever.
 MEMO_CAP = 128
 
@@ -109,19 +122,6 @@ GIVE_UP_RECORDS = 24
 _INT32 = (-(1 << 31), (1 << 31) - 1)
 
 
-def _relative(stamps, clock):
-    """Clock-relative ``stamps`` with +1 at the empty ways, in int32
-    while the clock fits: stamps lie in ``[0, clock]``, so neither they
-    nor the result overflow, and ``-clock`` marks exactly stamp 0."""
-    if clock <= _INT32[1]:
-        rel = stamps.astype(_np.int32)
-        rel -= clock
-    else:
-        rel = stamps - clock
-    _np.copyto(rel, 1, where=rel == -clock)
-    return rel
-
-
 def _narrow(values):
     """A copy of ``values``: int32 when every value fits, else int64."""
     fits = not values.size or (
@@ -130,12 +130,28 @@ def _narrow(values):
     return values.astype(_np.int32 if fits else _np.int64)
 
 
+def _ranked(rows, empty) -> bool:
+    """True when each of ``rows`` is 0 over its first ``empty`` ways
+    and strictly increasing after them: stamps are never negative, so
+    the sign of each step from the way before (from 0 at a row's first
+    way) says it."""
+    np = _np
+    ways = rows.shape[1]
+    live = rows.reshape(-1)
+    rising = np.empty(live.size, dtype=bool)
+    np.greater(live[1:], live[:-1], out=rising[1:])
+    np.greater(live[::ways], 0, out=rising[::ways])
+    ranks = np.arange(ways, dtype=empty.dtype)
+    return np.array_equal(rising, (empty[:, None] <= ranks).reshape(-1))
+
+
 class _LevelRecord:
     """Fingerprint + outcome for one cache level of one memoized walk."""
 
     __slots__ = (
-        "sets", "span", "base", "fp_tags", "fp_rel", "cells", "post_tags",
-        "post_rel", "emptied", "d_hits", "d_misses", "d_evictions",
+        "sets", "span", "base", "fp_tags", "fp_order", "fp_empty", "cells",
+        "post_tags", "post_rel", "sources", "d_hits", "d_misses",
+        "d_evictions",
     )
 
     def rows(self, matrix):
@@ -146,11 +162,20 @@ class _LevelRecord:
             return matrix[self.span[0]:self.span[1]]
         return matrix[self.sets]
 
+    def in_order(self, stamps) -> bool:
+        """True when every touched row of ``stamps`` ranks its ways as
+        the recorded pre-state did: :func:`_ranked` over the rows
+        gathered in ``fp_order``, or as they are when it is None."""
+        if self.fp_order is None:
+            return _ranked(self.rows(stamps), self.fp_empty)
+        sets = self.sets if self.span is None else _np.arange(*self.span)
+        return _ranked(stamps[sets[:, None], self.fp_order], self.fp_empty)
+
     def nbytes(self) -> int:
         return sum(
             a.nbytes for a in (
-                self.sets, self.fp_tags, self.fp_rel, self.cells,
-                self.post_tags, self.post_rel, self.emptied,
+                self.sets, self.fp_tags, self.fp_order, self.fp_empty,
+                self.cells, self.post_tags, self.post_rel, self.sources,
             ) if a is not None
         )
 
@@ -247,11 +272,18 @@ class WalkMemo:
         return None
 
     @staticmethod
-    def _fingerprint(lvl, pre_tags, pre_stamps, pre_clock) -> None:
+    def _fingerprint(lvl, pre_tags, pre_stamps) -> None:
         """Store the pre-state of ``lvl``'s touched rows compactly,
         overwriting the (private) snapshot rows it is given."""
         np = _np
-        lvl.fp_rel = _relative(pre_stamps, pre_clock)
+        small = np.min_scalar_type(pre_stamps.shape[1])
+        lvl.fp_empty = (pre_stamps == 0).sum(axis=1, dtype=small)
+        # Empty ways (stamp 0) first, then the occupied ways oldest
+        # first; rows the bulk insert or the row walk wrote last are
+        # already in that order, and need no permutation when all are.
+        lvl.fp_order = None
+        if not _ranked(pre_stamps, lvl.fp_empty):
+            lvl.fp_order = pre_stamps.argsort(axis=1).astype(small)
         lvl.base = 0
         high = int(pre_tags.max()) if pre_tags.size else -1
         if high > _INT32[1]:
@@ -269,14 +301,28 @@ class WalkMemo:
     @staticmethod
     def _changes(lvl, cache, sets, pre_stamps, pre_clock) -> None:
         """Store the ways the walk changed: flat indices into the
-        level's arrays, new tags and clock-relative new stamps.
+        level's arrays and new tags, then each way's new stamp.
 
         A way whose line changed has a new stamp too: a level issues
         each stamp to one access, so no two ways of a set share one.
+        The ways that took a stamp the walk issued (above the entry
+        clock) come first and store it clock-relative (``post_rel``).
+        Every other changed way now holds an old line, or an empty
+        way, moved from another way of its row, and stores that way's
+        flat index (``sources``).
         """
         np = _np
         post_stamps = lvl.rows(cache.stamps)
         changed = np.flatnonzero(post_stamps != pre_stamps)
+        new_stamps = post_stamps.reshape(-1)[changed]
+        fresh = new_stamps > pre_clock
+        issued = int(np.count_nonzero(fresh))
+        if issued < len(changed):
+            order = np.concatenate(
+                (np.flatnonzero(fresh), np.flatnonzero(~fresh))
+            )
+            changed = changed[order]
+            new_stamps = new_stamps[order]
         ways = cache.ways
         if lvl.span is not None:
             cells = changed + lvl.span[0] * ways
@@ -284,10 +330,17 @@ class WalkMemo:
             cells = sets[changed // ways] * ways + changed % ways
         lvl.cells = _narrow(cells)
         lvl.post_tags = lvl.rows(cache.tags).reshape(-1)[changed]
-        new_stamps = post_stamps.reshape(-1)[changed]
-        emptied = np.flatnonzero(new_stamps == 0)
-        lvl.emptied = emptied if len(emptied) else None
-        lvl.post_rel = _narrow(new_stamps - pre_clock)
+        lvl.post_rel = (new_stamps[:issued] - pre_clock).astype(np.int32)
+        lvl.sources = None
+        if issued < len(changed):
+            moved = changed[issued:]
+            # The pre-state way that held each moved stamp: the line's
+            # own, or an empty way for stamp 0 (a walk never empties
+            # more ways of a row than it found empty).
+            source_way = (
+                pre_stamps[moved // ways] == new_stamps[issued:, None]
+            ).argmax(axis=1)
+            lvl.sources = _narrow(cells[issued:] - moved % ways + source_way)
 
     def _record(self, hier, address, size, is_write, key):
         np = _np
@@ -358,7 +411,7 @@ class WalkMemo:
                 pre_tags = snap[0][rows]
                 pre_stamps = snap[1][rows]
             self._changes(lvl, cache, sets, pre_stamps, snap[2])
-            self._fingerprint(lvl, pre_tags, pre_stamps, snap[2])
+            self._fingerprint(lvl, pre_tags, pre_stamps)
             lvl.d_hits = cache.hits - snap[3]
             lvl.d_misses = cache.misses - snap[4]
             lvl.d_evictions = cache.evictions - snap[5]
@@ -394,23 +447,23 @@ class WalkMemo:
         core = hier.cores[0]
         caches = (core.l1, core.l2, hier.l3)
         for cache, lvl in zip(caches, entry.levels):
-            # +1 marks an empty way (stamp 0 iff tag -1); no occupied
-            # way holds it, so this match pins the empty mask.
-            rel = _relative(lvl.rows(cache.stamps), cache.clock)
-            if not np.array_equal(rel, lvl.fp_rel):
-                return None
             tags = lvl.rows(cache.tags)
             if lvl.base:
                 tags = tags - lvl.base
                 np.maximum(tags, -1, out=tags)
             if not np.array_equal(tags, lvl.fp_tags):
                 return None
+            if not lvl.in_order(cache.stamps):
+                return None
         for cache, lvl in zip(caches, entry.levels):
             if len(lvl.cells):
+                flat = cache.stamps.reshape(-1)
                 stamps = np.add(lvl.post_rel, cache.clock, dtype=np.int64)
-                if lvl.emptied is not None:
-                    stamps[lvl.emptied] = 0
-                cache.stamps.reshape(-1)[lvl.cells] = stamps
+                if lvl.sources is not None:
+                    # Moved lines keep their own stamps: read them all
+                    # before any way is written.
+                    stamps = np.concatenate((stamps, flat[lvl.sources]))
+                flat[lvl.cells] = stamps
                 cache.tags.reshape(-1)[lvl.cells] = lvl.post_tags
             cache.clock += entry.clock_delta
             cache.hits += lvl.d_hits

@@ -70,6 +70,40 @@ def dense_reuse(n: int = 1200, seed: int = 0, lines: int = 12):
     return addresses[:n]
 
 
+def memo_levels(hier):
+    """A single-core promoted machine's L1, L2 and L3."""
+    core = hier.cores[0]
+    return core.l1, core.l2, hier.l3
+
+
+def state(hier):
+    """What a walk-memo replay must reproduce: every level's tag and
+    stamp bytes, clock and counters, and the DRAM fetch count."""
+    return [
+        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
+         c.evictions)
+        for c in memo_levels(hier)
+    ] + [hier.dram_accesses]
+
+
+def snapshot(hier):
+    return [
+        (c.tags.copy(), c.stamps.copy(), c.clock, c.hits, c.misses,
+         c.evictions)
+        for c in memo_levels(hier)
+    ], hier.dram_accesses
+
+
+def restore(hier, snap):
+    levels, hier.dram_accesses = snap
+    for c, (tags, stamps, clock, hits, misses, evictions) in zip(
+        memo_levels(hier), levels
+    ):
+        c.tags[...] = tags
+        c.stamps[...] = stamps
+        c.clock, c.hits, c.misses, c.evictions = clock, hits, misses, evictions
+
+
 @pytest.fixture
 def figure1():
     return build_figure1()

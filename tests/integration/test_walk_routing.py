@@ -1,5 +1,6 @@
 """Which walk path simulates each access of the multi-core workloads,
-and where each run leaves the MESI directory.
+where each run leaves the MESI directory, and how often the
+single-core machine's walk memo replays.
 
 The unit tests pin routing on hand-made batches; this pins it on the
 real programs behind the ``table3-coherent`` and ``coherent-writes``
@@ -7,6 +8,9 @@ benchmark workloads: the original program of CLOMP, Health, NN and
 OverlapView, simulated once each on its 4-core MESI machine at full
 scale (under 2 s for the four). Smaller scales change how the
 interpreter cuts batches, and at 0.05 Health's routing changes too.
+The memo counts come from the original programs behind
+``table3-single`` (ART, libquantum, TSP and Mser), on the 1-core
+machine at full scale (about 1.5 s for the four).
 """
 
 import pytest
@@ -59,3 +63,26 @@ def test_original_program_walk_paths(name):
         summary[key]
         for key in ("invalidations", "writebacks", "cache_to_cache", "upgrades")
     ) == DIRECTORY[name]
+
+
+#: ``(hits, misses, stale, recorded)`` of the walk memo after one run
+#: of each single-core original program. A stale replay is an entry
+#: whose touched sets no longer hold the recorded tags, empty ways or
+#: per-set recency order; lines that only aged still replay.
+MEMO = {
+    "179.ART": (98, 9, 6, 15),
+    "462.libquantum": (69, 6, 3, 9),
+    "TSP": (23, 1, 1, 2),
+    "Mser": (30, 9, 9, 18),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO))
+def test_original_program_walk_memo(name):
+    pytest.importorskip("numpy")
+    workload = workload_zoo()[name](scale=1.0)
+    hierarchy = MemoryHierarchy(HierarchyConfig(), 1)
+    interp = Interpreter(workload.build_original(), num_threads=1)
+    simulate(interp.run_batched(), hierarchy=hierarchy)
+    memo = hierarchy._walk_memo
+    assert (memo.hits, memo.misses, memo.stale, memo.recorded) == MEMO[name]

@@ -8,6 +8,16 @@ with its memo attached and on one with the memo detached; after every
 batch the two must agree on the latency column, every level's tag and
 stamp arrays, clocks and counters, DRAM fetches, and walk credits.
 
+A subset step walks a contiguous slice of an earlier batch, touching
+a subset of its sets: it restamps some of the batch's lines and ages
+the rest, often without changing their order, so a later repeat of the
+whole batch replays against stamps that differ from the recorded ones
+only in age. A rewind step returns both machines to the state before
+one of the last four batches, ages every line by raising each level's
+clock, and walks that batch again: its entry, if still recorded at
+that state, replays against older stamps. Either replay must restore
+the lines its walk moved between ways with their own stamps.
+
 Batches draw lines from regions far more than 2**31 lines apart, so
 a level's tag offsets overflow int32 and the fingerprint falls back to
 int64, and they start on a cold, partly empty cache, so empty ways sit
@@ -28,6 +38,8 @@ pytest.importorskip("numpy")
 
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 
+from ..conftest import memo_levels, restore, snapshot, state
+
 #: Region bases, in lines: static-data low addresses, the heap, and a
 #: region 2**32 lines above the heap.
 HEAP_LINE = 0x7F00_0000_0000 >> 6
@@ -46,15 +58,24 @@ batch_specs = st.fixed_dictionaries({
     "seed": st.integers(min_value=0, max_value=1 << 16),
 })
 
-#: A step is a fresh batch, or one to four repeats of an earlier one:
-#: as the same column objects (the key's identity fast path) or as
-#: equal copies (the content hash).
+#: A step is a fresh batch, one to four repeats of an earlier one (as
+#: the same column objects, the key's identity fast path, or as equal
+#: copies, the content hash), a slice of an earlier one (from one of
+#: its quarters, one to three quarters long), or a rewind to before
+#: one of the last four batches, aged by up to 5000 stamps.
 steps = st.lists(
     st.one_of(
         batch_specs.map(lambda spec: ("fresh", spec)),
         st.tuples(
             st.just("again"), st.integers(0, 7), st.booleans(),
             st.integers(1, 4),
+        ),
+        st.tuples(
+            st.just("subset"), st.integers(0, 7), st.integers(0, 3),
+            st.integers(1, 3),
+        ),
+        st.tuples(
+            st.just("rewind"), st.integers(0, 3), st.integers(1, 5000),
         ),
     ),
     min_size=2,
@@ -86,15 +107,6 @@ def build(spec, config):
     return addresses, sizes, is_write, thread
 
 
-def state(hier):
-    core = hier.cores[0]
-    return [
-        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
-         c.evictions)
-        for c in (core.l1, core.l2, hier.l3)
-    ] + [hier.dram_accesses]
-
-
 class TestMemoParity:
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from(sorted(CONFIGS)), st.integers(0, 3), steps)
@@ -114,6 +126,7 @@ class TestMemoParity:
         plain._promote_to_vector()
         plain._walk_memo = None
         pool = []
+        history = []  # (batch, machine state before it), the last four
         replayed = 0
         for step in plan:
             if step[0] == "fresh" or not pool:
@@ -123,12 +136,28 @@ class TestMemoParity:
                 }
                 pool.append(build(spec, config))
                 batches = [pool[-1]]
+            elif step[0] == "subset":
+                cols = pool[step[1] % len(pool)]
+                n = len(cols[0])
+                lo = n * step[2] // 4
+                hi = min(n, lo + n * step[3] // 4)
+                batches = [tuple(array("q", c[lo:hi]) for c in cols)]
+            elif step[0] == "rewind":
+                cols, snap = history[-1 - step[1] % len(history)]
+                for hier in (plain, memoized):
+                    restore(hier, snap)
+                    for cache in memo_levels(hier):
+                        cache.clock += step[2]  # every line that much older
+                batches = [cols]
             else:
                 cols = pool[step[1] % len(pool)]
                 if step[2]:
                     cols = tuple(array("q", c) for c in cols)
                 batches = [cols] * step[3]
             for cols in batches:
+                # The machines agree after every batch: one snapshot
+                # serves both.
+                history = history[-3:] + [(cols, snapshot(plain))]
                 expected = plain.access_batch(*cols)
                 memo = memoized._walk_memo
                 hits = memo.hits if memo is not None else 0

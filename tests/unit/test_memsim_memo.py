@@ -7,10 +7,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.memsim import memo
+from repro.memsim import memo, vectorwalk
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 
-from ..conftest import dense_reuse
+from ..conftest import dense_reuse, memo_levels, restore, snapshot, state
 
 
 def columns(n=512, seed=0, base=0):
@@ -169,35 +169,6 @@ def line_batch(lines, repeat=4):
 L3_SWEEP = line_batch(range(HEAP_LINE, HEAP_LINE + 8192), repeat=1)
 
 
-def state(hier):
-    core = hier.cores[0]
-    return [
-        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
-         c.evictions)
-        for c in (core.l1, core.l2, hier.l3)
-    ] + [hier.dram_accesses]
-
-
-def snapshot(hier):
-    core = hier.cores[0]
-    return [
-        (c.tags.copy(), c.stamps.copy(), c.clock, c.hits, c.misses,
-         c.evictions)
-        for c in (core.l1, core.l2, hier.l3)
-    ], hier.dram_accesses
-
-
-def restore(hier, snap):
-    core = hier.cores[0]
-    levels, hier.dram_accesses = snap
-    for c, (tags, stamps, clock, hits, misses, evictions) in zip(
-        (core.l1, core.l2, hier.l3), levels
-    ):
-        c.tags[...] = tags
-        c.stamps[...] = stamps
-        c.clock, c.hits, c.misses, c.evictions = clock, hits, misses, evictions
-
-
 def entry_for(walk_memo, batch):
     return walk_memo.entries[walk_memo._key(batch[0], batch[1], None, None)]
 
@@ -242,12 +213,12 @@ class TestEncoding:
         assert got.tobytes() == expected.tobytes()
         assert state(memoized) == state(plain)
 
-    def test_clock_past_int32_records_int64_and_replays(self):
+    def test_clock_past_int32_replays_lines_older_than_int32(self):
         # Lines sharing the sweep's L3 sets keep their stamps from
-        # before the clock jumped 2**40, so the L3 fingerprint's
-        # relative stamps overflow int32. Such an old way drifts
-        # further from the clock on every walk, so the machine is
-        # wound back to the recorded pre-state to replay the entry.
+        # before the clock jumped 2**40, and age further on every walk.
+        # The fingerprint holds only their recency order, so the third
+        # sweep (the first whose own lines are resident) replays with
+        # no wind-back, issuing stamps above 2**40.
         num_sets = HierarchyConfig().l3.size_bytes // 64 // 20
         neighbours = line_batch(
             range(HEAP_LINE + num_sets, HEAP_LINE + num_sets + 8192),
@@ -258,21 +229,19 @@ class TestEncoding:
             hier.access_batch(*neighbours)
             hier.l3.clock += 1 << 40  # stamps stay at or below it
         assert state(memoized) == state(plain)
-        pre = snapshot(memoized)
         walk_memo = memoized._walk_memo
-        recorded = walk_memo.recorded
-        first = memoized.access_batch(*L3_SWEEP)
-        assert walk_memo.recorded == recorded + 1
-        levels = entry_for(walk_memo, L3_SWEEP).levels
-        assert levels[2].fp_rel.dtype == np.int64
-        assert levels[0].fp_rel.dtype == np.int32
-
-        restore(memoized, pre)
-        got = memoized.access_batch(*L3_SWEEP)
-        expected = plain.access_batch(*L3_SWEEP)
+        for _ in range(3):
+            got = memoized.access_batch(*L3_SWEEP)
+            expected = plain.access_batch(*L3_SWEEP)
+            assert got.tobytes() == expected.tobytes()
+            assert state(memoized) == state(plain)
         assert walk_memo.hits == 1
-        assert got.tobytes() == expected.tobytes() == first.tobytes()
-        assert state(memoized) == state(plain)
+        l3_record = entry_for(walk_memo, L3_SWEEP).levels[2]
+        assert l3_record.fp_empty.dtype == np.uint8
+        assert l3_record.post_rel.dtype == np.int32
+        stamps = memoized.l3.stamps
+        assert stamps.max() > 1 << 40
+        assert 0 < stamps[stamps > 0].min() < 1 << 31
 
     def test_replay_empties_the_ways_its_walk_emptied(self):
         # Promotion packs a warmed set's lines into its first ways; the
@@ -290,9 +259,13 @@ class TestEncoding:
         pre = snapshot(memoized)
         first = memoized.access_batch(*batch)
         levels = entry_for(memoized._walk_memo, batch).levels
-        assert levels[0].emptied is not None
 
         restore(memoized, pre)
+        l1_stamps = memoized.cores[0].l1.stamps.reshape(-1)
+        assert (l1_stamps[levels[0].sources] == 0).any()
+        # Packed rows are not in rank order: the entry keeps the L1's
+        # permutation.
+        assert levels[0].fp_order.dtype == np.uint8
         for hier in (plain, memoized):
             for cache in (hier.cores[0].l1, hier.cores[0].l2, hier.l3):
                 cache.stamps[cache.stamps > 0] += 1000
@@ -367,6 +340,103 @@ class TestEncoding:
         ):
             assert label == want_label
             assert np.array_equal(key, cells)
+
+
+def l1_sets_batch(sets, ranks, repeat=2):
+    """Lines ``s + 64 * k`` for each rank ``k`` and L1 set ``s``: with the
+    default machine's 64-set L1, their L2 and L3 sets are ``s`` plus a
+    multiple of 64 too, so batches on disjoint ``sets`` share no set at
+    any level."""
+    return line_batch([s + 64 * k for k in ranks for s in sets], repeat)
+
+
+def aged_replay(warm, batch):
+    """Walk ``warm``, then ``batch`` (recorded), on a memoized machine;
+    wind it back to before ``batch``, age every resident line by
+    raising each level's clock 1000, and walk ``batch`` again. A
+    memo-free machine walks ``warm``, ages the same way and walks
+    ``batch`` once; the two must agree. Returns the memoized machine
+    and the entry."""
+    plain = memoless()
+    memoized = MemoryHierarchy(HierarchyConfig(), 1)
+    memoized._promote_to_vector()
+    for hier in (plain, memoized):
+        hier.access_batch(*warm)
+    pre = snapshot(memoized)
+    first = memoized.access_batch(*batch)
+    entry = entry_for(memoized._walk_memo, batch)
+    restore(memoized, pre)
+    for hier in (plain, memoized):
+        for cache in memo_levels(hier):
+            cache.clock += 1000
+    got = memoized.access_batch(*batch)
+    expected = plain.access_batch(*batch)
+    assert memoized._walk_memo.hits == 1
+    assert got.tobytes() == expected.tobytes() == first.tobytes()
+    assert state(memoized) == state(plain)
+    return memoized, entry
+
+
+class TestRecencyOrder:
+    def test_line_aged_by_an_interleaved_batch_still_replays(self):
+        # The batch touches L1 sets 0-31 with four lines each, and each
+        # of those sets also holds two older lines it never touches.
+        # Every walk ages them, and so does the interleaved batch on
+        # sets 32-63; their rank in the set stays the same.
+        untouched = l1_sets_batch(range(32), (4, 5), repeat=1)
+        batch = l1_sets_batch(range(32), range(4))
+        other = l1_sets_batch(range(32, 64), range(4))
+        plain = memoless()
+        memoized = MemoryHierarchy(HierarchyConfig(), 1)
+        memoized._promote_to_vector()
+        walk_memo = memoized._walk_memo
+        hits = []
+        for cols in (untouched, batch, batch, batch, other, batch):
+            got = memoized.access_batch(*cols)
+            expected = plain.access_batch(*cols)
+            assert got.tobytes() == expected.tobytes()
+            assert state(memoized) == state(plain)
+            hits.append(walk_memo.hits)
+        # Recorded, re-recorded once its lines are resident, then
+        # replayed before and after the interleaved batch.
+        assert hits == [0, 0, 0, 1, 1, 2]
+        assert walk_memo.stale == 1
+
+    def test_bulk_insert_moves_keep_their_own_stamps(self):
+        # Each L1 set holds two lines in its last ways. The batch's
+        # four arrivals per set merge in, and the bulk insert moves the
+        # two old lines ahead of them, four ways down.
+        warm = l1_sets_batch(range(32), (4, 5), repeat=1)
+        batch = l1_sets_batch(range(32), range(4))
+        memoized, entry = aged_replay(warm, batch)
+        self.assert_moved_lines_kept_stamps(memoized, entry, warm, batch)
+
+    def test_row_walk_moves_keep_their_own_stamps(self):
+        # One line sits in the last way of the L1 set a dense ping-pong
+        # over four other lines walks; the row walk's write-back in
+        # stamp order moves it ahead of them.
+        stride = HierarchyConfig().l2.size_bytes // HierarchyConfig().l2.ways
+        warm = (array("q", [4 * stride]), array("q", [8]))
+        batch = (array("q", dense_reuse(n=1024, lines=4)),
+                 array("q", [8] * 1024))
+        memoized, entry = aged_replay(warm, batch)
+        assert vectorwalk.plan(np.asarray(batch[0]) >> 6)[2] is None
+        self.assert_moved_lines_kept_stamps(memoized, entry, warm, batch)
+
+    @staticmethod
+    def assert_moved_lines_kept_stamps(memoized, entry, warm, batch):
+        l1 = memoized.cores[0].l1
+        l1_record = entry.levels[0]
+        assert l1_record.sources is not None
+        moved = l1_record.cells[len(l1_record.post_rel):]
+        warm_lines = set(np.asarray(warm[0]) >> 6)
+        assert warm_lines <= set(l1.tags.reshape(-1)[moved].tolist())
+        # Aged, the moved lines' stamps sit more than 1000 below the
+        # batch's first stamp: a clock-relative write would lift them
+        # by 1000.
+        moved_stamps = l1.stamps.reshape(-1)[moved]
+        assert (moved_stamps[moved_stamps > 0]
+                <= l1.clock - len(batch[0]) - 1000).all()
 
 
 class TestFootprint:
