@@ -66,10 +66,6 @@ class ControlFlowGraph:
             self.entry = block
         return block
 
-    def set_entry(self, block: BasicBlock) -> None:
-        self._check(block)
-        self.entry = block
-
     def add_edge(self, src: BasicBlock, dst: BasicBlock) -> None:
         self._check(src)
         self._check(dst)

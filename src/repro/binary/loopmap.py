@@ -45,13 +45,8 @@ class LoopMap:
         self.program_name = program.name
         self._descriptors: List[LoopDescriptor] = []
         self._ip_to_loop: Dict[int, int] = {}
-        self._nests: Dict[str, LoopNest] = {}
-        self._cfgs: Dict[str, ControlFlowGraph] = {}
         for fname, cfg in lower_program(program).items():
-            self._cfgs[fname] = cfg
-            nest = find_loops(cfg)
-            self._nests[fname] = nest
-            self._ingest(fname, cfg, nest)
+            self._ingest(fname, cfg, find_loops(cfg))
 
     def _ingest(self, fname: str, cfg: ControlFlowGraph, nest: LoopNest) -> None:
         local_to_global: Dict[int, int] = {}
@@ -137,12 +132,6 @@ class LoopMap:
             if lo <= line <= hi and (best is None or desc.depth > best.depth):
                 best = desc
         return best
-
-    def nest_for(self, function: str) -> LoopNest:
-        return self._nests[function]
-
-    def cfg_for(self, function: str) -> ControlFlowGraph:
-        return self._cfgs[function]
 
     def __len__(self) -> int:
         return len(self._descriptors)

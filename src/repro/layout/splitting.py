@@ -94,9 +94,6 @@ class SplitLayout:
     def struct_for(self, field_name: str) -> StructType:
         return self.field_map[field_name][1]
 
-    def group_for(self, field_name: str) -> int:
-        return self.field_map[field_name][0]
-
     def total_element_bytes(self) -> int:
         """Bytes per logical element summed over all split structures."""
         return sum(st.size for st in self.structs)

@@ -86,9 +86,6 @@ def simulate(
     bus = events.bus()
     # 0 disables the per-item progress check with a single falsy test.
     progress_mark = PROGRESS_EVERY if bus.active else 0
-    # A plain CostModel's stall() can be inlined per latency; a subclass
-    # with its own arithmetic is called per latency instead.
-    inline_stall = type(cost) is CostModel
     mlp = cost.mlp
     # The vector walk returns a float64 ndarray; its sums may be taken
     # order-free iff every partial result is exact: integer-valued
@@ -97,8 +94,7 @@ def simulate(
     # order like a list, which is bitwise the scalar accumulation.
     hcfg = hier.config
     exact_column_sums = (
-        inline_stall
-        and mlp > 0.0
+        mlp > 0.0
         and math.frexp(mlp)[0] == 0.5
         and float(l1_latency).is_integer()
         and float(hcfg.l2.latency).is_integer()
@@ -123,12 +119,9 @@ def simulate(
                 max_thread = item.thread
             if observer is not None:
                 observer(item, latency)
-            if progress_mark and accesses >= progress_mark:
-                progress_mark = accesses + PROGRESS_EVERY
-                bus.publish("stage-progress", stage="simulate",
-                            done=accesses, unit="accesses")
         elif isinstance(item, ComputeBurst):
             compute += item.cycles
+            continue
         elif isinstance(item, AccessBatch):
             latencies = hier.access_batch(
                 item.address, item.size, item.is_write, item.thread
@@ -149,16 +142,12 @@ def simulate(
             else:
                 column = latencies.tolist()
             if column is not None:
-                if inline_stall:
-                    for latency in column:
-                        total_latency += latency
-                        extra = latency - l1_latency
-                        if extra > 0:
-                            stalls += extra / mlp
-                else:
-                    for latency in column:
-                        total_latency += latency
-                        stalls += cost.stall(latency, l1_latency)
+                # CostModel.stall, inlined per latency.
+                for latency in column:
+                    total_latency += latency
+                    extra = latency - l1_latency
+                    if extra > 0:
+                        stalls += extra / mlp
             if observe_batch is not None:
                 observe_batch(item, latencies)
             elif observer is not None:
@@ -166,12 +155,12 @@ def simulate(
                     column = latencies.tolist()
                 for access, latency in zip(item, column):
                     observer(access, latency)
-            if progress_mark and accesses >= progress_mark:
-                progress_mark = accesses + PROGRESS_EVERY
-                bus.publish("stage-progress", stage="simulate",
-                            done=accesses, unit="accesses")
         else:
             raise TypeError(f"unexpected trace item {type(item).__name__}")
+        if progress_mark and accesses >= progress_mark:
+            progress_mark = accesses + PROGRESS_EVERY
+            bus.publish("stage-progress", stage="simulate",
+                        done=accesses, unit="accesses")
 
     cycles = compute + accesses * cost.issue_cycles + stalls
     return RunMetrics(

@@ -97,18 +97,6 @@ class AccessBatch:
     def __len__(self) -> int:
         return self.length
 
-    def access_at(self, i: int) -> MemoryAccess:
-        """Materialize position ``i`` as a scalar MemoryAccess."""
-        return MemoryAccess(
-            self.thread[i],
-            self.ip[i],
-            self.address[i],
-            self.size[i],
-            bool(self.is_write[i]),
-            self.line[i],
-            self.context[i],
-        )
-
     def __iter__(self) -> Iterator[MemoryAccess]:
         """Scalar view, in exact trace order (the fallback path)."""
         for t, ip, addr, size, w, line, ctx in zip(

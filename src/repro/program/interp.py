@@ -146,13 +146,12 @@ class Interpreter:
     # -- public -------------------------------------------------------------
 
     def run(self) -> Iterator[TraceItem]:
-        """Yield the full interleaved trace of the program."""
-        entry = self.program.functions[self.program.entry]
-        items = self._exec_body(entry.body, {}, 0, ROOT_CONTEXT)
-        if not events.bus().active:
-            yield from items
-        else:
-            yield from _published(items)
+        """Yield the full interleaved trace of the program.
+
+        Every trip runs here, one item per access: this is the scalar
+        oracle the batched path is checked against.
+        """
+        return self._trace(batched=False)
 
     def run_batched(self) -> Iterator[TraceItem]:
         """Yield the trace with innermost pure-``Access`` loops batched.
@@ -164,8 +163,11 @@ class Interpreter:
         at which an out-of-bounds access raises. Consumers that cannot
         handle batches can iterate each batch for the scalar view.
         """
+        return self._trace(batched=True)
+
+    def _trace(self, batched: bool) -> Iterator[TraceItem]:
         entry = self.program.functions[self.program.entry]
-        items = self._exec_body_batched(entry.body, {}, 0, ROOT_CONTEXT)
+        items = self._exec_body(entry.body, {}, 0, ROOT_CONTEXT, batched)
         if not events.bus().active:
             yield from items
         else:
@@ -214,6 +216,7 @@ class Interpreter:
         env: Dict[str, int],
         thread: int,
         context: int,
+        batched: bool,
     ) -> Iterator[TraceItem]:
         for stmt in body:
             if isinstance(stmt, Access):
@@ -232,78 +235,10 @@ class Interpreter:
                 yield ComputeBurst(thread, stmt.cycles)
             elif isinstance(stmt, Loop):
                 if stmt.parallel and self.num_threads > 1:
-                    yield from self._exec_parallel_loop(stmt, env, context)
+                    yield from self._exec_parallel_loop(stmt, env, context, batched)
                 else:
-                    yield from self._exec_serial_loop(stmt, env, thread, context)
-            elif isinstance(stmt, AddrOf):
-                res = self._resolve_addr(stmt)
-                env[stmt.dest] = res.address(stmt.index.evaluate(env))
-            elif isinstance(stmt, PtrAccess):
-                yield self._ptr_access(stmt, env, thread, context)
-            elif isinstance(stmt, Call):
-                callee = self.program.functions.get(stmt.callee)
-                if callee is None:
-                    raise TraceError(f"call to undefined function {stmt.callee!r}")
-                child = self.contexts.extend(context, stmt.ip)
-                yield from self._exec_body(callee.body, dict(env), thread, child)
-            else:
-                raise TraceError(f"unknown statement type {type(stmt).__name__}")
-
-    def _exec_serial_loop(
-        self, loop: Loop, env: Dict[str, int], thread: int, context: int
-    ) -> Iterator[TraceItem]:
-        var = loop.var
-        inner = dict(env)
-        for value in range(loop.start, loop.stop, loop.step):
-            inner[var] = value
-            yield from self._exec_body(loop.body, inner, thread, context)
-
-    def _exec_parallel_loop(
-        self, loop: Loop, env: Dict[str, int], context: int
-    ) -> Iterator[TraceItem]:
-        """OpenMP static schedule: contiguous chunks, interleaved in time."""
-        iterations = range(loop.start, loop.stop, loop.step)
-        chunks = _static_chunks(iterations, self.num_threads)
-        envs = [dict(env) for _ in range(self.num_threads)]
-        var = loop.var
-        longest = max((len(c) for c in chunks), default=0)
-        for k in range(longest):
-            for t, chunk in enumerate(chunks):
-                if k < len(chunk):
-                    envs[t][var] = chunk[k]
-                    yield from self._exec_body(loop.body, envs[t], t, context)
-
-    # -- batched execution ---------------------------------------------------
-
-    def _exec_body_batched(
-        self,
-        body: List[Stmt],
-        env: Dict[str, int],
-        thread: int,
-        context: int,
-    ) -> Iterator[TraceItem]:
-        """Like :meth:`_exec_body`, but loops may emit AccessBatch items."""
-        for stmt in body:
-            if isinstance(stmt, Access):
-                res = self._resolve(stmt)
-                idx = stmt.index.evaluate(env)
-                yield MemoryAccess(
-                    thread,
-                    stmt.ip,
-                    res.address(idx),
-                    res.size,
-                    stmt.is_write,
-                    stmt.line,
-                    context,
-                )
-            elif isinstance(stmt, Compute):
-                yield ComputeBurst(thread, stmt.cycles)
-            elif isinstance(stmt, Loop):
-                if stmt.parallel and self.num_threads > 1:
-                    yield from self._exec_parallel_loop_batched(stmt, env, context)
-                else:
-                    yield from self._exec_serial_loop_batched(
-                        stmt, env, thread, context
+                    yield from self._exec_serial_loop(
+                        stmt, env, thread, context, batched
                     )
             elif isinstance(stmt, AddrOf):
                 res = self._resolve_addr(stmt)
@@ -315,55 +250,67 @@ class Interpreter:
                 if callee is None:
                     raise TraceError(f"call to undefined function {stmt.callee!r}")
                 child = self.contexts.extend(context, stmt.ip)
-                yield from self._exec_body_batched(
-                    callee.body, dict(env), thread, child
+                yield from self._exec_body(
+                    callee.body, dict(env), thread, child, batched
                 )
             else:
                 raise TraceError(f"unknown statement type {type(stmt).__name__}")
 
-    def _exec_serial_loop_batched(
-        self, loop: Loop, env: Dict[str, int], thread: int, context: int
+    def _exec_serial_loop(
+        self,
+        loop: Loop,
+        env: Dict[str, int],
+        thread: int,
+        context: int,
+        batched: bool,
     ) -> Iterator[TraceItem]:
-        if loop.trip_count >= MIN_BATCH_TRIPS and _pure_access_body(loop.body):
+        if (
+            batched
+            and loop.trip_count >= MIN_BATCH_TRIPS
+            and _pure_access_body(loop.body)
+        ):
             batches = self._serial_batches(loop, env, thread, context)
             if batches is not None:
                 yield from batches
                 return
-        # Fallback: scalar trips, but nested loops may still batch.
+        # Scalar trips; with batching on, nested loops may still batch.
         var = loop.var
         inner = dict(env)
         for value in range(loop.start, loop.stop, loop.step):
             inner[var] = value
-            yield from self._exec_body_batched(loop.body, inner, thread, context)
+            yield from self._exec_body(loop.body, inner, thread, context, batched)
 
-    def _exec_parallel_loop_batched(
-        self, loop: Loop, env: Dict[str, int], context: int
+    def _exec_parallel_loop(
+        self, loop: Loop, env: Dict[str, int], context: int, batched: bool
     ) -> Iterator[TraceItem]:
-        """Batch the lock-step rounds of a static-schedule parallel loop.
+        """OpenMP static schedule: contiguous chunks, interleaved in time.
 
-        The first ``minlen`` rounds (where every thread still has work)
-        interleave into one batch stream; the straggler iterations of
-        longer chunks — at most ``num_threads - 1`` of them — replay
-        scalar, in the same order :meth:`_exec_parallel_loop` uses.
+        With batching on, the first ``minlen`` rounds (where every thread
+        still has work) may interleave into one batch stream; the
+        straggler iterations of longer chunks, at most
+        ``num_threads - 1`` of them, then run as scalar rounds in the
+        same order.
         """
         iterations = range(loop.start, loop.stop, loop.step)
-        chunks = _static_chunks(iterations, self.num_threads)
-        minlen = min((len(c) for c in chunks), default=0)
-        batches = None
-        if minlen >= MIN_BATCH_TRIPS and _pure_access_body(loop.body):
-            batches = self._parallel_batches(loop, env, chunks, minlen, context)
+        chunks = static_chunks(iterations, self.num_threads)
         start_k = 0
-        if batches is not None:
-            yield from batches
-            start_k = minlen
+        if batched:
+            minlen = min(len(c) for c in chunks)
+            if minlen >= MIN_BATCH_TRIPS and _pure_access_body(loop.body):
+                batches = self._parallel_batches(loop, env, chunks, minlen, context)
+                if batches is not None:
+                    yield from batches
+                    start_k = minlen
         envs = [dict(env) for _ in range(self.num_threads)]
         var = loop.var
-        longest = max((len(c) for c in chunks), default=0)
+        longest = max(len(c) for c in chunks)
         for k in range(start_k, longest):
             for t, chunk in enumerate(chunks):
                 if k < len(chunk):
                     envs[t][var] = chunk[k]
-                    yield from self._exec_body_batched(loop.body, envs[t], t, context)
+                    yield from self._exec_body(
+                        loop.body, envs[t], t, context, batched
+                    )
 
     def _slot_columns(
         self, loop: Loop, env: Dict[str, int], start: int, n: int
@@ -477,10 +424,6 @@ def static_chunks(iterations: range, num_threads: int) -> List[range]:
         chunks.append(iterations[start : start + size])
         start += size
     return chunks
-
-
-#: Backward-compatible alias for pre-existing internal callers.
-_static_chunks = static_chunks
 
 
 def run(

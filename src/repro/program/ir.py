@@ -324,10 +324,6 @@ class Program:
                 return name
         return None
 
-    def function_ip_range(self, name: str) -> Tuple[int, int]:
-        self.require_finalized()
-        return self._function_ip_ranges[name]
-
     def walk(self) -> Iterator[Tuple[str, Stmt]]:
         """Yield ``(function_name, stmt)`` for every statement, pre-order."""
 

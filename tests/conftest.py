@@ -76,14 +76,23 @@ def memo_levels(hier):
     return core.l1, core.l2, hier.l3
 
 
-def state(hier):
-    """What a walk-memo replay must reproduce: every level's tag and
-    stamp bytes, clock and counters, and the DRAM fetch count."""
-    return [
-        (c.tags.tobytes(), c.stamps.tobytes(), c.clock, c.hits, c.misses,
-         c.evictions)
-        for c in memo_levels(hier)
-    ] + [hier.dram_accesses]
+def assert_same_state(got, expected):
+    """Assert what a walk-memo replay must reproduce: every level's tag
+    and stamp arrays (dtype, shape and values), clock and counters, and
+    the DRAM fetch count. Arrays compare in place, with no byte copies."""
+    import numpy as np
+
+    for level, (c, e) in enumerate(
+        zip(memo_levels(got), memo_levels(expected)), 1
+    ):
+        for name in ("tags", "stamps"):
+            a, b = getattr(c, name), getattr(e, name)
+            same = a.dtype == b.dtype and np.array_equal(a, b)
+            assert same, f"L{level} {name} differ"
+        assert (c.clock, c.hits, c.misses, c.evictions) == (
+            e.clock, e.hits, e.misses, e.evictions
+        ), f"L{level} clock or counters differ"
+    assert got.dram_accesses == expected.dram_accesses
 
 
 def snapshot(hier):

@@ -52,11 +52,12 @@ class TestTraceCommand:
         for level in ("L1", "L2", "L3"):
             assert f'repro_memsim_cache_misses_total{{level="{level}"}}' in prom
 
-        # And the overhead account's components sum to its total.
+        # And each overhead account's components sum to its total.
         accounts = json.loads((tmp_path / "overhead.json").read_text())
-        account = accounts[0]
-        total = sum(account["components_percent"].values())
-        assert abs(total - account["overhead_percent"]) < 1e-9
+        assert accounts
+        for account in accounts:
+            total = sum(account["components_percent"].values())
+            assert abs(total - account["overhead_percent"]) < 1e-9
 
     def test_trace_resolves_aliases_and_rejects_unknown(self, tmp_path):
         code, text = run_cli("trace", "no-such-benchmark",

@@ -38,14 +38,15 @@ pytest.importorskip("numpy")
 
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 
-from ..conftest import memo_levels, restore, snapshot, state
+from ..conftest import assert_same_state, memo_levels, restore, snapshot
 
 #: Region bases, in lines: static-data low addresses, the heap, and a
 #: region 2**32 lines above the heap.
 HEAP_LINE = 0x7F00_0000_0000 >> 6
 REGIONS = (0x1_8000, HEAP_LINE, HEAP_LINE + (1 << 32))
 
-CONFIGS = {"default": HierarchyConfig(), "small": HierarchyConfig.small()}
+#: Small first: a failing example shrinks toward the cheaper machine.
+CONFIGS = {"small": HierarchyConfig.small(), "default": HierarchyConfig()}
 
 batch_specs = st.fixed_dictionaries({
     "pattern": st.sampled_from(("sweep", "random", "pingpong")),
@@ -107,69 +108,104 @@ def build(spec, config):
     return addresses, sizes, is_write, thread
 
 
+def rewound_batches(plan):
+    """Run-order indices of the batches a rewind step of ``plan`` goes
+    back to: the only ones whose pre-state needs a snapshot. The first
+    step always walks one fresh batch (the pool is empty); an "again"
+    step walks as many batches as it has repeats, every other step one.
+    """
+    targets = set()
+    done = 0
+    for i, step in enumerate(plan):
+        if i and step[0] == "rewind":
+            targets.add(done - 1 - step[1] % min(done, 4))
+        done += step[3] if i and step[0] == "again" else 1
+    return targets
+
+
+def walk_plan(config, warmup, plan):
+    """Walk ``plan`` on a memoized and a memo-free machine; assert they
+    agree after every batch, and on the walk credits at the end."""
+    plain = MemoryHierarchy(config, 1)
+    memoized = MemoryHierarchy(config, 1)
+    for seed in range(warmup):
+        small = build({
+            "pattern": "random", "regions": [0], "n": 200, "offset": 0,
+            "seed": seed,
+        }, config)
+        plain.access_batch(*small)
+        memoized.access_batch(*small)
+    plain._promote_to_vector()
+    plain._walk_memo = None
+    pool = []
+    rewound = rewound_batches(plan)
+    done = 0
+    # (batch, machine state before it if a rewind returns to it),
+    # the last four.
+    history = []
+    replayed = 0
+    for step in plan:
+        if step[0] == "fresh" or not pool:
+            spec = step[1] if step[0] == "fresh" else {
+                "pattern": "random", "regions": [0], "n": 300,
+                "offset": 0, "seed": 0,
+            }
+            pool.append(build(spec, config))
+            batches = [pool[-1]]
+        elif step[0] == "subset":
+            cols = pool[step[1] % len(pool)]
+            n = len(cols[0])
+            lo = n * step[2] // 4
+            hi = min(n, lo + n * step[3] // 4)
+            batches = [tuple(array("q", c[lo:hi]) for c in cols)]
+        elif step[0] == "rewind":
+            cols, snap = history[-1 - step[1] % len(history)]
+            assert snap is not None, "rewind target was not snapshot"
+            for hier in (plain, memoized):
+                restore(hier, snap)
+                for cache in memo_levels(hier):
+                    cache.clock += step[2]  # every line that much older
+            batches = [cols]
+        else:
+            cols = pool[step[1] % len(pool)]
+            if step[2]:
+                cols = tuple(array("q", c) for c in cols)
+            batches = [cols] * step[3]
+        for cols in batches:
+            # The machines agree after every batch: one snapshot
+            # serves both.
+            snap = snapshot(plain) if done in rewound else None
+            history = history[-3:] + [(cols, snap)]
+            done += 1
+            expected = plain.access_batch(*cols)
+            memo = memoized._walk_memo
+            hits = memo.hits if memo is not None else 0
+            got = memoized.access_batch(*cols)
+            if memoized._walk_memo.hits != hits:
+                replayed += len(cols[0])
+            assert got.tobytes() == expected.tobytes()
+            assert_same_state(memoized, plain)
+    credits = memoized.walk_accesses()
+    plain_credits = plain.walk_accesses()
+    assert credits["memo"] == replayed
+    assert credits["memo"] + credits["vector"] == plain_credits["vector"]
+    assert plain_credits["memo"] == 0
+    for path in ("list", "general_vector", "scalar"):
+        assert credits[path] == plain_credits[path]
+
+
 class TestMemoParity:
     @settings(deadline=None, max_examples=40)
-    @given(st.sampled_from(sorted(CONFIGS)), st.integers(0, 3), steps)
+    @given(st.sampled_from(list(CONFIGS)), st.integers(0, 3), steps)
     def test_memoized_machine_matches_memo_free_machine(
         self, name, warmup, plan
     ):
-        config = CONFIGS[name]
-        plain = MemoryHierarchy(config, 1)
-        memoized = MemoryHierarchy(config, 1)
-        for seed in range(warmup):
-            small = build({
-                "pattern": "random", "regions": [0], "n": 200, "offset": 0,
-                "seed": seed,
-            }, config)
-            plain.access_batch(*small)
-            memoized.access_batch(*small)
-        plain._promote_to_vector()
-        plain._walk_memo = None
-        pool = []
-        history = []  # (batch, machine state before it), the last four
-        replayed = 0
-        for step in plan:
-            if step[0] == "fresh" or not pool:
-                spec = step[1] if step[0] == "fresh" else {
-                    "pattern": "random", "regions": [0], "n": 300,
-                    "offset": 0, "seed": 0,
-                }
-                pool.append(build(spec, config))
-                batches = [pool[-1]]
-            elif step[0] == "subset":
-                cols = pool[step[1] % len(pool)]
-                n = len(cols[0])
-                lo = n * step[2] // 4
-                hi = min(n, lo + n * step[3] // 4)
-                batches = [tuple(array("q", c[lo:hi]) for c in cols)]
-            elif step[0] == "rewind":
-                cols, snap = history[-1 - step[1] % len(history)]
-                for hier in (plain, memoized):
-                    restore(hier, snap)
-                    for cache in memo_levels(hier):
-                        cache.clock += step[2]  # every line that much older
-                batches = [cols]
-            else:
-                cols = pool[step[1] % len(pool)]
-                if step[2]:
-                    cols = tuple(array("q", c) for c in cols)
-                batches = [cols] * step[3]
-            for cols in batches:
-                # The machines agree after every batch: one snapshot
-                # serves both.
-                history = history[-3:] + [(cols, snapshot(plain))]
-                expected = plain.access_batch(*cols)
-                memo = memoized._walk_memo
-                hits = memo.hits if memo is not None else 0
-                got = memoized.access_batch(*cols)
-                if memoized._walk_memo.hits != hits:
-                    replayed += len(cols[0])
-                assert got.tobytes() == expected.tobytes()
-                assert state(memoized) == state(plain)
-        credits = memoized.walk_accesses()
-        plain_credits = plain.walk_accesses()
-        assert credits["memo"] == replayed
-        assert credits["memo"] + credits["vector"] == plain_credits["vector"]
-        assert plain_credits["memo"] == 0
-        for path in ("list", "general_vector", "scalar"):
-            assert credits[path] == plain_credits[path]
+        # Hypothesis keeps each failing example's exception while it
+        # shrinks. Fail outside walk_plan's frame, so that exception does
+        # not keep two machines' megabytes of arrays alive.
+        failure = None
+        try:
+            walk_plan(CONFIGS[name], warmup, plan)
+        except AssertionError as exc:
+            failure = str(exc)
+        assert failure is None, failure

@@ -221,17 +221,30 @@ class TestLintJsonFormat:
         assert "suppressed" in report
 
     def test_json_all_strict_exit_contract(self):
-        code, text = run_cli("lint", "all", "--scale", "0.05", "--strict",
-                             "--format", "json")
-        assert code == 0
-        payload = json.loads(text)
-        assert payload["strict_ok"] is True
-        names = {r["program"] for r in payload["reports"]}
-        assert "AddrEscape" in names
-        assert "OverlapView" in names
+        # Scaled down, and at the default (paper) scale.
+        for scale in (["--scale", "0.05"], []):
+            code, text = run_cli("lint", "all", *scale, "--strict",
+                                 "--format", "json")
+            assert code == 0
+            payload = json.loads(text)
+            assert payload["strict_ok"] is True
+            names = {r["program"] for r in payload["reports"]}
+            assert "AddrEscape" in names
+            assert "OverlapView" in names
 
 
 class TestVerifyCommand:
+    def test_whole_zoo(self):
+        # Table 2 advice verifies SAFE, the adversarial workloads come
+        # back UNSAFE with a hazard site, and every multi-core workload
+        # passes the MESI false-sharing oracle.
+        code, text = run_cli("verify", "--scale", "0.1")
+        assert code == 0
+        assert text.count("split safety SAFE") == 7
+        assert text.count("UNSAFE, as expected") == 2
+        assert text.count("false-sharing oracle") == 4
+        assert text.count("[OK]") == 4
+
     def test_single_safe_workload(self):
         code, text = run_cli("verify", "NN", "--scale", "0.05")
         assert code == 0

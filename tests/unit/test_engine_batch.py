@@ -19,6 +19,7 @@ from repro.profiler.monitor import Monitor
 from repro.program import (
     Access,
     AccessBatch,
+    Call,
     Function,
     Loop,
     MemoryAccess,
@@ -31,6 +32,7 @@ from repro.program.ir import Indirect, Mod
 from repro.sampling.ibs import IBSSampler
 from repro.sampling.other_pmus import DEARSampler
 from repro.sampling.pebs import PEBSLoadLatencySampler
+from repro.workloads import TABLE2_WORKLOADS
 
 from ..conftest import dense_reuse
 
@@ -141,6 +143,42 @@ class TestBatchConstruction:
         bound = program(index, stop=16)
         scalar = list(Interpreter(bound).run())
         assert expand(Interpreter(bound).run_batched()) == scalar
+
+    def test_loops_batch_below_every_recursion_site(self):
+        # One eligible loop below each place the executor recurses: a
+        # call, the scalar trips of a serial loop, and the rounds of a
+        # parallel loop (neither outer loop can batch: its body holds a
+        # loop). Only run_batched() batches them.
+        def inner(line):
+            return Loop(line=line, var="i", start=0, stop=16, end_line=line + 1,
+                        body=[Access(line=line + 1, array="A", field="x",
+                                     index=affine("i"))])
+
+        builder = WorkloadBuilder("unit")
+        builder.add_aos(ELEM, ELEMENTS, name="A")
+        helper = Function("helper", [inner(10)], line=9)
+        main = Function("main", [
+            Call(line=2, callee="helper"),
+            Loop(line=3, var="j", start=0, stop=2, end_line=21,
+                 body=[inner(20)]),
+            Loop(line=4, var="k", start=0, stop=2, end_line=31,
+                 parallel=True, body=[inner(30)]),
+        ], line=1)
+        bound = builder.build([main, helper])
+        interp = Interpreter(bound, num_threads=2)
+        batched = [i for i in interp.run_batched() if isinstance(i, AccessBatch)]
+        assert [set(b.line) for b in batched] == [
+            {11}, {21}, {21}, {31}, {31},
+        ]
+        assert not any(isinstance(i, AccessBatch) for i in interp.run())
+
+    def test_scalar_engine_never_batches_a_table2_workload(self):
+        for name, factory in TABLE2_WORKLOADS.items():
+            workload = factory(scale=0.05)
+            interp = Interpreter(
+                workload.build_original(), num_threads=workload.num_threads
+            )
+            assert not any(isinstance(i, AccessBatch) for i in interp.run()), name
 
     def test_small_loops_stay_scalar(self):
         bound = program(affine("i"), stop=MIN_BATCH_TRIPS - 1)

@@ -10,7 +10,9 @@ np = pytest.importorskip("numpy")
 from repro.memsim import memo, vectorwalk
 from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 
-from ..conftest import dense_reuse, memo_levels, restore, snapshot, state
+from ..conftest import (
+    assert_same_state, dense_reuse, memo_levels, restore, snapshot,
+)
 
 
 def columns(n=512, seed=0, base=0):
@@ -211,7 +213,7 @@ class TestEncoding:
         got = memoized.access_batch(*batch)
         assert walk_memo.stale == stale + 1 and walk_memo.hits == 1
         assert got.tobytes() == expected.tobytes()
-        assert state(memoized) == state(plain)
+        assert_same_state(memoized, plain)
 
     def test_clock_past_int32_replays_lines_older_than_int32(self):
         # Lines sharing the sweep's L3 sets keep their stamps from
@@ -228,13 +230,13 @@ class TestEncoding:
         for hier in (plain, memoized):
             hier.access_batch(*neighbours)
             hier.l3.clock += 1 << 40  # stamps stay at or below it
-        assert state(memoized) == state(plain)
+        assert_same_state(memoized, plain)
         walk_memo = memoized._walk_memo
         for _ in range(3):
             got = memoized.access_batch(*L3_SWEEP)
             expected = plain.access_batch(*L3_SWEEP)
             assert got.tobytes() == expected.tobytes()
-            assert state(memoized) == state(plain)
+            assert_same_state(memoized, plain)
         assert walk_memo.hits == 1
         l3_record = entry_for(walk_memo, L3_SWEEP).levels[2]
         assert l3_record.fp_empty.dtype == np.uint8
@@ -274,7 +276,7 @@ class TestEncoding:
         expected = plain.access_batch(*batch)
         assert memoized._walk_memo.hits == 1
         assert got.tobytes() == expected.tobytes() == first.tobytes()
-        assert state(memoized) == state(plain)
+        assert_same_state(memoized, plain)
 
     def test_tags_over_2_31_lines_apart_record_int64(self):
         lines = [HEAP_LINE + i for i in range(64)]
@@ -286,7 +288,7 @@ class TestEncoding:
                 memoized.access_batch(*batch).tobytes()
                 == plain.access_batch(*batch).tobytes()
             )
-        assert state(memoized) == state(plain)
+        assert_same_state(memoized, plain)
         assert memoized._walk_memo.hits >= 1
         l1_record = only_entry(memoized._walk_memo).levels[0]
         assert l1_record.fp_tags.dtype == np.int64
@@ -373,7 +375,7 @@ def aged_replay(warm, batch):
     expected = plain.access_batch(*batch)
     assert memoized._walk_memo.hits == 1
     assert got.tobytes() == expected.tobytes() == first.tobytes()
-    assert state(memoized) == state(plain)
+    assert_same_state(memoized, plain)
     return memoized, entry
 
 
@@ -395,7 +397,7 @@ class TestRecencyOrder:
             got = memoized.access_batch(*cols)
             expected = plain.access_batch(*cols)
             assert got.tobytes() == expected.tobytes()
-            assert state(memoized) == state(plain)
+            assert_same_state(memoized, plain)
             hits.append(walk_memo.hits)
         # Recorded, re-recorded once its lines are resident, then
         # replayed before and after the interleaved batch.

@@ -18,7 +18,7 @@ from repro.program import (
     affine,
     memory_accesses,
 )
-from repro.program.interp import MAX_ACCESS_BYTES, _static_chunks, static_chunks
+from repro.program.interp import MAX_ACCESS_BYTES, static_chunks
 
 PAIR = StructType("pair", [("a", INT), ("b", INT)])
 
@@ -177,6 +177,5 @@ class TestEngineParity:
 
 class TestStaticChunks:
     def test_public_name_and_alias(self):
-        assert static_chunks is _static_chunks
         chunks = static_chunks(range(10), 3)
         assert [list(c) for c in chunks] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
