@@ -8,10 +8,9 @@ asserts the qualitative shape (who wins, by roughly what factor).
 sizes; set 0.25 for a quick pass). Experiments that need exact cache
 geometry ignore the variable and say so.
 
-``REPRO_BENCH_ENGINE`` selects the trace engine (``batched`` default,
-``scalar`` for the reference path). Every pytest-benchmark record is
-stamped with the mode in ``extra_info["engine"]``, so saved JSON from
-the two modes can be compared without guessing which was which.
+Everything runs on the batched trace engine; the scalar reference path
+is ``Monitor(engine="scalar")``, exercised by the parity tests under
+``tests/``.
 """
 
 import os
@@ -20,21 +19,6 @@ import pytest
 
 #: Workload scale for the heavy optimization benchmarks.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Trace engine the engine-sensitive benchmarks run with.
-BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "batched")
-if BENCH_ENGINE not in ("scalar", "batched"):
-    raise ValueError(
-        f"REPRO_BENCH_ENGINE={BENCH_ENGINE!r}; expected scalar or batched"
-    )
-
-
-@pytest.fixture(autouse=True)
-def _tag_engine_mode(request):
-    """Stamp every pytest-benchmark record with the engine mode."""
-    if "benchmark" in request.fixturenames:
-        request.getfixturevalue("benchmark").extra_info["engine"] = BENCH_ENGINE
-    yield
 
 
 def print_artifact(*blocks: str) -> None:

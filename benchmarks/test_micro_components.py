@@ -16,17 +16,9 @@ from repro.program import AccessBatch, Interpreter, MemoryAccess
 from repro.sampling import PEBSLoadLatencySampler
 from repro.workloads import ArtWorkload
 
-from .conftest import BENCH_ENGINE
-
 rng = random.Random(99)
 
 ADDRESSES = [rng.randrange(0, 1 << 24) & ~7 for _ in range(20_000)]
-
-
-def _trace(bound):
-    """The selected engine's trace for ``bound`` (see REPRO_BENCH_ENGINE)."""
-    interp = Interpreter(bound)
-    return interp.run_batched() if BENCH_ENGINE == "batched" else interp.run()
 
 
 def test_cache_hierarchy_throughput(benchmark):
@@ -59,7 +51,7 @@ def test_interpreter_trace_generation(benchmark):
 
     def run():
         count = 0
-        for item in _trace(bound):
+        for item in Interpreter(bound).run_batched():
             count += len(item) if isinstance(item, AccessBatch) else 1
         return count
 
@@ -141,7 +133,7 @@ def test_end_to_end_simulation_rate(benchmark):
     bound = workload.build_original()
 
     def run():
-        return simulate(_trace(bound),
+        return simulate(Interpreter(bound).run_batched(),
                         config=HierarchyConfig(), name="art").accesses
 
     accesses = benchmark.pedantic(run, rounds=3, iterations=1)

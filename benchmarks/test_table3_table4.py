@@ -11,14 +11,14 @@ import pytest
 
 from repro.experiments import run_all, table3, table4
 
-from .conftest import BENCH_ENGINE, BENCH_SCALE, print_artifact
+from .conftest import BENCH_SCALE, print_artifact
 
 _RESULTS = {}
 
 
 def _results():
     if not _RESULTS:
-        _RESULTS.update(run_all(scale=BENCH_SCALE, engine=BENCH_ENGINE))
+        _RESULTS.update(run_all(scale=BENCH_SCALE))
     return _RESULTS
 
 

@@ -19,11 +19,9 @@ paper's artifacts:
                                               # oracle across the zoo
     python -m repro optimize AddrEscape --verify   # gated split (refused)
 
-``analyze``, ``optimize``, and ``table3`` accept ``--engine
-{scalar,batched}`` (default batched: the columnar fast path, byte-
-identical results — see docs/performance.md).  The program is timed
-by the Table 3 cycle benchmark, ``python3 perfbench/run.py`` (see
-"Measuring a change" in docs/performance.md).
+The program is timed by the Table 3 cycle benchmark,
+``python3 perfbench/run.py`` (see "Measuring a change" in
+docs/performance.md).
 
 Long-running commands (``analyze``, ``optimize``, ``table3``,
 ``overhead``, ``sensitivity``, ``summary``) run under a live event
@@ -121,15 +119,6 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
                              "crash, SIGTERM, or deadline)")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    """``--engine``: trace execution mode (results identical either way)."""
-    parser.add_argument("--engine", choices=["scalar", "batched"],
-                        default="batched",
-                        help="trace execution engine: 'batched' (columnar "
-                             "fast path, default) or 'scalar' (reference "
-                             "path); output is byte-identical")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -153,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "graphs, plans.json, structure.xml) here")
         p.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record spans/metrics and export them to DIR")
-        _add_engine_arg(p)
         _add_observability_args(p)
         if name == "optimize":
             _add_cache_arg(p)
@@ -209,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="record spans/metrics and export them to DIR")
     p.add_argument("--json", action="store_true",
                    help="print machine-readable JSON instead of the tables")
-    _add_engine_arg(p)
     _add_runner_args(p)
     _add_observability_args(p)
 
@@ -287,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _monitored_run(args):
     workload = _ZOO[args.workload](scale=args.scale)
     period = args.period or workload.recommended_period
-    monitor = Monitor(sampling_period=period,
-                      engine=getattr(args, "engine", "batched"))
+    monitor = Monitor(sampling_period=period)
     bound = workload.build_original()
     run = monitor.run(bound, num_threads=workload.num_threads)
     return workload, monitor, run, bound
@@ -641,12 +627,10 @@ def _cmd_optimize_via_runner(args, out) -> int:
     from .runner import TaskSpec, run_tasks
 
     runner = _runner(args)
-    params = {"scale": args.scale, "period": args.period,
-              "engine": getattr(args, "engine", "batched")}
     spec = TaskSpec(
         kind="optimize-report",
         name=args.workload,
-        params=params,
+        params={"scale": args.scale, "period": args.period},
     )
     with _telemetry_scope(args, out):
         (record,) = run_tasks([spec], runner=runner)
@@ -684,8 +668,7 @@ def _cmd_table3(args, out) -> int:
 
     runner = _runner(args)
     with _telemetry_scope(args, out):
-        results = run_all(scale=args.scale, runner=runner,
-                          engine=getattr(args, "engine", "batched"))
+        results = run_all(scale=args.scale, runner=runner)
     _print_runner_summary(runner, args)
     if getattr(args, "json", False):
         _print_json(results_json(results), out)

@@ -55,13 +55,10 @@ def run_benchmark(
     scale: float = 1.0,
     analyzer: Optional[OfflineAnalyzer] = None,
     seed: int = 0,
-    engine: str = "batched",
 ) -> OptimizationResult:
     """One benchmark through the full profile->advise->split cycle."""
     workload = TABLE2_WORKLOADS[name](scale=scale)
-    monitor = Monitor(
-        sampling_period=workload.recommended_period, seed=seed, engine=engine,
-    )
+    monitor = Monitor(sampling_period=workload.recommended_period, seed=seed)
     return optimize(workload, monitor=monitor, analyzer=analyzer)
 
 
@@ -116,17 +113,13 @@ def run_all(
     scale: float = 1.0,
     names: Optional[List[str]] = None,
     runner: Optional["Runner"] = None,
-    engine: str = "batched",
 ) -> Dict[str, BenchmarkRecord]:
     """All (or the named subset of) Table 2 benchmarks, as
     :class:`BenchmarkRecord` values.
 
     Each benchmark is one :func:`repro.runner.run_tasks` task; benchmark
     ``rank`` samples with seed ``rank``.  ``runner`` sets the worker
-    count and the result cache (default: inline, uncached).  ``engine``
-    picks the trace execution mode (scalar/batched); the results are
-    identical either way, so it is part of each task's cache key only
-    to keep keys honest about how a record was produced.
+    count and the result cache (default: inline, uncached).
     """
     from ..runner import TaskSpec, run_tasks
 
@@ -135,7 +128,7 @@ def run_all(
         TaskSpec(
             kind="optimize",
             name=name,
-            params={"scale": scale, "engine": engine},
+            params={"scale": scale},
             seed=rank,
         )
         for rank, name in enumerate(chosen)

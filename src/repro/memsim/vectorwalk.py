@@ -615,39 +615,20 @@ def _resolve_mixed(cache, stream, positions, eq, resident, order, so, ro,
     rank = np.zeros((groups, rounds), dtype=np.int64)
     rank[sus_group, slot] = sus_rank
 
-    # Uniform-outcome shortcuts. Assume every suspect misses (or every
-    # suspect hits), evaluate each round's eviction pressure under that
-    # assumption, and test that the assumed outcome is self-consistent
-    # at every round: by induction over rounds a consistent assumption
-    # IS the true outcome (round t's pressure only depends on rounds
-    # < t, which the assumption fixes). Steady-state workloads nearly
-    # always land in one of the two, skipping the sequential loop.
-    tnum = np.arange(rounds)
-    valid = tnum < sus_counts[:, None]
-    sus_hit = None
+    # No-hit shortcut. Assume every suspect misses, evaluate each
+    # round's eviction pressure under that assumption, and test that
+    # the assumed outcome is self-consistent at every round: by
+    # induction over rounds a consistent assumption IS the true outcome
+    # (round t's pressure only depends on rounds < t, which the
+    # assumption fixes). Steady-state workloads nearly always land
+    # here, skipping the sequential loop.
+    valid = np.arange(rounds) < sus_counts[:, None]
+    hits_so_far = np.zeros(groups, dtype=np.int64)
     if ((rank < np.maximum(miss_base, 0)) | ~valid).all():
         # No hits: hits_so_far stays 0, restamps never happen (A = 0).
         sus_hit = np.zeros(len(sidx), dtype=bool)
-        hits_so_far = np.zeros(groups, dtype=np.int64)
     else:
-        e_hit = np.maximum(miss_base - tnum, 0)  # hits_so_far == t
-        if promote:
-            # A[g, t]: earlier suspects with lower rank — all hit under
-            # the assumption, each sliding this suspect down one rank.
-            ahead = rank - (
-                (rank[:, :, None] > rank[:, None, :])
-                & valid[:, None, :]
-                & (tnum[:, None] > tnum[None, :])[None]
-            ).sum(axis=2)
-        else:
-            ahead = rank
-        if ((ahead >= e_hit) | ~valid).all():
-            sus_hit = np.ones(len(sidx), dtype=bool)
-            hits_so_far = sus_counts.astype(np.int64, copy=True)
-
-    if sus_hit is None:
         hit = np.zeros((groups, rounds), dtype=bool)
-        hits_so_far = np.zeros(groups, dtype=np.int64)
         adj = np.zeros((groups, rounds), dtype=np.int64)
         for t in range(rounds):
             rank_t = rank[:, t]
@@ -725,38 +706,25 @@ def _bulk_insert_grouped(cache, grouped_lines, grouped_sets, grouped_stamps):
     group_count = np.diff(np.append(group_start, k))
     uniq_sets = grouped_sets[group_start]
 
-    # A set receiving >= ways arrivals whose first arrival already
-    # outstamps every current resident keeps exactly its newest `ways`
-    # arrivals — the old contents (and older arrivals) are irrelevant.
-    # Thrashing sweeps take this direct path. The stamp guard matters:
-    # a hit earlier in the chunk restamps a resident, which can make it
-    # newer than the set's early arrivals.
-    flooded = group_count >= ways
-    if flooded.any():
+    # When every set receives >= ways arrivals whose first arrival
+    # already outstamps every current resident, each set keeps exactly
+    # its newest `ways` arrivals — the old contents (and older
+    # arrivals) are irrelevant. Thrashing sweeps take this direct path;
+    # any other chunk takes the general merge below, which computes the
+    # same result for such a set. The stamp guard matters: a hit earlier
+    # in the chunk restamps a resident, which can make it newer than the
+    # set's early arrivals.
+    if (group_count >= ways).all():
         old_stamps = cache.stamps[uniq_sets]
-        flooded &= old_stamps.max(axis=1) < grouped_stamps[group_start]
-    if flooded.any():
-        f_end = (group_start + group_count)[flooded]
-        idx2d = f_end[:, None] - ways + np.arange(ways)
-        f_sets = uniq_sets[flooded]
-        cache.evictions += int(
-            ((old_stamps[flooded] > 0).sum(axis=1)
-             + group_count[flooded] - ways).sum()
-        )
-        cache.tags[f_sets] = grouped_lines[idx2d]
-        cache.stamps[f_sets] = grouped_stamps[idx2d]
-        if flooded.all():
+        if (old_stamps.max(axis=1) < grouped_stamps[group_start]).all():
+            group_end = group_start + group_count
+            idx2d = group_end[:, None] - ways + np.arange(ways)
+            cache.evictions += int(
+                ((old_stamps > 0).sum(axis=1) + group_count - ways).sum()
+            )
+            cache.tags[uniq_sets] = grouped_lines[idx2d]
+            cache.stamps[uniq_sets] = grouped_stamps[idx2d]
             return
-        keep_g = ~flooded
-        keep_el = np.repeat(keep_g, group_count)
-        grouped_sets = grouped_sets[keep_el]
-        grouped_lines = grouped_lines[keep_el]
-        grouped_stamps = grouped_stamps[keep_el]
-        group_count = group_count[keep_g]
-        group_start = np.empty(len(group_count), dtype=group_start.dtype)
-        group_start[0] = 0
-        np.cumsum(group_count[:-1], out=group_start[1:])
-        uniq_sets = uniq_sets[keep_g]
     num_groups = len(uniq_sets)
     # Rank every arrival from its group's end: rank 0 is the newest.
     # Only the newest `ways` arrivals of a set can survive it.

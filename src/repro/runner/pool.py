@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from .._compat import effective_cpu_count
@@ -64,21 +65,56 @@ class Runner:
 
 
 def _worker(payload: Tuple[TaskSpec, bool]):
-    """Execute one task in a worker process.
+    """Execute one task, in a worker process or inline.
 
     Starts a fresh telemetry session when the parent asked for capture
     (replacing any session inherited through fork), and returns the
-    record plus the captured session payload.
+    record, the captured session payload and the task's own seconds.
     """
     spec, capture = payload
     session = telemetry.start() if capture else None
     try:
+        started = time.perf_counter()
         record = execute_task(spec)
+        seconds = time.perf_counter() - started
         captured = capture_session(session) if session is not None else None
     finally:
         if session is not None:
             telemetry.stop()
-    return record, captured
+    return record, captured, seconds
+
+
+def _publish_start(
+    bus: events.AnyBus, spec: TaskSpec, seq: int, total: int
+) -> None:
+    if bus.active:
+        bus.publish("task-start", task=spec.name, kind=spec.kind,
+                    seq=seq, total=total)
+
+
+def _inline(todo: Sequence[TaskSpec], bus: events.AnyBus) -> Iterator[tuple]:
+    """:func:`_worker` results in this process, each task announced
+    just before it runs."""
+    for seq, spec in enumerate(todo, 1):
+        _publish_start(bus, spec, seq, len(todo))
+        yield _worker((spec, False))
+
+
+@contextmanager
+def _executed(todo: Sequence[TaskSpec], jobs: int, bus: events.AnyBus):
+    """Yield an iterator of ``(record, captured, seconds)`` for
+    ``todo``, in order: a worker pool's ``imap`` when there is more
+    than one job and task, else :func:`_inline`."""
+    total = len(todo)
+    if jobs > 1 and total > 1:
+        capture = telemetry.enabled()
+        for seq, spec in enumerate(todo, 1):
+            _publish_start(bus, spec, seq, total)
+        context = multiprocessing.get_context()
+        with context.Pool(min(jobs, total)) as pool:
+            yield pool.imap(_worker, [(spec, capture) for spec in todo])
+    else:
+        yield _inline(todo, bus)
 
 
 def run_tasks(
@@ -117,21 +153,10 @@ def run_tasks(
     runner.executed += len(pending)
 
     if pending:
-        total = len(pending)
-        if jobs > 1 and total > 1:
-            capture = telemetry.enabled()
-            if bus.active:
-                for seq, index in enumerate(pending, 1):
-                    spec = specs[index]
-                    bus.publish("task-start", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total)
-            context = multiprocessing.get_context()
-            with context.Pool(min(jobs, total)) as pool:
-                results = pool.map(
-                    _worker, [(specs[i], capture) for i in pending]
-                )
-            session = telemetry.active()
-            for seq, (index, (record, captured)) in enumerate(
+        todo = [specs[index] for index in pending]
+        session = telemetry.active()
+        with _executed(todo, jobs, bus) as results:
+            for seq, (index, (record, captured, seconds)) in enumerate(
                 zip(pending, results), 1
             ):
                 records[index] = record
@@ -140,19 +165,8 @@ def run_tasks(
                 if bus.active:
                     spec = specs[index]
                     bus.publish("task-finish", task=spec.name,
-                                kind=spec.kind, seq=seq, total=total)
-        else:
-            for seq, index in enumerate(pending, 1):
-                spec = specs[index]
-                if bus.active:
-                    bus.publish("task-start", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total)
-                started = time.perf_counter()
-                records[index] = execute_task(spec)
-                if bus.active:
-                    bus.publish("task-finish", task=spec.name, kind=spec.kind,
-                                seq=seq, total=total,
-                                seconds=time.perf_counter() - started)
+                                kind=spec.kind, seq=seq, total=len(todo),
+                                seconds=seconds)
         if store is not None:
             for index in pending:
                 store.put(specs[index], records[index])

@@ -83,7 +83,6 @@ def _optimize_task(spec: TaskSpec) -> object:
         spec.name,
         scale=float(spec.params.get("scale", 1.0)),
         seed=spec.seed,
-        engine=str(spec.params.get("engine", "batched")),
     )
     return benchmark_record(result)
 
@@ -98,11 +97,7 @@ def _optimize_report_task(spec: TaskSpec) -> object:
         scale=float(spec.params.get("scale", 1.0))
     )
     period = spec.params.get("period") or workload.recommended_period
-    monitor = Monitor(
-        sampling_period=int(period),
-        seed=spec.seed,
-        engine=str(spec.params.get("engine", "batched")),
-    )
+    monitor = Monitor(sampling_period=int(period), seed=spec.seed)
     result = optimize(workload, monitor=monitor)
     return {
         "report": result.report.render(),

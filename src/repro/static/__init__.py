@@ -1,22 +1,20 @@
-"""Static analysis over the workload IR: a pass framework.
+"""Static analysis over the workload IR.
 
 Layers, each consuming the ones below:
 
 - :mod:`repro.static.dataflow` — the forward-dataflow framework
   (worklist solver over the lowered binary CFGs, lattice interface,
-  shared :class:`AnalysisContext`, and the pass registry every analysis
-  here registers with).
+  and the shared :class:`AnalysisContext`).
 - :mod:`repro.static.absint` — abstract interpretation of index
   expressions per loop nest: exact per-stream strides, structure sizes,
   field offsets, and a unit-latency affinity matrix (static Eqs 2-3,
-  5-7) without executing anything. Registered as the ``absint`` pass.
+  5-7) without executing anything.
 - :mod:`repro.static.safety` — flow-sensitive escape/alias analysis
   classifying every structure as SAFE / UNSAFE / UNKNOWN to split
-  (``repro optimize --verify``). Registered as ``safety``.
+  (``repro optimize --verify``).
 - :mod:`repro.static.falseshare` — static per-thread write footprints
   at cache-line granularity, flagging lines multiple threads contend
   on; cross-validated against memsim's MESI invalidation counts.
-  Registered as ``falseshare``.
 - :mod:`repro.static.lint` — workload well-formedness rules (bounds,
   overlap, races, dead fields, Eq 4's sampling regime, and the safety
   hazards) over the static report, surfaced as ``repro lint``.
@@ -41,10 +39,7 @@ from .dataflow import (
     DataflowResult,
     ForwardAnalysis,
     StatementAnalysis,
-    available_passes,
-    register_pass,
     reverse_postorder,
-    run_pass,
     solve_forward,
 )
 from .falseshare import (
@@ -96,10 +91,7 @@ __all__ = [
     "DataflowResult",
     "ForwardAnalysis",
     "StatementAnalysis",
-    "available_passes",
-    "register_pass",
     "reverse_postorder",
-    "run_pass",
     "solve_forward",
     "FalseSharingOracle",
     "FalseSharingReport",

@@ -15,13 +15,8 @@ This module supplies the classic machinery those analyses share:
   per-statement transfer function over a block's instructions, the
   form every IR-level pass here takes;
 * :class:`AnalysisContext` — lazily computed shared artifacts (CFGs,
-  loop map, the absint report) so a pipeline of passes never lowers or
-  re-analyzes the same program twice;
-* a tiny pass registry (:func:`register_pass` / :func:`run_pass`) that
-  turns the static package into a pass framework future analyses plug
-  into. The existing abstract interpreter is registered as the
-  ``absint`` pass; ``safety`` and ``falseshare`` register themselves
-  in their own modules.
+  loop map, the absint report) so the analyses run on one program
+  never lower or re-analyze it twice.
 
 Facts use a ``None``-as-bottom convention: a block whose fact is still
 ``None`` has not been reached, and joins skip it — so client lattices
@@ -31,7 +26,7 @@ never need an explicit bottom element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..binary.cfg import BasicBlock, ControlFlowGraph
 from ..binary.loopmap import LoopMap
@@ -235,40 +230,3 @@ class AnalysisContext:
                 self.bound, loop_map=self.loop_map
             )
         return self._static_report
-
-
-#: name -> pass entry point. A pass takes an AnalysisContext and
-#: returns its report object; what type that is is the pass's contract.
-_PASSES: Dict[str, Callable[[AnalysisContext], object]] = {}
-
-
-def register_pass(name: str):
-    """Decorator registering a pass entry point under ``name``."""
-
-    def wrap(fn: Callable[[AnalysisContext], object]):
-        if name in _PASSES:
-            raise ValueError(f"pass {name!r} already registered")
-        _PASSES[name] = fn
-        return fn
-
-    return wrap
-
-
-def available_passes() -> Tuple[str, ...]:
-    return tuple(sorted(_PASSES))
-
-
-def run_pass(name: str, ctx: AnalysisContext) -> object:
-    try:
-        fn = _PASSES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown pass {name!r}; available: {', '.join(available_passes())}"
-        ) from None
-    return fn(ctx)
-
-
-@register_pass("absint")
-def _absint_pass(ctx: AnalysisContext):
-    """The pre-existing abstract interpreter, as a framework pass."""
-    return ctx.static_report

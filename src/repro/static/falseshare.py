@@ -40,7 +40,7 @@ from ..program.builder import BoundProgram
 from ..program.interp import MAX_ACCESS_BYTES, Interpreter, static_chunks
 from ..program.ir import Access, AddrOf, Loop, PtrAccess
 from .absint import ENUM_CAP, StaticAnalysisError, _binding_loop, _call_multipliers
-from .dataflow import AnalysisContext, register_pass
+from .dataflow import AnalysisContext
 
 _ZERO_ENV: Dict[str, int] = defaultdict(int)
 
@@ -384,10 +384,3 @@ def cross_validate_false_sharing(
     dynamic = hierarchy.line_invalidations()
     missed = tuple(sorted(line for line in dynamic if not static.covers(line)))
     return FalseSharingOracle(static=static, dynamic_lines=dynamic, missed=missed)
-
-
-@register_pass("falseshare")
-def _falseshare_pass(ctx: AnalysisContext) -> FalseSharingReport:
-    return detect_false_sharing(
-        ctx.bound, num_threads=ctx.num_threads, ctx=ctx
-    )

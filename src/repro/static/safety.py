@@ -47,7 +47,6 @@ from .dataflow import (
     AnalysisContext,
     DataflowResult,
     StatementAnalysis,
-    register_pass,
     solve_forward,
 )
 
@@ -519,8 +518,3 @@ def verify_split_safety(
         verdicts=verdicts,
         hazards=hazards,
     )
-
-
-@register_pass("safety")
-def _safety_pass(ctx: AnalysisContext) -> SafetyReport:
-    return verify_split_safety(ctx.bound, ctx=ctx)

@@ -330,7 +330,7 @@ class TestRunnerCacheKeys:
             run_cli("table3", "--quiet", "--cache", str(tmp_path))
         assert captured_specs == [
             {"kind": "optimize", "name": name,
-             "params": {"scale": 1.0, "engine": "batched"}, "seed": rank}
+             "params": {"scale": 1.0}, "seed": rank}
             for rank, name in enumerate(
                 ["179.ART", "462.libquantum", "TSP", "Mser",
                  "CLOMP 1.2", "Health", "NN"]
@@ -364,7 +364,7 @@ class TestRunnerCacheKeys:
                     "--cache", str(tmp_path))
         assert captured_specs == [
             {"kind": "optimize-report", "name": "179.ART",
-             "params": {"scale": 1.0, "period": None, "engine": "batched"},
+             "params": {"scale": 1.0, "period": None},
              "seed": 0}
         ]
 
@@ -395,18 +395,17 @@ class TestCliSurface:
 
     SURFACE = {
         "list": [],
-        "analyze": ["--check", "--deadline", "--engine", "--flightrec",
-                    "--json", "--live", "--out", "--period", "--quiet",
-                    "--scale", "--telemetry"],
-        "optimize": ["--cache", "--deadline", "--engine", "--flightrec",
-                     "--live", "--out", "--period", "--quiet",
-                     "--scale", "--telemetry", "--verify"],
+        "analyze": ["--check", "--deadline", "--flightrec", "--json",
+                    "--live", "--out", "--period", "--quiet", "--scale",
+                    "--telemetry"],
+        "optimize": ["--cache", "--deadline", "--flightrec", "--live",
+                     "--out", "--period", "--quiet", "--scale",
+                     "--telemetry", "--verify"],
         "lint": ["--format", "--scale", "--strict"],
         "verify": ["--scale"],
         "regroup": ["--scale"],
-        "table3": ["--cache", "--deadline", "--engine", "--flightrec",
-                   "--jobs", "--json", "--live", "--quiet", "--scale",
-                   "--telemetry"],
+        "table3": ["--cache", "--deadline", "--flightrec", "--jobs",
+                   "--json", "--live", "--quiet", "--scale", "--telemetry"],
         "trace": ["--period", "--scale", "--telemetry"],
         "stats": ["--period", "--scale", "--telemetry"],
         "art": ["--dot", "--scale"],

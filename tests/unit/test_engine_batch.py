@@ -369,10 +369,27 @@ class TestVectorWalk:
         sizes = [4] * (len(addresses) - 7) + [8, 8] + [4] * 5
         return addresses, sizes
 
+    def partial_flood_columns(self):
+        # Cold lines: ways + 2 into one L1 set (flooded), one into
+        # another, so a single bulk insert mixes flooded and unflooded
+        # sets.
+        config = HierarchyConfig()
+        l1 = config.l1
+        stride = l1.size_bytes // l1.ways  # one L1 set apart
+        addresses = [k * stride for k in range(l1.ways + 2)]
+        addresses.append(config.line_size)
+        return addresses, [4] * len(addresses)
+
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_vector_walk_matches_scalar(self, policy):
+        self.check_against_scalar(policy, *self.columns())
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_partially_flooded_chunk_matches_scalar(self, policy):
+        self.check_against_scalar(policy, *self.partial_flood_columns())
+
+    def check_against_scalar(self, policy, addresses, sizes):
         pytest.importorskip("numpy")
-        addresses, sizes = self.columns()
         reference = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
         expected = [
             reference.access(0, a, s, False)
@@ -390,6 +407,7 @@ class TestVectorWalk:
                 theirs.hits, theirs.misses, theirs.evictions
             )
         assert hierarchy.dram_accesses == reference.dram_accesses
+        assert machine_state(hierarchy) == machine_state(reference)
 
     def test_sequential_batches_share_state(self):
         pytest.importorskip("numpy")

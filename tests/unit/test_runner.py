@@ -14,6 +14,7 @@ from repro.runner import (
     run_tasks,
 )
 from repro.runner import tasks as runner_tasks
+from repro.telemetry import events
 
 
 @pytest.fixture
@@ -137,3 +138,16 @@ class TestRunTasks:
         # jobs > len(specs) must not crash; single pending task runs inline.
         records = run_tasks([spec("solo")], runner=Runner(jobs=8))
         assert records[0]["name"] == "solo"
+
+    def test_pool_publishes_each_finish_with_its_seconds(self, echo_kind):
+        bus = events.EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        specs = [spec(name, seed=i) for i, name in enumerate("abc")]
+        with events.use(bus):
+            records = run_tasks(specs, runner=Runner(jobs=2))
+        assert [r["name"] for r in records] == ["a", "b", "c"]
+        finishes = [e.data for e in seen if e.type == "task-finish"]
+        assert [f["seq"] for f in finishes] == [1, 2, 3]
+        assert [f["task"] for f in finishes] == ["a", "b", "c"]
+        assert all(isinstance(f["seconds"], float) for f in finishes)

@@ -17,10 +17,7 @@ from repro.program import (
 from repro.static import (
     AnalysisContext,
     ForwardAnalysis,
-    available_passes,
-    register_pass,
     reverse_postorder,
-    run_pass,
     solve_forward,
 )
 from repro.static.safety import PointsToAnalysis
@@ -144,24 +141,3 @@ class TestAnalysisContext:
     def test_num_threads_default(self):
         ctx = AnalysisContext(bound_with_pointer())
         assert ctx.num_threads == 1
-
-
-class TestPassRegistry:
-    def test_builtin_passes_registered(self):
-        assert {"absint", "safety", "falseshare"} <= set(available_passes())
-
-    def test_run_pass_dispatches(self):
-        ctx = AnalysisContext(bound_with_pointer())
-        report = run_pass("absint", ctx)
-        assert report is ctx.static_report
-        safety = run_pass("safety", ctx)
-        assert "A" in safety.verdicts
-
-    def test_unknown_pass_rejected(self):
-        ctx = AnalysisContext(bound_with_pointer())
-        with pytest.raises(KeyError, match="unknown pass"):
-            run_pass("nonesuch", ctx)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_pass("absint")(lambda ctx: None)
