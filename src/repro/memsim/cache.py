@@ -130,23 +130,6 @@ class SetAssociativeCache:
             return True
         return False
 
-    def resident_lines(self) -> int:
-        return sum(len(tags) for tags in self._sets)
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
     def __repr__(self) -> str:
         return (
             f"SetAssociativeCache({self.name}, {self.size_bytes // 1024}KB, "

@@ -17,7 +17,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..telemetry.session import enabled as telemetry_enabled
 from . import vectorwalk
 from .cache import SetAssociativeCache
-from .coherence import CODE_MASK, E_CODE, HOLDER_SHIFT, M_CODE, MESIDirectory
+from .coherence import (
+    CODE_MASK, E_CODE, HOLDER_SHIFT, M_CODE, S_CODE, MESIDirectory,
+)
 from .prefetch import StreamPrefetcher
 from .tlb import DataTLB, TLBConfig
 
@@ -125,9 +127,10 @@ class MemoryHierarchy:
         # large enough an LRU/FIFO machine without prefetcher or TLB
         # promotes its caches to the numpy tag-array representation
         # (state 1); one core stays promoted for good. State -1 means a
-        # multi-core machine went to list caches for good (a write or a
-        # line-crossing access after promotion, or a core too dense for
-        # the chunked walk; see _walk_multicore).
+        # multi-core machine went to list caches for good (a line-crossing
+        # access or a write of a line another core touches or holds after
+        # promotion, or a core too dense for the chunked walk; see
+        # _walk_multicore).
         self._vector_state = 0
         # Steady-state walk memo, attached at single-core vector
         # promotion (see repro.memsim.memo); None until then.
@@ -280,9 +283,10 @@ class MemoryHierarchy:
 
         With numpy and batches big enough, a machine with bare LRU/FIFO
         caches (no prefetcher, TLB or random replacement) vector-walks:
-        one core through the walk memo, several cores each core's
-        write-free batches (:meth:`_walk_multicore`). Every other batch
-        takes the inlined trace-ordered list walk (:meth:`_walk_lists`).
+        one core through the walk memo, up to 61 cores each core's share
+        of a batch whose written lines are private to one core
+        (:meth:`_walk_multicore`). Every other batch takes the inlined
+        trace-ordered list walk (:meth:`_walk_lists`).
         """
         cfg = self.config
         single = self.num_cores == 1
@@ -305,7 +309,9 @@ class MemoryHierarchy:
                 hits = memo.hits
                 latencies = memo.walk(self, addresses, sizes, is_write)
                 return ("memo" if memo.hits != hits else "vector"), latencies
-        elif vector:
+        elif vector and self.num_cores + HOLDER_SHIFT < 64:
+            # The per-core walk keeps directory words in int64 columns,
+            # where a wider machine's holder bits would overflow.
             latencies = self._walk_multicore(
                 addresses, sizes, is_write, thread
             )
@@ -318,26 +324,33 @@ class MemoryHierarchy:
 
         The batch is routed before any cache state changes. It
         vector-walks once batches are big enough (and every batch after
-        promotion) if it has no write, no line-crossing access, and
+        promotion) if it has no line-crossing access, every line it
+        writes is private to one core (:meth:`_private_writes`), and
         every core's subsequence has chunk bounds
         (:func:`vectorwalk.plan`). Otherwise it returns None, for the
-        list walk: a write or a line-crossing access demotes a promoted
-        machine, and a core too dense for the chunked walk (pointer
-        chasing) sends the machine to lists whether promoted or not;
-        both for good. Each run builds a fresh hierarchy, so waiting for
-        a streak of such batches would cost a large part of the run.
+        list walk: a line-crossing access or a written line another
+        core touches in the batch or holds in the directory demotes a
+        promoted machine, and a core too dense for the chunked walk
+        (pointer chasing) sends the machine to lists whether promoted
+        or not; both for good. Each run builds a fresh hierarchy, so
+        waiting for a streak of such batches would cost a large part of
+        the run.
 
-        Without a write nothing invalidates a remote copy, so a core's
-        private L1/L2 state depends only on its own subsequence: each
-        core's accesses walk its promoted caches with
-        :func:`vectorwalk.cascade`. The private misses then go through
-        the shared L3 and the directory's read transition in trace
-        order (:meth:`_shared_fills`), the only state cores share.
+        With every written line private, no write invalidates a remote
+        copy, so a core's private L1/L2 state depends only on its own
+        subsequence: each core's accesses, reads and writes alike, walk
+        its promoted caches with :func:`vectorwalk.cascade`. The private
+        misses then go through the shared L3 and the directory's read
+        fill in trace order (:meth:`_shared_fills`), the only state
+        cores share besides the written lines' directory words, which
+        :meth:`_apply_private_writes` then sets from the writers' own
+        events.
 
         Returns a float64 ndarray, which ``simulate`` sums order-free.
         That is exact because every latency is an integer number of
         cycles: the level latencies (which ``simulate`` checks) plus the
-        directory's cache-to-cache extra (40 cycles).
+        directory's cache-to-cache (40 cycles) and upgrade (20 cycles)
+        extras.
         """
         n = len(addresses)
         state = self._vector_state
@@ -347,17 +360,23 @@ class MemoryHierarchy:
         line_bits = self._line_bits
         address = vectorwalk.as_column(addresses)
         lines = address >> line_bits
-        last = (address + vectorwalk.as_column(sizes) - 1) >> line_bits
-        if (
-            is_write is not None and vectorwalk.as_column(is_write).any()
-        ) or (lines != last).any():
-            if state == 1:
-                self._demote_from_vector()
-            return None
         if thread is None:
             core_of = np.zeros(n, dtype=np.int64)
         else:
             core_of = vectorwalk.as_column(thread) % self.num_cores
+        routed = not (
+            lines != (address + vectorwalk.as_column(sizes) - 1) >> line_bits
+        ).any()
+        private = None
+        if routed and is_write is not None:
+            writes = vectorwalk.as_column(is_write) != 0
+            if writes.any():
+                private = self._private_writes(lines, core_of, writes)
+                routed = private is not None
+        if not routed:
+            if state == 1:
+                self._demote_from_vector()
+            return None
         shares = []
         for core in self.cores:
             at = np.flatnonzero(core_of == core.id)
@@ -371,25 +390,116 @@ class MemoryHierarchy:
         if state == 0:
             self._promote_to_vector()
         # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
-        levels = np.zeros(n, dtype=np.intp)
-        for core, at, own, planned in shares:
-            own_levels = np.zeros(len(at), dtype=np.intp)
+        levels = np.zeros(n, dtype=np.int8)
+        while shares:  # each core's columns go once it has walked
+            core, at, own, planned = shares.pop()
+            own_levels = np.zeros(len(at), dtype=np.int8)
             vectorwalk.cascade((core.l1, core.l2), own, planned, own_levels)
             levels[at] = own_levels
         cfg = self.config
         lut = np.array([cfg.l1.latency, cfg.l2.latency, 0.0])
         latencies = lut[levels]
-        missed = np.flatnonzero(levels == 2)
-        if len(missed):
-            latencies[missed] = self._shared_fills(
-                lines[missed].tolist(),
-                (1 << (core_of[missed] + HOLDER_SHIFT)).tolist(),
+        missed = levels == 2
+        positions = np.flatnonzero(missed)
+        if len(positions):
+            latencies[positions] = self._shared_fills(
+                lines[positions].tolist(),
+                (1 << (core_of[positions] + HOLDER_SHIFT)).tolist(),
             )
+        if private is not None:
+            self._apply_private_writes(private, writes, missed, latencies)
         return latencies
 
+    def _private_writes(self, lines, core_of, writes):
+        """``(written, at, touched, start, holder)`` for a batch's
+        written lines, or None when one of them is not private to its
+        writer.
+
+        A written line is private when no other core touches it in the
+        batch and the directory lists no other core as its holder at
+        batch start. The directory lists a superset of the real holders,
+        so then no write of the batch can purge another core's copy.
+        ``written`` holds the distinct written lines; per access, ``at``
+        is its line's index in ``written`` where ``touched`` says it has
+        one; per written line, ``start`` is its directory word at batch
+        start and ``holder`` its writer's holder bit.
+        """
+        np = vectorwalk._np
+        written = np.sort(lines[writes])
+        distinct = np.empty(len(written), dtype=bool)
+        distinct[0] = True
+        np.not_equal(written[1:], written[:-1], out=distinct[1:])
+        written = written[distinct]
+        at = np.searchsorted(written, lines)
+        np.minimum(at, len(written) - 1, out=at)
+        touched = written[at] == lines
+        writer = np.empty(len(written), dtype=np.int64)
+        writer[at[writes]] = core_of[writes]
+        if ((writer[at] != core_of) & touched).any():
+            return None  # a written line two cores touch
+        start = np.fromiter(
+            map(self.directory._lines.get, written.tolist(),
+                repeat(0, len(written))),
+            dtype=np.int64, count=len(written),
+        )
+        holder = 1 << (writer + HOLDER_SHIFT)
+        if (start & ~(holder | CODE_MASK)).any():
+            return None  # another core listed as a holder
+        return written, at, touched, start, holder
+
+    def _apply_private_writes(self, private, writes, missed, latencies):
+        """Apply a vector-walked batch's writes to the directory.
+
+        ``private`` is :meth:`_private_writes` of the batch. Only the
+        writer touches a written line, so the line's word changes only
+        at the writer's writes and private misses, in trace order, as
+        :meth:`MESIDirectory.write` and ``read`` change it with no other
+        holder: a write leaves M, and pays ``upgrade_latency`` when it
+        finds the writer's S; a read miss leaves E when it finds no
+        word, else S. So a core that re-reads a line only it holds ends
+        S, and its next write upgrades. Each written line that changed
+        gets the word its last event leaves. That replaces the read
+        fill :meth:`_shared_fills` applied to the line's private misses,
+        write misses included, which could not forward: no other core
+        holds the line.
+        """
+        np = vectorwalk._np
+        written, at, touched, start, holder = private
+        events = np.flatnonzero(touched & (writes | missed))
+        events = events[np.argsort(at[events], kind="stable")]
+        line = at[events]  # grouped by line, trace order within
+        wrote = writes[events]  # else a read miss
+        first = np.empty(len(events), dtype=bool)
+        first[0] = True
+        np.not_equal(line[1:], line[:-1], out=first[1:])
+        # The state code each event leaves; only a line's first event
+        # can find no word.
+        left = np.full(len(events), S_CODE, dtype=np.int8)
+        left[first & (start == 0)[line]] = E_CODE
+        left[wrote] = M_CODE
+        # A write finds the writer's S: at its line's first event, a
+        # held word in S; later, a previous event that left S.
+        shared = np.roll(left, 1) == S_CODE
+        shared[first] = ((start != 0) & (start & CODE_MASK == S_CODE))[
+            line[first]
+        ]
+        upgrades = np.flatnonzero(wrote & shared)
+        if len(upgrades):
+            directory = self.directory
+            latencies[events[upgrades]] += directory.upgrade_latency
+            directory.stats.upgrades += len(upgrades)
+        filled = np.zeros(len(written), dtype=bool)
+        filled[line[missed[events]]] = True
+        final = holder | left[np.append(first[1:], True)]
+        changed = (final != start) | filled
+        self.directory._lines.update(
+            zip(written[changed].tolist(), final[changed].tolist())
+        )
+
     def _shared_fills(self, lines, bits) -> List[float]:
-        """Latencies of private read misses, resolved in trace order
-        through the shared (list) L3 and the directory's read fill.
+        """Latencies of private misses, resolved in trace order through
+        the shared (list) L3 and the directory's read fill (which
+        :meth:`_apply_private_writes` replaces for written lines).
 
         ``bits`` holds each miss's core as its directory holder bit.
         The read fill is :meth:`MESIDirectory.read` applied inline to
@@ -771,9 +881,6 @@ class MemoryHierarchy:
 
     def l3_misses(self) -> int:
         return self.l3.misses
-
-    def l1_accesses(self) -> int:
-        return sum(c.l1.accesses for c in self.cores)
 
     def miss_summary(self) -> Dict[str, int]:
         summary = {

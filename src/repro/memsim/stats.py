@@ -37,9 +37,6 @@ class RunMetrics:
         """Wall-clock seconds at the testbed's clock (2.6 GHz Xeon)."""
         return self.wall_cycles() / (ghz * 1e9)
 
-    def average_latency(self) -> float:
-        return self.total_latency / self.accesses if self.accesses else 0.0
-
     def misses(self) -> Dict[str, int]:
         return {"L1": self.l1_misses, "L2": self.l2_misses, "L3": self.l3_misses}
 

@@ -88,9 +88,3 @@ class DataTLB:
     @property
     def walks(self) -> int:
         return self.l2.misses
-
-    def footprint_pages(self, base: int, size: int) -> int:
-        """Pages an object spans (reporting helper)."""
-        first = base >> self._page_bits
-        last = (base + size - 1) >> self._page_bits
-        return last - first + 1

@@ -66,11 +66,12 @@ latency is byte-identical to the scalar walk — asserted by the
 engine-parity suites.
 
 The multi-core machine reuses :func:`cascade` on each core's private
-L1/L2 alone (see ``MemoryHierarchy._walk_multicore``), for write-free
-batches in which every core's :func:`plan` has chunk bounds; its shared
-L3 stays a list cache. It routes a batch with a dense core to its list
-walk before touching any cache, so it never row-walks: only the
-single-core machine does.
+L1/L2 alone (see ``MemoryHierarchy._walk_multicore``), for batches
+whose written lines are private to one core and in which every core's
+:func:`plan` has chunk bounds; a write walks the private levels as a
+read does, and the shared L3 stays a list cache. It routes a batch
+with a dense core to its list walk before touching any cache, so it
+never row-walks: only the single-core machine does.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and every LRU/FIFO machine walks its list caches
@@ -153,14 +154,19 @@ class TagArrayCache:
             self.name, self.size_bytes, self.ways, self.line_size,
             policy=self.policy,
         )
-        occupied = _np.flatnonzero((self.stamps > 0).any(axis=1))
-        for set_index in occupied.tolist():
-            stamps = self.stamps[set_index]
-            row = self.tags[set_index]
-            order = _np.argsort(stamps, kind="stable")
-            cache._sets[set_index] = [
-                int(row[w]) for w in order if stamps[w] > 0
-            ]
+        np = _np
+        occupied = np.flatnonzero((self.stamps > 0).any(axis=1))
+        stamps = self.stamps[occupied]
+        # Empty ways (stamp 0) sort first; each set keeps its last
+        # ``resident`` ways, least recent first.
+        order = np.argsort(stamps, axis=1, kind="stable")
+        rows = np.take_along_axis(self.tags[occupied], order, axis=1)
+        resident = (stamps > 0).sum(axis=1)
+        ways = self.ways
+        for set_index, row, count in zip(
+            occupied.tolist(), rows.tolist(), resident.tolist()
+        ):
+            cache._sets[set_index] = row[ways - count:]
         cache.hits = self.hits
         cache.misses = self.misses
         cache.evictions = self.evictions
@@ -217,10 +223,6 @@ class TagArrayCache:
         row[way] = -1
         self.stamps[set_index, way] = 0
         return True
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
     def __repr__(self) -> str:
         return (

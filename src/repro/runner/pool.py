@@ -85,33 +85,32 @@ def _worker(payload: Tuple[TaskSpec, bool]):
 
 
 def _publish_start(
-    bus: events.AnyBus, spec: TaskSpec, seq: int, total: int
+    bus: events.AnyBus, spec: TaskSpec, seq: int, total: int, workers: int
 ) -> None:
     if bus.active:
         bus.publish("task-start", task=spec.name, kind=spec.kind,
-                    seq=seq, total=total)
+                    seq=seq, total=total, workers=workers)
 
 
 def _inline(todo: Sequence[TaskSpec], bus: events.AnyBus) -> Iterator[tuple]:
     """:func:`_worker` results in this process, each task announced
     just before it runs."""
     for seq, spec in enumerate(todo, 1):
-        _publish_start(bus, spec, seq, len(todo))
+        _publish_start(bus, spec, seq, len(todo), 1)
         yield _worker((spec, False))
 
 
 @contextmanager
-def _executed(todo: Sequence[TaskSpec], jobs: int, bus: events.AnyBus):
+def _executed(todo: Sequence[TaskSpec], workers: int, bus: events.AnyBus):
     """Yield an iterator of ``(record, captured, seconds)`` for
-    ``todo``, in order: a worker pool's ``imap`` when there is more
-    than one job and task, else :func:`_inline`."""
-    total = len(todo)
-    if jobs > 1 and total > 1:
+    ``todo``, in order: a pool of ``workers`` processes' ``imap`` when
+    there is more than one worker, else :func:`_inline`."""
+    if workers > 1:
         capture = telemetry.enabled()
         for seq, spec in enumerate(todo, 1):
-            _publish_start(bus, spec, seq, total)
+            _publish_start(bus, spec, seq, len(todo), workers)
         context = multiprocessing.get_context()
-        with context.Pool(min(jobs, total)) as pool:
+        with context.Pool(workers) as pool:
             yield pool.imap(_worker, [(spec, capture) for spec in todo])
     else:
         yield _inline(todo, bus)
@@ -154,8 +153,9 @@ def run_tasks(
 
     if pending:
         todo = [specs[index] for index in pending]
+        workers = min(jobs, len(todo))
         session = telemetry.active()
-        with _executed(todo, jobs, bus) as results:
+        with _executed(todo, workers, bus) as results:
             for seq, (index, (record, captured, seconds)) in enumerate(
                 zip(pending, results), 1
             ):
@@ -166,7 +166,7 @@ def run_tasks(
                     spec = specs[index]
                     bus.publish("task-finish", task=spec.name,
                                 kind=spec.kind, seq=seq, total=len(todo),
-                                seconds=seconds)
+                                seconds=seconds, workers=workers)
         if store is not None:
             for index in pending:
                 store.put(specs[index], records[index])

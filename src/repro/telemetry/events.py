@@ -33,10 +33,10 @@ The event taxonomy:
 ``metric-delta``   instrument values changed since the last publication
                    (``changed`` name->delta map, publication ``labels``)
 ``task-start``     a runner task began executing (``task``, ``kind``,
-                   ``seq``, ``total``)
+                   ``seq``, ``total``, ``workers``)
 ``task-finish``    a runner task finished (``task``, ``kind``, ``seq``,
-                   ``total``, ``seconds``) — also carries runner-stats
-                   summaries (``kind="runner-stats"``)
+                   ``total``, ``seconds``, ``workers``) — also carries
+                   runner-stats summaries (``kind="runner-stats"``)
 ``cache-hit``      a runner task was served from the result cache
                    (``task``, ``kind``)
 ``stage-progress`` a long stage advanced (``stage``, ``done``, optional

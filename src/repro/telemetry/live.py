@@ -55,8 +55,9 @@ class ProgressReporter:
     """Human-readable progress on a stream (stderr by default).
 
     Renders ``stage-progress`` events as throttled rate lines,
-    ``task-start``/``task-finish`` as per-task lines with an ETA once
-    enough tasks have finished to estimate one, and runner-stats
+    ``task-start``/``task-finish`` as per-task lines with an ETA (the
+    finished tasks' mean seconds × tasks left ÷ the workers that run
+    them) once a finished task has reported its seconds, and runner-stats
     summaries verbatim.  Span and cache-hit chatter is deliberately
     ignored — the reporter answers "is it moving and when will it be
     done", nothing more.
@@ -75,8 +76,9 @@ class ProgressReporter:
         self._last_emit: Dict[str, float] = {}
         self._stage_t0: Dict[str, Tuple[float, float]] = {}
         self._stage_done: Dict[str, float] = {}
-        self._task_t0: Optional[float] = None
         self._tasks_done = 0
+        self._timed_tasks = 0
+        self._task_seconds = 0.0
 
     @property
     def stream(self):
@@ -134,8 +136,6 @@ class ProgressReporter:
     # -- runner tasks -------------------------------------------------------
 
     def _on_task_start(self, event: Event) -> None:
-        if self._task_t0 is None:
-            self._task_t0 = self._clock()
         data = event.data
         seq, total = data.get("seq"), data.get("total")
         position = f" [{seq}/{total}]" if seq and total else ""
@@ -154,12 +154,15 @@ class ProgressReporter:
         seconds = data.get("seconds")
         if isinstance(seconds, (int, float)):
             line += f" in {seconds:.2f}s"
-        if total and self._task_t0 is not None and self._tasks_done:
-            elapsed = self._clock() - self._task_t0
-            per_task = elapsed / self._tasks_done
-            remaining = max(0, int(total) - self._tasks_done)
-            if remaining:
-                line += f" (eta {per_task * remaining:.1f}s)"
+            self._timed_tasks += 1
+            self._task_seconds += seconds
+        remaining = max(0, int(total) - self._tasks_done) if total else 0
+        if remaining and self._timed_tasks:
+            # The tasks left run ``workers`` at a time, each taking the
+            # finished tasks' mean seconds.
+            per_task = self._task_seconds / self._timed_tasks
+            workers = min(int(data.get("workers") or 1), remaining)
+            line += f" (eta {per_task * remaining / workers:.1f}s)"
         self._say(line)
 
 

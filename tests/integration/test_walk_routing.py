@@ -25,13 +25,15 @@ from repro.workloads import workload_zoo
 #: per-core vector walk takes them whole. Health chases pointers: a
 #: core of its first batch is too dense for the chunked walk, so the
 #: machine takes the list walk from its first access. OverlapView's
-#: write batches take the list walk on the unpromoted machine; its last
-#: three batches, write-free, promote it and vector-walk.
+#: six stencil batches write only lines private to one core, so they
+#: promote the machine and vector-walk. Its two halo batches write a
+#: line a second core touches: the first demotes the machine, and they
+#: and the last three batches, write-free, take the list walk.
 CREDITS = {
     "CLOMP 1.2": {"general_vector": 884_736},
     "Health": {"list": 352_256},
     "NN": {"general_vector": 395_264},
-    "OverlapView": {"general_vector": 16_896, "list": 229_376},
+    "OverlapView": {"general_vector": 196_608, "list": 49_664},
 }
 
 #: The directory at the end of the same runs: lines held, then

@@ -125,7 +125,8 @@ def bodies(draw, loop_vars=(), depth=0, writes=True):
 
 
 #: Bodies with writes, or write-free ones (which the multi-core machine
-#: walks per core on its vector path).
+#: walks per core on its vector path; :class:`TestPrivateWriteParity`
+#: reaches that path with writes).
 any_bodies = st.booleans().flatmap(lambda writes: bodies(writes=writes))
 
 
@@ -272,8 +273,9 @@ def parallel_loop(line, body):
 
 class TestMulticoreWalkParity:
     """The 4-core walk's transitions on fixed programs: promotion by a
-    write-free batch, then demotion by a write batch or by a batch one
-    of whose cores re-uses lines too densely for the chunked walk."""
+    write-free batch, then demotion by a batch that writes lines another
+    core holds or by a batch one of whose cores re-uses lines too
+    densely for the chunked walk."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
         pytest.importorskip("numpy")
@@ -292,8 +294,10 @@ class TestMulticoreWalkParity:
         assert scalar == batched
         (hierarchy,) = hierarchies
         counts = hierarchy.walk_accesses()
-        # The read loop vector-walks; the write loop demotes for good,
-        # so the re-read walks the lists.
+        # The read loop vector-walks. Each thread of the write loop
+        # writes a line another thread read, which the directory lists,
+        # so the write loop demotes for good and the re-read walks the
+        # lists.
         assert counts["general_vector"] == ELEMENTS
         assert counts["list"] == 2 * ELEMENTS
         assert hierarchy._vector_state == -1
@@ -330,6 +334,131 @@ class TestMulticoreWalkParity:
         assert counts["general_vector"] == 6 * sets
         assert counts["list"] == n
         assert hierarchy._vector_state == -1
+
+
+#: One 64-byte element, so one cache line, per index of ``P``.
+WIDE = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
+#: Trip count of the parallel loops over ``P``, and of the sweeps over
+#: ``Q`` that push lines out of a core's (small-geometry) L1 and L2.
+OWN_STOP = 64
+SWEEP_STOP = 1024
+
+
+@st.composite
+def private_write_programs(draw):
+    """``(program, private)``: parallel loops in which a thread writes
+    only lines of its own.
+
+    Each loop either sweeps the read-only ``Q`` or touches ``P`` at
+    its own iteration, shifted by a per-loop offset, and reads ``A``.
+    ``P`` holds one line per element, so within a loop no other thread
+    touches a line a thread writes. Offsets other than 0 hand lines to
+    another thread between loops, whose directory bits then list the
+    previous thread. ``private`` is True when every offset is 0.
+    """
+    loops = []
+    private = True
+    for k in range(draw(st.integers(1, 4))):
+        line = 10 * (k + 1)
+        var = f"i{line}"
+        if k and draw(st.booleans()):
+            loops.append(Loop(
+                line=line, var=var, start=0, stop=SWEEP_STOP, end_line=line,
+                parallel=True,
+                body=[Access(line=line + 1, array="Q", field="x",
+                             index=affine(var, 1, 0))],
+            ))
+            continue
+        offset = draw(st.sampled_from([0, 0, 1, 16]))
+        private = private and offset == 0
+        body = []
+        for j in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                body.append(Access(
+                    line=line + 1 + j, array="P", field="x",
+                    index=Mod(affine(var, 1, offset), OWN_STOP),
+                    is_write=draw(st.booleans()),
+                ))
+            else:
+                body.append(Access(
+                    line=line + 1 + j, array="A", field="x",
+                    index=draw(index_exprs([(var, OWN_STOP)])),
+                ))
+        loops.append(Loop(line=line, var=var, start=0, stop=OWN_STOP,
+                          end_line=line, parallel=True, body=body))
+    return build_private(loops), private
+
+
+def build_private(loops):
+    builder = WorkloadBuilder("private-writes")
+    builder.add_aos(ELEM, ELEMENTS, name="A")
+    builder.add_aos(WIDE, OWN_STOP, name="P")
+    builder.add_aos(WIDE, SWEEP_STOP, name="Q")
+    return builder.build([Function("main", loops)])
+
+
+def upgrading_program():
+    """Each thread reads its lines of ``P``, sweeps ``Q`` past its
+    small-geometry L2, then re-reads and writes them: every re-read
+    misses and ends the sole holder S, so every write upgrades."""
+    def own(line, *stmts):
+        return Loop(line=line, var=f"i{line}", start=0, stop=OWN_STOP,
+                    end_line=line, parallel=True, body=[
+                        Access(line=line + 1 + j, array="P", field="x",
+                               index=affine(f"i{line}", 1, 0),
+                               is_write=is_write)
+                        for j, is_write in enumerate(stmts)
+                    ])
+    sweep = Loop(line=20, var="i20", start=0, stop=SWEEP_STOP, end_line=20,
+                 parallel=True, body=[
+                     Access(line=21, array="Q", field="x",
+                            index=affine("i20", 1, 0)),
+                 ])
+    return build_private([own(10, False), sweep, own(30, False, True)])
+
+
+class TestPrivateWriteParity:
+    """Batches whose written lines stay private to one core take the
+    multi-core machine's per-core vector walk; on the small geometry
+    the sweeps evict lines, so a re-read ends a sole holder S and its
+    next write upgrades."""
+
+    @given(
+        private_write_programs(),
+        st.integers(2, 4),
+        st.booleans(),
+        st.sampled_from(["lru", "fifo"]),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_private_write_batches_are_exact(
+        self, drawn, num_threads, small_geom, replacement
+    ):
+        pytest.importorskip("numpy")
+        bound, private = drawn
+        base = HierarchyConfig.small() if small_geom else HierarchyConfig()
+        config = dataclasses.replace(base, replacement=replacement)
+        hierarchies = []
+        scalar = run_pipeline(bound, num_threads, False, pebs, config=config)
+        batched = run_pipeline(bound, num_threads, True, pebs, config=config,
+                               vector_min=1, capture=hierarchies.append)
+        assert scalar == batched
+        if private:
+            (hierarchy,) = hierarchies
+            assert hierarchy.walk_accesses()["list"] == 0
+
+    def test_upgrading_program_upgrades_every_write(self):
+        pytest.importorskip("numpy")
+        hierarchies = []
+        scalar = run_pipeline(upgrading_program(), 4, False, pebs,
+                              config=HierarchyConfig.small())
+        batched = run_pipeline(upgrading_program(), 4, True, pebs,
+                               config=HierarchyConfig.small(), vector_min=1,
+                               capture=hierarchies.append)
+        assert scalar == batched
+        (hierarchy,) = hierarchies
+        assert hierarchy.directory.stats.upgrades == OWN_STOP
+        counts = hierarchy.walk_accesses()
+        assert counts["general_vector"] == 3 * OWN_STOP + SWEEP_STOP
 
 
 def profile_state(collector):

@@ -480,8 +480,9 @@ class TestVectorWalk:
 
 class TestMulticoreWalk:
     """The 4-core machine without prefetcher or TLB: the inlined list
-    walk, the per-core vector walk of write-free batches, and the
-    transitions between them, each against per-access ``access()``."""
+    walk, the per-core vector walk of batches whose written lines are
+    private to one core, and the transitions between them, each against
+    per-access ``access()``."""
 
     CORES = 4
 
@@ -548,24 +549,200 @@ class TestMulticoreWalk:
         assert not hasattr(hierarchy.l3, "to_list_cache")
 
     def test_vector_walk_forwards_dirty_remote_lines(self):
-        # Core 0 writes 16 lines in a list-walked batch (a write never
-        # promotes), then cores 1 and 2 read them in a write-free batch
-        # that promotes and vector-walks: core 1's private misses reach
-        # the directory's read fill in _shared_fills, which forwards
-        # each dirty line once; core 2 then finds it Shared.
+        # Core 0 writes 16 lines no other core touches or holds: the
+        # batch promotes and vector-walks, and the directory's write
+        # leaves each line in core 0's M. Cores 1 and 2 then read them
+        # in a write-free batch: core 1's private misses reach the
+        # directory's read fill in _shared_fills, which forwards each
+        # dirty line once; core 2 then finds it Shared.
         pytest.importorskip("numpy")
         addresses = [640 * k for k in range(16)]
         n = len(addresses)
         written = (addresses, [4] * n, [1] * n, [0] * n)
         read = (addresses * 2, [4] * 2 * n, [0] * 2 * n, [1] * n + [2] * n)
         before = self.check([written])
-        assert before.walk_accesses()["list"] == n
+        assert before.walk_accesses()["general_vector"] == n
         assert before.directory.stats.cache_to_cache == 0
+        assert {
+            before.directory.state(0, address >> 6) for address in addresses
+        } == {"M"}
         hierarchy = self.check([written, read])
         assert hierarchy._vector_state == 1
-        assert hierarchy.walk_accesses()["general_vector"] == 2 * n
+        assert hierarchy.walk_accesses()["general_vector"] == 3 * n
         stats = hierarchy.directory.stats
         assert stats.cache_to_cache == stats.writebacks == n
+
+    def private_writes(self):
+        """A batch in which each core touches 24 lines of its own,
+        twice over, and every core reads one line no core writes.
+
+        Of every three own lines, one is only written, one read and
+        then written, and one only read. A core's lines share one L1
+        set, so the second pass misses L1 and hits L2. Its writes then
+        find the line in M already, and change no directory word."""
+        addresses, is_write, thread = [], [], []
+        for _ in range(2):
+            for j in range(24):
+                for core in range(self.CORES):
+                    address = 4096 * j + 64 * core
+                    if j % 3 != 0:
+                        addresses.append(address)
+                        is_write.append(0)
+                        thread.append(core)
+                    if j % 3 != 2:
+                        addresses.append(address + 8)
+                        is_write.append(1)
+                        thread.append(core)
+            for core in range(self.CORES):
+                addresses.append(1 << 20)
+                is_write.append(0)
+                thread.append(core)
+        return addresses, [4] * len(addresses), is_write, thread
+
+    def test_private_write_batch_vector_walks(self, monkeypatch):
+        pytest.importorskip("numpy")
+        fills = []
+        shared_fills = MemoryHierarchy._shared_fills
+
+        def spy(self, lines, bits):
+            fills.append(len(lines))
+            return shared_fills(self, lines, bits)
+
+        monkeypatch.setattr(MemoryHierarchy, "_shared_fills", spy)
+        batch = self.private_writes()
+        hierarchy = self.check([batch] * 3)
+        assert hierarchy._vector_state == 1
+        counts = dict.fromkeys(WALK_PATHS, 0)
+        counts["general_vector"] = 3 * len(batch[0])
+        assert hierarchy.walk_accesses() == counts
+        assert hierarchy.invalidations == 0
+        # Only private misses reach the per-access pass, writes none
+        # of theirs: per core, the 24 own lines and the line every core
+        # reads miss once, in the first batch.
+        assert fills == [25 * self.CORES]
+
+    @pytest.mark.parametrize("first_write", [False, True])
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_sole_holder_reread_then_write_upgrades(
+        self, first_write, batches
+    ):
+        # Core 0 reads (or writes) line 0, evicts it from its L1 and L2
+        # with eight lines of the same sets, re-reads it and writes it.
+        # The directory still lists core 0 alone, so the re-read's read
+        # fill ends it S, and the write pays the upgrade: in one batch,
+        # or with the write alone in a second batch.
+        pytest.importorskip("numpy")
+        config = HierarchyConfig()
+        stride = config.l2.size_bytes // config.l2.ways
+        addresses = [stride * k for k in range(9)] + [0, 0]
+        is_write = [int(first_write)] + [0] * 9 + [1]
+        n = len(addresses)
+        columns = (addresses, [4] * n, is_write, [0] * n)
+        cut = n if batches == 1 else n - 1
+        split = [tuple(column[:cut] for column in columns)]
+        if batches == 2:
+            split.append(tuple(column[cut:] for column in columns))
+        hierarchy = self.check(split)
+        assert hierarchy.walk_accesses()["general_vector"] == n
+        directory = hierarchy.directory
+        assert directory.stats.upgrades == 1
+        assert directory.state(0, 0) == "M"
+        reference = MemoryHierarchy(config, self.CORES)
+        for address, write in zip(addresses, is_write):
+            latency = reference.access(0, address, 4, bool(write))
+        assert latency == config.l1.latency + directory.upgrade_latency
+
+    def test_write_miss_to_own_modified_line_stays_modified(self):
+        # Core 0 writes line 0, then in the next batch evicts it and
+        # writes it again: the write misses its private caches, and the
+        # line, already core 0's M, ends M with no upgrade.
+        pytest.importorskip("numpy")
+        stride = HierarchyConfig().l2.size_bytes // HierarchyConfig().l2.ways
+        addresses = [stride * k for k in range(1, 9)] + [0]
+        n = len(addresses)
+        again = (addresses, [4] * n, [0] * (n - 1) + [1], [0] * n)
+        hierarchy = self.check([([0], [4], [1], [0]), again])
+        assert hierarchy.walk_accesses()["general_vector"] == n + 1
+        assert hierarchy.directory.state(0, 0) == "M"
+        assert hierarchy.directory.stats.upgrades == 0
+
+    @pytest.mark.parametrize("promoted", [False, True])
+    def test_written_line_read_by_another_core_lists_the_batch(
+        self, promoted
+    ):
+        pytest.importorskip("numpy")
+        addresses, sizes, is_write, thread = self.private_writes()
+        # Core 1 reads a line core 0 writes.
+        addresses.append(8)
+        sizes.append(4)
+        is_write.append(0)
+        thread.append(1)
+        shared = (addresses, sizes, is_write, thread)
+        # A one-access read of a line far away promotes the machine.
+        far = ([1 << 22], [4], [0], [2])
+        batches = ([far] if promoted else []) + [shared]
+        hierarchy = self.check(batches)
+        assert hierarchy.walk_accesses()["list"] == len(addresses)
+        assert hierarchy._vector_state == (-1 if promoted else 0)
+
+    def test_stale_remote_holder_lists_the_batch(self):
+        # Core 1 reads line 0 and evicts it from its L1 and L2, but the
+        # directory still lists it. Core 0's write of line 0 in the
+        # next batch touches no other core's line, yet takes the list
+        # walk: the scalar walk counts the purge of the stale holder.
+        pytest.importorskip("numpy")
+        stride = HierarchyConfig().l2.size_bytes // HierarchyConfig().l2.ways
+        addresses = [stride * k for k in range(9)]
+        n = len(addresses)
+        read = (addresses, [4] * n, [0] * n, [1] * n)
+        write = ([0, 64], [4, 4], [1, 1], [0, 0])
+        hierarchy = self.check([read, write])
+        counts = hierarchy.walk_accesses()
+        assert counts["general_vector"] == n
+        assert counts["list"] == 2
+        assert hierarchy._vector_state == -1
+        assert hierarchy.invalidations == 1
+
+    def test_halo_batch_after_promotion_demotes_exactly(self):
+        # Each core writes the first line of the next core's own lines,
+        # as OverlapView's halo exchange does.
+        pytest.importorskip("numpy")
+        addresses, sizes, is_write, thread = self.private_writes()
+        for core in range(self.CORES):
+            addresses.append(64 * ((core + 1) % self.CORES))
+            sizes.append(4)
+            is_write.append(1)
+            thread.append(core)
+        halo = (addresses, sizes, is_write, thread)
+        private = self.private_writes()
+        hierarchy = self.check([private, halo, private])
+        assert hierarchy._vector_state == -1
+        counts = hierarchy.walk_accesses()
+        assert counts["general_vector"] == len(private[0])
+        assert counts["list"] == len(halo[0]) + len(private[0])
+        assert hierarchy.invalidations > 0
+
+    def test_machine_too_wide_for_int64_holder_bits_lists(self):
+        # Core 63's holder bit is 1 << 65: the per-core walk's int64
+        # columns cannot hold it, so a 64-core machine list-walks.
+        pytest.importorskip("numpy")
+        cores = 64
+        n = 512
+        addresses = [64 * (k % 200) for k in range(n)]
+        thread = [k % cores for k in range(n)]
+        is_write = [int(k % 7 == 0) for k in range(n)]
+        reference = MemoryHierarchy(HierarchyConfig(), cores)
+        hierarchy = MemoryHierarchy(HierarchyConfig(), cores)
+        hierarchy.VECTOR_MIN_BATCH = 1
+        for writes in ([0] * n, is_write):
+            expected = [
+                reference.access(t, a, 4, bool(w))
+                for a, t, w in zip(addresses, thread, writes)
+            ]
+            got = hierarchy.access_batch(addresses, [4] * n, writes, thread)
+            assert list(got) == expected
+        assert machine_state(hierarchy) == machine_state(reference)
+        assert hierarchy.walk_accesses()["list"] == 2 * n
 
     def test_write_batch_after_promotion_demotes_exactly(self):
         pytest.importorskip("numpy")

@@ -40,15 +40,6 @@ class TestCacheBasics:
         cache.access(8)
         assert cache.access(0) is False
 
-    def test_miss_rate(self):
-        cache = tiny_cache()
-        cache.access(1)
-        cache.access(1)
-        cache.access(2)
-        assert cache.miss_rate == pytest.approx(2 / 3)
-        cache.reset_stats()
-        assert cache.miss_rate == 0.0
-
 
 class TestFillAndInvalidate:
     def test_fill_does_not_count_stats(self):
@@ -81,12 +72,6 @@ class TestFillAndInvalidate:
         assert cache.invalidate(7) is True
         assert cache.invalidate(7) is False
         assert cache.access(7) is False
-
-    def test_resident_lines(self):
-        cache = tiny_cache()
-        for line in range(5):
-            cache.access(line)
-        assert cache.resident_lines() == 5
 
 
 class TestGeometryValidation:

@@ -174,8 +174,3 @@ class TestStats:
         m = self._metrics(2.6e9 * 2)  # 2 threads
         assert m.wall_cycles() == pytest.approx(2.6e9)
         assert m.seconds(ghz=2.6) == pytest.approx(1.0)
-
-    def test_average_latency(self):
-        m = RunMetrics(accesses=4, total_latency=40.0)
-        assert m.average_latency() == 10.0
-        assert RunMetrics().average_latency() == 0.0

@@ -48,12 +48,6 @@ class TestDataTLB:
         assert tlb.walks == 10
         assert tlb.l1_misses == 10
 
-    def test_footprint_pages(self):
-        tlb = DataTLB()
-        assert tlb.footprint_pages(0, 4096) == 1
-        assert tlb.footprint_pages(100, 4096) == 2
-        assert tlb.footprint_pages(0, 8 * 4096) == 8
-
 
 class TestHierarchyIntegration:
     def test_disabled_by_default(self):

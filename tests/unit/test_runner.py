@@ -151,3 +151,5 @@ class TestRunTasks:
         assert [f["seq"] for f in finishes] == [1, 2, 3]
         assert [f["task"] for f in finishes] == ["a", "b", "c"]
         assert all(isinstance(f["seconds"], float) for f in finishes)
+        starts = [e.data for e in seen if e.type == "task-start"]
+        assert {e["workers"] for e in starts + finishes} == {2}

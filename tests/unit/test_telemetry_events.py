@@ -234,6 +234,31 @@ class TestProgressReporter:
         assert lines[1].startswith("task [1/2] t1: done in 0.25s")
         assert "eta" in lines[1]
 
+    def test_task_eta_divides_by_workers_not_elapsed_time(self):
+        # Seven tasks on two workers, finishing in spec order: the ETA
+        # is the finished tasks' mean seconds × tasks left ÷ the workers
+        # that run them, however much reporter time has passed (the
+        # fake clock ticks once per read).
+        bus, stream = self.make()
+        for seq in range(1, 8):
+            bus.publish("task-start", task=f"t{seq}", kind="run", seq=seq,
+                        total=7, workers=2)
+        for seq, seconds in enumerate([1.0, 3.0, 2.0, 2.0, 2.0, 2.0], 1):
+            bus.publish("task-finish", task=f"t{seq}", kind="run", seq=seq,
+                        total=7, seconds=seconds, workers=2)
+        etas = [
+            line.rsplit("(eta ", 1)[1].rstrip(")")
+            for line in stream.getvalue().splitlines() if "eta" in line
+        ]
+        # 1.0 × 6 / 2; 2.0 × 5 / 2; 2.0 × 4 / 2; ... and the last
+        # task alone runs on one worker: 2.0 × 1 / 1.
+        assert etas == ["3.0s", "5.0s", "4.0s", "3.0s", "2.0s", "2.0s"]
+
+    def test_task_eta_needs_a_timed_finish(self):
+        bus, stream = self.make()
+        bus.publish("task-finish", task="t1", kind="run", seq=1, total=2)
+        assert stream.getvalue() == "task [1/2] t1: done\n"
+
     def test_runner_stats_summary_is_verbatim(self):
         bus, stream = self.make()
         bus.publish("task-finish", kind="runner-stats",
