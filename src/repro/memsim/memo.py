@@ -37,9 +37,11 @@ of the comparison outcomes. Equal tags then give equal hits and misses,
 and equal empty ways equal eviction counts. Untouched sets are neither
 read nor written by the walk (probes, inserts, and eviction accounting
 are all confined to the probed sets, and which lines cascade to L2/L3
-is itself determined level by level by the fingerprinted state above;
-whether a segment takes the row walk depends only on its line column,
-which the key pins).
+is itself determined level by level by the fingerprinted state above).
+Whether a level takes the row walk depends only on its own stream's
+line column: the key pins it at the L1, and below the L1 the stream
+is the misses of the level above, which its fingerprinted state
+decides.
 
 The replay is therefore byte-identical to re-running the walk: same
 latencies, counters and tags. It writes only the ways the recorded walk

@@ -30,14 +30,19 @@ Per batch (after splitting at line-crossing accesses):
    before it is a guaranteed L1 MRU hit (the head of the run left it
    most recent and nothing intervened), so only run heads walk the
    hierarchy; tails just bump the L1 hit counter.
-2. **Duplicate chunks**: the deduped stream is cut before every
-   access whose line already appeared in the current chunk, so each
-   chunk touches pairwise-distinct lines. The cuts depend only on the
-   line column. A stream that needs more than ``CUT_CAP`` chunks (short
-   re-use distances) takes the **row walk** instead: every level's
-   touched rows come out once as Python lists and the stream walks
-   them access by access (:func:`_row_walk`).
-3. Per level and chunk, one gather (``tags[set_of_access]``) and
+2. **Level by level**: the L1 walks the deduped stream, and each
+   lower level the misses of the level above, in trace order; a
+   level's state depends on its own stream alone.
+3. **Duplicate chunks**: a level's stream is cut before every access
+   whose line already appeared in the current chunk, so each chunk
+   touches pairwise-distinct lines. A stream that needs more than
+   ``CUT_CAP`` chunks (short re-use distances) takes the **row walk**
+   at that level: its touched rows come out once as Python lists and
+   the stream walks them access by access (:func:`_row_walk`). Below
+   a level that chunks every level chunks (a subsequence of a
+   chunkable stream is chunkable), and a dense stream's misses mostly
+   chunk too: on the benchmark programs only the L1 row-walks.
+4. Per level and chunk, one gather (``tags[set_of_access]``) and
    compare gives every access's hit/miss against the level's
    *chunk-entry* state. Sets are then classified:
 
@@ -58,8 +63,7 @@ Per batch (after splitting at line-crossing accesses):
      suspect hits, LRU only). At most ``ways`` suspects exist per set,
      so all sets resolve in lockstep rounds (:func:`_resolve_mixed`).
 
-4. Misses cascade to the next level with their trace positions; the
-   final level per access indexes a latency LUT.
+5. The deepest level each access reached indexes a latency LUT.
 
 Every counter (hits/misses/evictions per level, DRAM fetches) and every
 latency is byte-identical to the scalar walk — asserted by the
@@ -289,8 +293,8 @@ def _walk_segment(caches, hier, lines, latencies_out, lut):
     latencies_out[:] = lut[levels]
 
 
-#: A segment whose deduped stream would fragment into more than this
-#: many duplicate-free chunks walks access by access (:func:`_row_walk`).
+#: A level whose stream would fragment into more than this many
+#: duplicate-free chunks walks it access by access (:func:`_row_walk`).
 CUT_CAP = 64
 
 
@@ -323,27 +327,43 @@ def cascade(caches, lines, planned, levels):
 
     Run tails (same line as the immediately preceding access, which
     left it L1-MRU) are guaranteed hits whose promotion is a no-op, so
-    only the deduped stream walks. It walks chunk by chunk: each chunk
-    touches pairwise-distinct lines, so the per-level walk needs no
-    order-dependent replay. Chunks execute sequentially on the same
-    arrays (stamps stay globally monotone — every level keeps
-    ``base = clock + 1`` with segment-wide positions), so the chop is
-    invisible to the result. A stream with no bounds (a line
-    re-accessed every few steps at distance the run-length dedup cannot
-    see) takes the row walk instead, whole.
+    only the deduped stream walks. It walks level by level, each level
+    its own stream: the deduped stream at the L1, the misses of the
+    level above below it, in trace order with segment-wide positions.
+    A stream with chunk bounds walks chunk by chunk: each chunk touches
+    pairwise-distinct lines, so the level needs no order-dependent
+    replay, and chunks execute sequentially on the same arrays (every
+    level keeps ``base = clock + 1``), so the chop is invisible to the
+    result. A stream with no bounds (a line re-accessed every few steps
+    at distance the run-length dedup cannot see) takes the row walk.
+    Below the L1 a level cuts its own stream, unless the level above
+    missed everywhere (the same stream, so the same cuts) or walked one
+    chunk (a subsequence of one chunk is one chunk).
     """
+    np = _np
     positions, stream, bounds = planned
     m = len(lines)
     caches[0].hits += m - len(positions)
-    if bounds is None:
-        _row_walk(caches, stream, positions, levels)
-    else:
-        start = 0
-        for end in bounds:
-            _walk_levels(
-                caches, stream[start:end], positions[start:end], levels
-            )
-            start = end
+    for depth, cache in enumerate(caches):
+        if bounds is None:
+            miss = _row_walk(cache, stream, positions)
+        else:
+            miss = np.empty(len(stream), dtype=bool)
+            start = 0
+            for end in bounds:
+                miss[start:end] = _touch_level(
+                    cache, stream[start:end], positions[start:end]
+                )
+                start = end
+        if not miss.all():
+            positions = positions[miss]
+            if not len(positions):
+                break
+            stream = stream[miss]
+            if depth + 1 < len(caches):
+                one = bounds is not None and len(bounds) == 1
+                bounds = [len(stream)] if one else _chunk_bounds(stream)
+        levels[positions] = depth + 1
     for cache in caches:
         # Stamps issued this segment were clock + 1 + position.
         cache.clock += m
@@ -382,79 +402,60 @@ def _chunk_bounds(stream):
     return bounds
 
 
-def _walk_levels(caches, stream, positions, levels):
-    """Send one duplicate-free chunk down the cascade, recording each
-    access's deepest level in ``levels``."""
-    for depth, cache in enumerate(caches):
-        if len(stream) == 0:
-            return
-        miss = _touch_level(cache, stream, positions)
-        positions = positions[miss]
-        stream = stream[miss]
-        levels[positions] = depth + 1
+def _row_walk(cache, stream, positions):
+    """Walk a duplicate-dense stream through one level access by
+    access; returns the miss mask.
 
-
-def _row_walk(caches, stream, positions, levels):
-    """Walk a duplicate-dense stream access by access through every level.
-
-    Each level's rows for the sets it sees are pulled out once as
-    Python lists. A hit takes the first matching way (as ``argmax``
+    The level's rows for the sets the stream sees are pulled out once
+    as Python lists. A hit takes the first matching way (as ``argmax``
     does), a miss evicts the first minimum-stamp way (as ``argmin``
     does), and stamps are ``clock + 1 + position``, exactly as the
-    chunked walk issues them. Rows a level touched are written back in
+    chunked walk issues them. The touched rows are written back in
     ascending-stamp order, empty ways first: the layout
-    :func:`_bulk_insert_grouped` leaves, so equal cache states compare
-    equal in the walk memo's positional fingerprint.
+    :func:`_bulk_insert_grouped` leaves, so the walk memo's fingerprint
+    of a row the row walk wrote last needs no permutation.
     """
     np = _np
-    depth_of = [len(caches)] * len(stream)
-    pending = list(range(len(stream)))
-    line_list = stream.tolist()
-    position_list = positions.tolist()
-    for depth, cache in enumerate(caches):
-        if not pending:
-            break
-        set_of = stream[pending] & cache._set_mask
-        sets = np.unique(set_of)
-        rows = {
-            s: (tags, stamps)
-            for s, tags, stamps in zip(
-                sets.tolist(), cache.tags[sets].tolist(),
-                cache.stamps[sets].tolist(),
-            )
-        }
-        base = cache.clock + 1
-        promote = cache.policy == "lru"
-        hits = evictions = 0
-        missed = []
-        for k, s in zip(pending, set_of.tolist()):
-            line = line_list[k]
-            tags, stamps = rows[s]
-            if line in tags:
-                hits += 1
-                if promote:
-                    stamps[tags.index(line)] = base + position_list[k]
-                depth_of[k] = depth
-                continue
-            oldest = min(stamps)
-            victim = stamps.index(oldest)
-            if oldest > 0:
-                evictions += 1
-            tags[victim] = line
-            stamps[victim] = base + position_list[k]
-            missed.append(k)
-        cache.hits += hits
-        cache.misses += len(pending) - hits
-        cache.evictions += evictions
-        new_tags = np.array([row[0] for row in rows.values()], dtype=np.int64)
-        new_stamps = np.array(
-            [row[1] for row in rows.values()], dtype=np.int64
+    set_of = stream & cache._set_mask
+    sets = np.unique(set_of)
+    rows = {
+        s: (tags, stamps)
+        for s, tags, stamps in zip(
+            sets.tolist(), cache.tags[sets].tolist(),
+            cache.stamps[sets].tolist(),
         )
-        by_age = np.argsort(new_stamps, axis=1, kind="stable")
-        cache.tags[sets] = np.take_along_axis(new_tags, by_age, axis=1)
-        cache.stamps[sets] = np.take_along_axis(new_stamps, by_age, axis=1)
-        pending = missed
-    levels[positions] = depth_of
+    }
+    promote = cache.policy == "lru"
+    evictions = 0
+    missed = []
+    for line, s, stamp in zip(
+        stream.tolist(), set_of.tolist(),
+        (positions + (cache.clock + 1)).tolist(),
+    ):
+        tags, stamps = rows[s]
+        if line in tags:
+            if promote:
+                stamps[tags.index(line)] = stamp
+            missed.append(False)
+            continue
+        oldest = min(stamps)
+        victim = stamps.index(oldest)
+        if oldest > 0:
+            evictions += 1
+        tags[victim] = line
+        stamps[victim] = stamp
+        missed.append(True)
+    miss = np.array(missed, dtype=bool)
+    misses = int(np.count_nonzero(miss))
+    cache.hits += len(missed) - misses
+    cache.misses += misses
+    cache.evictions += evictions
+    new_tags = np.array([row[0] for row in rows.values()], dtype=np.int64)
+    new_stamps = np.array([row[1] for row in rows.values()], dtype=np.int64)
+    by_age = np.argsort(new_stamps, axis=1, kind="stable")
+    cache.tags[sets] = np.take_along_axis(new_tags, by_age, axis=1)
+    cache.stamps[sets] = np.take_along_axis(new_stamps, by_age, axis=1)
+    return miss
 
 
 def _touch_level(cache, stream, positions):

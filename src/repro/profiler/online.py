@@ -85,10 +85,6 @@ class StreamState:
     def data_identity(self) -> Tuple[str, ...]:
         return self.key[2]
 
-    def has_stride(self) -> bool:
-        """True once at least two unique addresses produced a stride."""
-        return self.stride > 0
-
     def merged_with(self, other: "StreamState") -> "StreamState":
         """Combine two profiles' states for the same stream (§4.4).
 

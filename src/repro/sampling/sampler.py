@@ -335,18 +335,6 @@ class SamplingEngine:
     def sample_count(self) -> int:
         return len(self.log)
 
-    def samples_by_thread(self) -> Dict[int, List[AddressSample]]:
-        result: Dict[int, List[AddressSample]] = {}
-        for s in self.log.rows():
-            result.setdefault(s.thread, []).append(s)
-        return result
-
-    def sampling_rate(self) -> float:
-        """Achieved samples per eligible access."""
-        if self.eligible_accesses == 0:
-            return 0.0
-        return self.sample_count / self.eligible_accesses
-
     def reset(self) -> None:
         self._rng.seed(self.seed)
         self._countdown.clear()

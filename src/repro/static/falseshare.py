@@ -101,10 +101,6 @@ class FalseSharingReport:
             return True
         return any(lo <= line <= hi for lo, hi in self.coarse_spans)
 
-    @property
-    def false_sharing(self) -> List[SharedLine]:
-        return [e for e in self.lines if e.kind == "false-sharing"]
-
     def render(self) -> str:
         header = (
             f"== static false sharing: {self.program} ({self.variant}), "

@@ -8,13 +8,17 @@ benchmark workloads: the original program of CLOMP, Health, NN and
 OverlapView, simulated once each on its 4-core MESI machine at full
 scale (under 2 s for the four). Smaller scales change how the
 interpreter cuts batches, and at 0.05 Health's routing changes too.
-The memo counts come from the original programs behind
+The memo and row-walk counts come from the original programs behind
 ``table3-single`` (ART, libquantum, TSP and Mser), on the 1-core
-machine at full scale (about 1.5 s for the four).
+machine at full scale (about 1.5 s for the four, simulated once for
+both tests).
 """
+
+from functools import lru_cache
 
 import pytest
 
+from repro.memsim import vectorwalk
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
 from repro.program.interp import Interpreter
@@ -79,12 +83,48 @@ MEMO = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MEMO))
-def test_original_program_walk_memo(name):
-    pytest.importorskip("numpy")
+#: Accesses the cascade row-walked per level (L1, L2, L3) in the same
+#: runs. TSP's and Mser's dense segments row-walk their L1 only: the L1
+#: misses of every one of them chunk.
+ROW_WALKED = {
+    "179.ART": (0, 0, 0),
+    "462.libquantum": (0, 0, 0),
+    "TSP": (24_572, 0, 0),
+    "Mser": (49_148, 0, 0),
+}
+
+
+@lru_cache(maxsize=None)
+def single_core_run(name):
+    """``(memo counts, row-walked accesses per level)`` of one run of
+    ``name``'s original program on the 1-core machine."""
+    row_walked = [0, 0, 0]
+    row_walk = vectorwalk._row_walk
+
+    def counted(cache, stream, positions):
+        row_walked[int(cache.name[1]) - 1] += len(stream)
+        return row_walk(cache, stream, positions)
+
     workload = workload_zoo()[name](scale=1.0)
     hierarchy = MemoryHierarchy(HierarchyConfig(), 1)
     interp = Interpreter(workload.build_original(), num_threads=1)
-    simulate(interp.run_batched(), hierarchy=hierarchy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorwalk, "_row_walk", counted)
+        simulate(interp.run_batched(), hierarchy=hierarchy)
     memo = hierarchy._walk_memo
-    assert (memo.hits, memo.misses, memo.stale, memo.recorded) == MEMO[name]
+    return (
+        (memo.hits, memo.misses, memo.stale, memo.recorded),
+        tuple(row_walked),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MEMO))
+def test_original_program_walk_memo(name):
+    pytest.importorskip("numpy")
+    assert single_core_run(name)[0] == MEMO[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_WALKED))
+def test_original_program_row_walk(name):
+    pytest.importorskip("numpy")
+    assert single_core_run(name)[1] == ROW_WALKED[name]

@@ -8,6 +8,9 @@ sampler's batched countdown, and the satellite fixes that rode along
 (first-sample stagger, engine validation).
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.layout import INT, StructType
@@ -104,13 +107,14 @@ def expand(items):
 
 
 def spy_row_walk(monkeypatch):
-    """Count calls of the cascade's row walk."""
+    """Record the depth (0 = L1) of every level the cascade row-walks,
+    in walk order; cache names are ``L1#core``, ``L2#core`` and ``L3``."""
     calls = []
     row_walk = vectorwalk._row_walk
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return row_walk(*args)
+    def counted(cache, *args):
+        calls.append(int(cache.name[1]) - 1)
+        return row_walk(cache, *args)
 
     monkeypatch.setattr(vectorwalk, "_row_walk", counted)
     return calls
@@ -445,14 +449,63 @@ class TestVectorWalk:
     def test_row_walk_matches_scalar(self, policy, monkeypatch):
         # Dense re-use past CUT_CAP cuts takes the row walk: latencies,
         # every counter, DRAM fetches and each set's residency order
-        # must equal per-access access(), batch after batch.
+        # must equal per-access access(), batch after batch. Each
+        # batch's L1 misses are sparse enough to chunk.
+        calls = self.check_row_walk(
+            monkeypatch, HierarchyConfig(replacement=policy),
+            [dense_reuse(seed=seed) for seed in (0, 1, 0)],
+        )
+        assert calls == [0, 0, 0]
+
+    @staticmethod
+    def hot_and_cold(hot, n=1200, seed=0):
+        """A random ping-pong over the ``hot`` lines' addresses, every
+        third access a cold line never touched before: dense at the L1,
+        whose misses are the cold lines plus whatever hot lines it
+        lost."""
+        rng = random.Random(seed)
+        return [
+            (1 << 20) + 64 * k if k % 3 == 2 else 64 * rng.choice(hot)
+            for k in range(n)
+        ]
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_dense_l1_row_walks_only_l1(self, policy, monkeypatch):
+        # Four hot lines in four L1 sets stay resident under LRU and
+        # leave after eight arrivals in their set under FIFO, so the
+        # L2 sees the cold lines and rare hot re-fetches: it and the
+        # L3 chunk.
+        calls = self.check_row_walk(
+            monkeypatch, HierarchyConfig(replacement=policy),
+            [self.hot_and_cold([0, 1, 2, 3], seed=seed) for seed in (0, 1)],
+        )
+        assert calls == [0, 0]
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_dense_l1_and_l2_row_walk_l3_chunks(self, policy, monkeypatch):
+        # On the small machine four hot lines share one 2-way L1 set,
+        # so the L1 misses are dense too. They sit in four L2 sets,
+        # which take a cold line once per 32 cold accesses, so the L2
+        # misses chunk.
+        calls = self.check_row_walk(
+            monkeypatch,
+            dataclasses.replace(HierarchyConfig.small(), replacement=policy),
+            [self.hot_and_cold([0, 8, 16, 24], seed=seed)
+             for seed in (0, 1)],
+        )
+        assert calls == [0, 1, 0, 1]
+
+    @staticmethod
+    def check_row_walk(monkeypatch, config, batches):
+        """Walk ``batches`` on a promoted one-core machine and on the
+        scalar reference, asserting parity after each; returns the
+        depths the cascade row-walked."""
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
-        config = HierarchyConfig(replacement=policy)
         reference = MemoryHierarchy(config, 1)
-        hierarchy = self.make(policy)
-        for seed in (0, 1, 0):
-            addresses = dense_reuse(seed=seed)
+        hierarchy = MemoryHierarchy(config, 1)
+        hierarchy.VECTOR_MIN_BATCH = 1
+        for addresses in batches:
             sizes = [4] * len(addresses)
             expected = [
                 reference.access(0, a, s, False)
@@ -460,8 +513,9 @@ class TestVectorWalk:
             ]
             assert list(hierarchy.access_batch(addresses, sizes)) == expected
             assert machine_state(hierarchy) == machine_state(reference)
-        assert len(calls) == 3
         assert hierarchy._vector_state == 1
+        assert hierarchy.walk_accesses()["list"] == 0
+        return calls
 
     def test_random_policy_never_promotes(self):
         # Random replacement replays an RNG stream whose draw order the

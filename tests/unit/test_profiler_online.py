@@ -53,7 +53,7 @@ class TestStreamStateGCD:
     def test_single_sample_has_no_stride(self):
         s = stream()
         s.update(42, 1.0)
-        assert not s.has_stride()
+        assert s.stride == 0
 
 
 class TestStreamMerge:
