@@ -40,17 +40,6 @@ class AffinityMatrix:
         result.sort(key=lambda t: (-t[2], t[0], t[1]))
         return result
 
-    def strongest_partner(self, offset: int) -> Tuple[int, float]:
-        """The offset with the highest affinity to ``offset``."""
-        best, best_value = offset, 0.0
-        for other in self.offsets:
-            if other == offset:
-                continue
-            value = self.affinity(offset, other)
-            if value > best_value:
-                best, best_value = other, value
-        return best, best_value
-
 
 def compute_affinities(table: Dict[int, LoopAccessEntry]) -> AffinityMatrix:
     """Eq 7 over a loop-offset latency table.

@@ -746,7 +746,13 @@ class MemoryHierarchy:
         A single-core machine's L3 is its one core's too and joins
         them, with the walk memo. A shared L3 stays a list cache: as tag
         arrays the 20 MB L3 of a 4-core run raised peak RSS by a
-        quarter, and only private misses reach it.
+        quarter, and only private misses reach it. Promoting it anyway
+        and folding :meth:`_shared_fills`' read fill into numpy was
+        measured a dead end: byte-identical, even though every shared-L3
+        stream is one duplicate-free chunk, but no faster (CLOMP's shared
+        fills took 0.14-0.17 s per cycle, against 0.08-0.13 s) and about
+        22 MB more peak RSS on ``table3-coherent`` (docs/performance.md,
+        "The shared L3 as tag arrays").
         """
         from . import memo
 
@@ -830,6 +836,11 @@ class MemoryHierarchy:
                 help="memo entries whose touched sets no longer match in "
                 "tags, empty ways or recency order",
             ).add(memo.stale)
+            registry.counter(
+                "repro_memsim_walk_memo_trusted_total",
+                help="memo hits applied without a fingerprint check: an "
+                "immediate repeat of a fixed-point entry",
+            ).add(memo.trusted)
             registry.gauge(
                 "repro_memsim_walk_memo_bytes",
                 help="array bytes held by the memo's entries",

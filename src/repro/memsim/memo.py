@@ -57,6 +57,28 @@ changed way holds one of two things afterwards:
   its own stamp, which may differ from the recorded one by any age, so
   the replay reads it from the source way before writing anything.
 
+A replay is trusted, and applied without the check, when it repeats
+a *fixed point* right after that same entry's own record or replay.
+An entry is a fixed point when the state its recorded walk leaves
+passes its own check (tags, empty ways, recency order), which
+recording tests once. A replay from any state that passes the check
+leaves the touched sets as the recorded walk left them: the same
+tags and empty ways, and the same order, since the stamps it issues
+keep their recorded order above every old stamp and moved lines keep
+their own. So a fixed point's replay leaves a state that passes the
+check again, as long as nothing has touched the machine since. That
+is what the token stored after each replay and record pins: the
+entry, each level's ``(clock, hits, misses)``, the DRAM fetches and
+the scalar accesses. Every state change made through the hierarchy
+moves one of them: a walk or a scalar access counts a hit or a miss
+at the L1, and a fill moves its level's clock. Clocks alone would not
+do: a machine wound back to an earlier state and aged until every
+clock reads as the token's would replay an entry recorded elsewhere,
+but its counters give it away. Writing a level's arrays directly goes
+unseen; only tests do that. Every other walk (a short batch, a
+disabled memo, a split batch, a degenerate latency config, the
+give-up record) drops the token, so the next replay is checked.
+
 Entry layout
 ------------
 Per level, an entry keeps the touched sets (a ``(lo, hi)`` span when
@@ -183,15 +205,28 @@ class _LevelRecord:
 
 
 class _Entry:
-    __slots__ = ("latencies", "levels", "clock_delta", "d_dram")
+    __slots__ = ("latencies", "levels", "clock_delta", "d_dram", "fixed")
+
+
+def _state(hier):
+    """What every state change made through ``hier`` moves: each
+    level's clock and hit and miss counts, the DRAM fetches and the
+    scalar accesses."""
+    core = hier.cores[0]
+    return (
+        core.l1.clock, core.l1.hits, core.l1.misses,
+        core.l2.clock, core.l2.hits, core.l2.misses,
+        hier.l3.clock, hier.l3.hits, hier.l3.misses,
+        hier.dram_accesses, hier._scalar_walks,
+    )
 
 
 class WalkMemo:
     """Per-hierarchy memo over :func:`vectorwalk.walk_batch` outcomes."""
 
     __slots__ = (
-        "entries", "ids", "cap", "disabled",
-        "hits", "misses", "stale", "recorded",
+        "entries", "ids", "cap", "disabled", "token",
+        "hits", "misses", "stale", "recorded", "trusted",
     )
 
     def __init__(self, cap: int = MEMO_CAP) -> None:
@@ -201,10 +236,15 @@ class WalkMemo:
         self.ids: Dict[int, Tuple[object, object, bytes]] = {}
         self.cap = cap
         self.disabled = False
+        #: ``(entry, _state(hier))`` after the last replay or record,
+        #: None after any other walk.
+        self.token = None
         self.hits = 0
         self.misses = 0
         self.stale = 0
         self.recorded = 0
+        #: Hits applied without a fingerprint check (see Soundness).
+        self.trusted = 0
 
     def nbytes(self) -> int:
         """Bytes of the numpy arrays the entries hold."""
@@ -236,6 +276,7 @@ class WalkMemo:
 
     def walk(self, hier, addresses, sizes, is_write=None):
         """Drop-in for :func:`vectorwalk.walk_batch` on promoted state."""
+        token, self.token = self.token, None
         if self.disabled or len(addresses) < MEMO_MIN_BATCH:
             return vectorwalk.walk_batch(hier, addresses, sizes, is_write)
         address = as_column(addresses)
@@ -243,11 +284,14 @@ class WalkMemo:
         key = self._key(addresses, sizes, address, size)
         entry = self.entries.get(key)
         if entry is not None:
-            latencies = self._replay(hier, entry)
-            if latencies is not None:
+            trusted = entry.fixed and token == (entry, _state(hier))
+            if trusted or self._matches(hier, entry):
+                self._apply(hier, entry)
                 self.hits += 1
+                self.trusted += trusted
                 self.entries.move_to_end(key)
-                return latencies
+                self.token = (entry, _state(hier))
+                return entry.latencies
             self.stale += 1
         else:
             self.misses += 1
@@ -434,17 +478,18 @@ class WalkMemo:
             self.disabled = True
             self.entries.clear()
             self.ids.clear()
+        else:
+            entry.fixed = self._matches(hier, entry)
+            self.token = (entry, _state(hier))
         return latencies
 
     # -- replay -------------------------------------------------------------
 
-    def _replay(self, hier, entry: _Entry):
-        """Verify the fingerprint and apply the memoized outcome.
-
-        Returns the latency column, or None when the current state
-        diverges from the recorded pre-state (caller re-walks and
-        re-records).
-        """
+    @staticmethod
+    def _matches(hier, entry: _Entry) -> bool:
+        """True when the touched sets' current state matches the
+        entry's recorded pre-state in tags, empty ways and recency
+        order: applying the entry is then the walk itself."""
         np = _np
         core = hier.cores[0]
         caches = (core.l1, core.l2, hier.l3)
@@ -454,9 +499,18 @@ class WalkMemo:
                 tags = tags - lvl.base
                 np.maximum(tags, -1, out=tags)
             if not np.array_equal(tags, lvl.fp_tags):
-                return None
+                return False
             if not lvl.in_order(cache.stamps):
-                return None
+                return False
+        return True
+
+    @staticmethod
+    def _apply(hier, entry: _Entry) -> None:
+        """Write the memoized outcome: the changed cells, clocks,
+        counters and DRAM fetches."""
+        np = _np
+        core = hier.cores[0]
+        caches = (core.l1, core.l2, hier.l3)
         for cache, lvl in zip(caches, entry.levels):
             if len(lvl.cells):
                 flat = cache.stamps.reshape(-1)
@@ -472,4 +526,3 @@ class WalkMemo:
             cache.misses += lvl.d_misses
             cache.evictions += lvl.d_evictions
         hier.dram_accesses += entry.d_dram
-        return entry.latencies

@@ -91,9 +91,6 @@ class DataObjectRegistry:
         obj = self._objects[idx]
         return obj if obj.contains(address) else None
 
-    def by_name(self, name: str) -> List[DataObject]:
-        return [o for o in self._objects if o.name == name]
-
     def object(self, object_id: int) -> DataObject:
         return self._objects[object_id]
 

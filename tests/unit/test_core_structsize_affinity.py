@@ -168,9 +168,3 @@ class TestAffinityEq7:
         values = [v for _, _, v in pairs]
         assert values == sorted(values, reverse=True)
 
-    def test_strongest_partner(self):
-        table = self._table({0: {0: 10.0, 8: 10.0}, 1: {0: 1.0, 16: 1.0}})
-        affinity = compute_affinities(table)
-        partner, value = affinity.strongest_partner(0)
-        assert partner == 8
-        assert value > affinity.affinity(0, 16)

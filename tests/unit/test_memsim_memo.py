@@ -202,8 +202,8 @@ class TestEncoding:
             l3 = hier.l3
             set_index = HEAP_LINE & l3._set_mask
             way = int(np.flatnonzero(l3.stamps[set_index] == 0)[0])
-            l3.tags[set_index, way] = below
-            l3.stamps[set_index, way] = l3.clock
+            assert l3.fill(below) is None  # into the first empty way
+            assert l3.tags[set_index, way] == below
         offsets = l3_record.rows(memoized.l3.tags) - l3_record.base
         np.maximum(offsets, -1, out=offsets)
         assert np.array_equal(offsets, l3_record.fp_tags)
@@ -439,6 +439,124 @@ class TestRecencyOrder:
         moved_stamps = l1.stamps.reshape(-1)[moved]
         assert (moved_stamps[moved_stamps > 0]
                 <= l1.clock - len(batch[0]) - 1000).all()
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts the memo's fingerprint checks (one per record, for the
+    fixed-point test, and one per untrusted replay)."""
+    calls = []
+    matches = memo.WalkMemo._matches
+
+    def counted(hier, entry):
+        calls.append(entry)
+        return matches(hier, entry)
+
+    monkeypatch.setattr(memo.WalkMemo, "_matches", staticmethod(counted))
+    return calls
+
+
+#: Four lines in each of L1 sets 0-31, each accessed twice: 256
+#: accesses, a fixed point once its lines are resident. ``OTHER_SETS``
+#: shares no set with it at any level.
+FIXED_POINT = l1_sets_batch(range(32), range(4))
+OTHER_SETS = l1_sets_batch(range(32, 64), range(4))
+
+
+def walk_both(plain, memoized, cols):
+    expected = plain.access_batch(*cols)
+    got = memoized.access_batch(*cols)
+    assert got.tobytes() == expected.tobytes()
+    assert_same_state(memoized, plain)
+
+
+class TestTrust:
+    def test_immediate_repeat_of_a_fixed_point_skips_the_check(self, checks):
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        memoized._promote_to_vector()
+        walk_memo = memoized._walk_memo
+        for _ in range(2):  # recorded cold, re-recorded once resident
+            walk_both(plain, memoized, FIXED_POINT)
+        entry = entry_for(walk_memo, FIXED_POINT)
+        assert entry.fixed and walk_memo.trusted == 0
+        for repeat in range(1, 4):
+            checked = len(checks)
+            walk_both(plain, memoized, FIXED_POINT)
+            assert len(checks) == checked
+            assert walk_memo.hits == walk_memo.trusted == repeat
+
+    @pytest.mark.parametrize("between", ["scalar", "other_batch", "short"])
+    def test_anything_between_repeats_forces_the_check(self, checks, between):
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        memoized._promote_to_vector()
+        walk_memo = memoized._walk_memo
+        for _ in range(3):
+            walk_both(plain, memoized, FIXED_POINT)
+        assert walk_memo.hits == walk_memo.trusted == 1
+        # Each touches only sets the batch does not: the checked
+        # replay still hits.
+        if between == "scalar":
+            for hier in (plain, memoized):
+                hier.access(0, 40 << 6, 8, False)
+        elif between == "other_batch":
+            walk_both(plain, memoized, OTHER_SETS)
+        else:
+            short = tuple(c[:memo.MEMO_MIN_BATCH - 1] for c in OTHER_SETS)
+            walk_both(plain, memoized, short)
+        checked = len(checks)
+        walk_both(plain, memoized, FIXED_POINT)
+        assert checks[checked:] == [entry_for(walk_memo, FIXED_POINT)]
+        assert (walk_memo.hits, walk_memo.trusted) == (2, 1)
+        # The checked replay leaves its own token: trusted again.
+        walk_both(plain, memoized, FIXED_POINT)
+        assert len(checks) == checked + 1
+        assert (walk_memo.hits, walk_memo.trusted) == (3, 2)
+
+    def test_restore_with_clocks_aged_to_the_token_goes_stale(self):
+        # Clocks alone are no token: wound back to its cold state and
+        # aged so that every clock reads as after the last sweep, the
+        # machine would replay an entry recorded with the sweep's lines
+        # resident. Its counters and DRAM fetches give it away.
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        memoized._promote_to_vector()
+        cold = snapshot(memoized)
+        for _ in range(3):
+            walk_both(plain, memoized, L3_SWEEP)
+        walk_memo = memoized._walk_memo
+        assert (walk_memo.hits, walk_memo.trusted, walk_memo.stale) == (1, 1, 1)
+        clocks = [c.clock for c in memo_levels(memoized)]
+        for hier in (plain, memoized):
+            restore(hier, cold)
+            for cache in memo_levels(hier):
+                cache.clock += 3 * len(L3_SWEEP[0])
+        assert [c.clock for c in memo_levels(memoized)] == clocks
+        walk_both(plain, memoized, L3_SWEEP)
+        assert (walk_memo.hits, walk_memo.trusted, walk_memo.stale) == (1, 1, 2)
+
+    def test_entry_that_is_not_a_fixed_point_is_never_trusted(self, checks):
+        # Recorded on a cold cache, the entry's pre-state has empty ways
+        # where its post-state holds the batch's lines.
+        plain, memoized = memoless(), MemoryHierarchy(HierarchyConfig(), 1)
+        memoized._promote_to_vector()
+        walk_memo = memoized._walk_memo
+        walk_both(plain, memoized, FIXED_POINT)
+        entry = entry_for(walk_memo, FIXED_POINT)
+        assert not entry.fixed and walk_memo.token[0] is entry
+        walk_both(plain, memoized, FIXED_POINT)
+        assert checks[1] is entry
+        assert (walk_memo.hits, walk_memo.trusted, walk_memo.stale) == (0, 0, 1)
+
+    def test_trusted_replays_are_exported(self):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        hier = MemoryHierarchy(HierarchyConfig(), 1)
+        for _ in range(4):
+            hier.access_batch(*FIXED_POINT)
+        registry = MetricsRegistry()
+        hier.export_metrics(registry)
+        counter = registry.get("repro_memsim_walk_memo_trusted_total")
+        assert counter is not None and counter.kind == "counter"
+        assert counter.value == hier._walk_memo.trusted == 2
 
 
 class TestFootprint:

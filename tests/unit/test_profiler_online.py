@@ -14,6 +14,11 @@ def stream(key=(0x400000, 0, ("heap", "A"))):
     return StreamState(key=key)
 
 
+def named(registry, name):
+    """The first of ``registry``'s objects called ``name``."""
+    return next(o for o in registry.objects if o.name == name)
+
+
 class TestStreamStateGCD:
     def test_stride_from_two_unique_addresses(self):
         s = stream()
@@ -95,14 +100,14 @@ class TestDataObjectRegistry:
 
     def test_find_maps_addresses_to_objects(self):
         registry = DataObjectRegistry.from_address_space(self._space())
-        obj = registry.by_name("heap_a")[0]
+        obj = named(registry, "heap_a")
         assert registry.find(obj.base + 100).name == "heap_a"
         assert registry.find(obj.base - 1) is None or registry.find(obj.base - 1).name != "heap_a"
 
     def test_identity_distinguishes_static_and_heap(self):
         registry = DataObjectRegistry.from_address_space(self._space())
-        heap = registry.by_name("heap_a")[0]
-        static = registry.by_name("globals")[0]
+        heap = named(registry, "heap_a")
+        static = named(registry, "globals")
         assert heap.identity[0] == "heap"
         assert "main" in heap.identity
         assert static.identity == ("static", "globals")
