@@ -116,25 +116,6 @@ class ControlFlowGraph:
                     stack.append(succ)
         return seen
 
-    def dfs_preorder(self) -> List[BasicBlock]:
-        """Depth-first preorder from the entry (deterministic)."""
-        if self.entry is None:
-            return []
-        order: List[BasicBlock] = []
-        seen: Set[int] = set()
-        stack = [self.entry.id]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            order.append(self._blocks[node])
-            # Reversed so the first successor is visited first.
-            for succ in reversed(self._succs[node]):
-                if succ not in seen:
-                    stack.append(succ)
-        return order
-
     def to_dot(self) -> str:
         """Render as graphviz dot, for debugging and documentation."""
         lines = [f'digraph "{self.name or "cfg"}" {{']

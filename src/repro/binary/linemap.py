@@ -26,12 +26,6 @@ class LineMap:
             self._functions[stmt.ip] = fname
         self.program_name = program.name
 
-    def line_of(self, ip: int) -> Optional[int]:
-        return self._lines.get(ip)
-
-    def function_of(self, ip: int) -> Optional[str]:
-        return self._functions.get(ip)
-
     def location(self, ip: int) -> Tuple[Optional[str], Optional[int]]:
         return self._functions.get(ip), self._lines.get(ip)
 

@@ -106,32 +106,5 @@ class LoopMap:
     def loop(self, loop_id: int) -> LoopDescriptor:
         return self._descriptors[loop_id]
 
-    def ancestors(self, loop_id: int) -> Tuple[LoopDescriptor, ...]:
-        """The loop-nest chain for ``loop_id``, outermost first.
-
-        Includes the loop itself as the last element; this is the query
-        static analyses use to reconstruct the full nest a sampled (or
-        abstract) access executes under, from the lowered CFG alone.
-        """
-        chain: List[LoopDescriptor] = []
-        cursor: Optional[int] = loop_id
-        while cursor is not None:
-            desc = self._descriptors[cursor]
-            chain.append(desc)
-            cursor = desc.parent
-        chain.reverse()
-        return tuple(chain)
-
-    def innermost_at_line(self, function: str, line: int) -> Optional[LoopDescriptor]:
-        """The deepest loop of ``function`` whose line range covers ``line``."""
-        best: Optional[LoopDescriptor] = None
-        for desc in self._descriptors:
-            if desc.function != function:
-                continue
-            lo, hi = desc.line_range
-            if lo <= line <= hi and (best is None or desc.depth > best.depth):
-                best = desc
-        return best
-
     def __len__(self) -> int:
         return len(self._descriptors)

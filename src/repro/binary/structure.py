@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..program.ir import Program
 from .loopmap import LoopDescriptor, LoopMap
@@ -46,10 +46,6 @@ class StructureFile:
         if entry is None or entry[1] is None:
             return None
         return self.loops[entry[1]]
-
-    def line_of_ip(self, ip: int) -> Optional[int]:
-        entry = self.statements.get(ip)
-        return entry[0] if entry else None
 
 
 def emit_structure(program: Program, loop_map: Optional[LoopMap] = None) -> str:

@@ -65,9 +65,13 @@ class HierarchyConfig:
         )
 
 
+#: Private misses the per-core walk hands ``_shared_fills`` at a time,
+#: so their Python ints never all exist at once.
+_FILL_SLICE = 8192
+
 #: Walk paths an access can take, as ``walk_accesses`` reports them:
 #: the single-core vector walk and its memo replay, every machine's
-#: list walk, the multi-core per-core vector walk, and per-access
+#: list walk, the multi-core per-core walk, and per-access
 #: :meth:`MemoryHierarchy.access`.
 WALK_PATHS = ("vector", "memo", "list", "general_vector", "scalar")
 
@@ -126,10 +130,12 @@ class MemoryHierarchy:
         # Batched-path bookkeeping (see _walk_batch). Once batches are
         # large enough an LRU/FIFO machine without prefetcher or TLB
         # promotes its caches to the numpy tag-array representation
-        # (state 1); one core stays promoted for good. State -1 means a
-        # multi-core machine went to list caches for good (a line-crossing
-        # access or a write of a line another core touches or holds after
-        # promotion, or a core too dense for the chunked walk; see
+        # (state 1); one core stays promoted for good. On a promoted
+        # multi-core machine a core too dense for the chunked walk turns
+        # its own L1/L2 back into list caches for good, and the other
+        # cores stay promoted. State -1 means a multi-core machine went
+        # to list caches for good (a line-crossing access or a write of
+        # a line another core touches or holds after promotion; see
         # _walk_multicore).
         self._vector_state = 0
         # Steady-state walk memo, attached at single-core vector
@@ -285,8 +291,9 @@ class MemoryHierarchy:
         caches (no prefetcher, TLB or random replacement) vector-walks:
         one core through the walk memo, up to 61 cores each core's share
         of a batch whose written lines are private to one core
-        (:meth:`_walk_multicore`). Every other batch takes the inlined
-        trace-ordered list walk (:meth:`_walk_lists`).
+        (:meth:`_walk_multicore`), a dense core's share on its own list
+        caches. Every other batch takes the inlined trace-ordered list
+        walk (:meth:`_walk_lists`).
         """
         cfg = self.config
         single = self.num_cores == 1
@@ -320,29 +327,29 @@ class MemoryHierarchy:
         return "list", self._walk_lists(addresses, sizes, is_write, thread)
 
     def _walk_multicore(self, addresses, sizes, is_write, thread):
-        """The multi-core machine's per-core vector walk, or None.
+        """The multi-core machine's per-core walk, or None.
 
-        The batch is routed before any cache state changes. It
-        vector-walks once batches are big enough (and every batch after
-        promotion) if it has no line-crossing access, every line it
-        writes is private to one core (:meth:`_private_writes`), and
-        every core's subsequence has chunk bounds
-        (:func:`vectorwalk.plan`). Otherwise it returns None, for the
-        list walk: a line-crossing access or a written line another
-        core touches in the batch or holds in the directory demotes a
-        promoted machine, and a core too dense for the chunked walk
-        (pointer chasing) sends the machine to lists whether promoted
-        or not; both for good. Each run builds a fresh hierarchy, so
-        waiting for a streak of such batches would cost a large part of
-        the run.
+        The batch is routed before any cache state changes. It takes
+        the per-core walk once batches are big enough (and every batch
+        after promotion) if it has no line-crossing access and every
+        line it writes is private to one core (:meth:`_private_writes`).
+        Otherwise it returns None, for the list walk, and a promoted
+        machine demotes to list caches for good: each run builds a
+        fresh hierarchy, so waiting for a streak of such batches would
+        cost a large part of the run.
 
         With every written line private, no write invalidates a remote
         copy, so a core's private L1/L2 state depends only on its own
-        subsequence: each core's accesses, reads and writes alike, walk
-        its promoted caches with :func:`vectorwalk.cascade`. The private
-        misses then go through the shared L3 and the directory's read
-        fill in trace order (:meth:`_shared_fills`), the only state
-        cores share besides the written lines' directory words, which
+        subsequence, and each core walks it alone, reads and writes
+        alike, planned just before it walks. A core whose stream has
+        chunk bounds (:func:`vectorwalk.plan`) walks its promoted caches
+        with :func:`vectorwalk.cascade`. A core too dense for the
+        chunked walk (pointer chasing) turns its own L1/L2 into list
+        caches for good and walks them in :meth:`_walk_core_lists`, as
+        every later batch of that core does. The private misses then go
+        through the shared L3 and the directory's read fill in trace
+        order (:meth:`_shared_fills`), the only state cores share
+        besides the written lines' directory words, which
         :meth:`_apply_private_writes` then sets from the writers' own
         events.
 
@@ -360,13 +367,17 @@ class MemoryHierarchy:
         line_bits = self._line_bits
         address = vectorwalk.as_column(addresses)
         lines = address >> line_bits
+        last = address + vectorwalk.as_column(sizes)
+        last -= 1
+        last >>= line_bits
+        routed = not (last != lines).any()
+        del last
         if thread is None:
             core_of = np.zeros(n, dtype=np.int64)
         else:
-            core_of = vectorwalk.as_column(thread) % self.num_cores
-        routed = not (
-            lines != (address + vectorwalk.as_column(sizes) - 1) >> line_bits
-        ).any()
+            core_of = vectorwalk.as_column(thread)
+            if core_of.min() < 0 or core_of.max() >= self.num_cores:
+                core_of = core_of % self.num_cores
         private = None
         if routed and is_write is not None:
             writes = vectorwalk.as_column(is_write) != 0
@@ -377,38 +388,101 @@ class MemoryHierarchy:
             if state == 1:
                 self._demote_from_vector()
             return None
-        shares = []
-        for core in self.cores:
-            at = np.flatnonzero(core_of == core.id)
-            if len(at):
-                own = lines[at]
-                planned = vectorwalk.plan(own)
-                if planned[2] is None:  # no chunk bounds: too dense
-                    self._demote_from_vector()
-                    return None
-                shares.append((core, at, own, planned))
         if state == 0:
             self._promote_to_vector()
         # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
         levels = np.zeros(n, dtype=np.int8)
-        while shares:  # each core's columns go once it has walked
-            core, at, own, planned = shares.pop()
-            own_levels = np.zeros(len(at), dtype=np.int8)
-            vectorwalk.cascade((core.l1, core.l2), own, planned, own_levels)
-            levels[at] = own_levels
+        for core in self.cores:
+            at = np.flatnonzero(core_of == core.id)
+            if len(at):
+                self._walk_core(core, lines[at], at, levels)
+        missed = levels == 2
+        positions = np.flatnonzero(missed)
+        miss_lines = lines[positions]
+        miss_bits = 1 << (core_of[positions] + HOLDER_SHIFT)
+        del lines, core_of
         cfg = self.config
         lut = np.array([cfg.l1.latency, cfg.l2.latency, 0.0])
         latencies = lut[levels]
-        missed = levels == 2
-        positions = np.flatnonzero(missed)
-        if len(positions):
-            latencies[positions] = self._shared_fills(
-                lines[positions].tolist(),
-                (1 << (core_of[positions] + HOLDER_SHIFT)).tolist(),
+        for start in range(0, len(positions), _FILL_SLICE):
+            end = start + _FILL_SLICE
+            latencies[positions[start:end]] = self._shared_fills(
+                miss_lines[start:end].tolist(), miss_bits[start:end].tolist()
             )
         if private is not None:
             self._apply_private_writes(private, writes, missed, latencies)
         return latencies
+
+    def _walk_core(self, core, own, at, levels) -> None:
+        """Walk one core's line column ``own`` through its L1/L2 and
+        record each access's level at ``levels[at]``."""
+        np = vectorwalk._np
+        if isinstance(core.l1, vectorwalk.TagArrayCache):
+            planned = vectorwalk.plan(own)
+            if planned[2] is not None:
+                own_levels = np.zeros(len(own), dtype=np.int8)
+                vectorwalk.cascade((core.l1, core.l2), own, planned, own_levels)
+                levels[at] = own_levels
+                return
+            # No chunk bounds: this core goes to list caches for good.
+            core.l1 = core.l1.to_list_cache()
+            core.l2 = core.l2.to_list_cache()
+            positions, stream = planned[:2]
+        else:
+            positions, stream = vectorwalk.run_heads(own)
+        levels[at[positions]] = self._walk_core_lists(core, stream, len(own))
+
+    @staticmethod
+    def _walk_core_lists(core, stream, accesses):
+        """Levels (0 = L1 hit, 1 = L2 hit, 2 = miss) of one core's
+        deduped ``stream`` walked through its list L1 and L2.
+
+        ``stream`` holds the run heads of the core's ``accesses``
+        accesses; the run tails are L1 hits whose promotion is a no-op.
+        Each head walks as :meth:`_walk_lists` walks a read of one core
+        down to its L2: a miss allocates at once. Hit, miss and eviction
+        counts are added to the caches once, at the end; a level's
+        evictions are its misses less the ways they filled.
+        """
+        np = vectorwalk._np
+        l1, l2 = core.l1, core.l2
+        l1_sets, l1_mask, l1_ways = l1._sets, l1._set_mask, l1.ways
+        l2_sets, l2_mask, l2_ways = l2._sets, l2._set_mask, l2.ways
+        promote = l1.policy == "lru"
+        l1_filled = sum(map(len, l1_sets))
+        l2_filled = sum(map(len, l2_sets))
+        out = bytearray(len(stream))
+        for i, line in enumerate(memoryview(stream)):
+            tags = l1_sets[line & l1_mask]
+            if line in tags:
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                continue
+            if len(tags) >= l1_ways:
+                del tags[0]
+            tags.append(line)
+            tags = l2_sets[line & l2_mask]
+            if line in tags:
+                if promote and tags[-1] != line:
+                    tags.remove(line)
+                    tags.append(line)
+                out[i] = 1
+                continue
+            if len(tags) >= l2_ways:
+                del tags[0]
+            tags.append(line)
+            out[i] = 2
+        levels = np.frombuffer(out, dtype=np.int8)
+        l1_misses = int(np.count_nonzero(levels))
+        l2_misses = int(np.count_nonzero(levels == 2))
+        l1.hits += accesses - l1_misses
+        l1.misses += l1_misses
+        l1.evictions += l1_misses - (sum(map(len, l1_sets)) - l1_filled)
+        l2.hits += l1_misses - l2_misses
+        l2.misses += l2_misses
+        l2.evictions += l2_misses - (sum(map(len, l2_sets)) - l2_filled)
+        return levels
 
     def _private_writes(self, lines, core_of, writes):
         """``(written, at, touched, start, holder)`` for a batch's
@@ -741,7 +815,10 @@ class MemoryHierarchy:
     # -- vector-path state management ---------------------------------------
 
     def _promote_to_vector(self) -> None:
-        """Convert the private caches to tag arrays.
+        """Convert the private caches to tag arrays, once, on a machine
+        whose caches are all lists; a multi-core machine's core that
+        turns out too dense for the chunked walk converts its own back
+        (:meth:`_walk_core`).
 
         A single-core machine's L3 is its one core's too and joins
         them, with the walk memo. A shared L3 stays a list cache: as tag
@@ -765,14 +842,15 @@ class MemoryHierarchy:
         self._vector_state = 1
 
     def _demote_from_vector(self) -> None:
-        """Send a multi-core machine to list caches for good, converting
-        promoted private caches back.
+        """Send a promoted multi-core machine to list caches for good,
+        converting the private caches of every core still promoted
+        (a dense core's are lists already).
 
         The conversion preserves state exactly, so results do not
         change — only speed does.
         """
-        if self._vector_state == 1:
-            for core in self.cores:
+        for core in self.cores:
+            if isinstance(core.l1, vectorwalk.TagArrayCache):
                 core.l1 = core.l1.to_list_cache()
                 core.l2 = core.l2.to_list_cache()
         self._vector_state = -1

@@ -71,11 +71,12 @@ engine-parity suites.
 
 The multi-core machine reuses :func:`cascade` on each core's private
 L1/L2 alone (see ``MemoryHierarchy._walk_multicore``), for batches
-whose written lines are private to one core and in which every core's
-:func:`plan` has chunk bounds; a write walks the private levels as a
-read does, and the shared L3 stays a list cache. It routes a batch
-with a dense core to its list walk before touching any cache, so it
-never row-walks: only the single-core machine does.
+whose written lines are private to one core; a write walks the private
+levels as a read does, and the shared L3 stays a list cache. A core
+whose :func:`plan` has no chunk bounds turns its own L1/L2 back into
+list caches for good and walks its deduped stream on them, access by
+access, while the other cores keep the cascade. So the multi-core
+machine never row-walks: only the single-core machine does.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and every LRU/FIFO machine walks its list caches
@@ -308,6 +309,13 @@ def plan(lines):
     (the row walk's case). The plan depends only on the line column,
     so a caller can route a segment on it before touching any cache.
     """
+    positions, stream = run_heads(lines)
+    return positions, stream, _chunk_bounds(stream)
+
+
+def run_heads(lines):
+    """``(positions, stream)`` of :func:`plan`: the run heads of a
+    non-empty line column and their lines."""
     np = _np
     m = len(lines)
     heads = np.empty(m, dtype=bool)
@@ -315,7 +323,7 @@ def plan(lines):
     np.not_equal(lines[1:], lines[:-1], out=heads[1:])
     positions = np.flatnonzero(heads)
     stream = lines if len(positions) == m else lines[positions]
-    return positions, stream, _chunk_bounds(stream)
+    return positions, stream
 
 
 def cascade(caches, lines, planned, levels):

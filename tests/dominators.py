@@ -1,6 +1,6 @@
 """Dominator analysis and natural-loop detection.
 
-A second, independent loop finder used to cross-validate the Havlak
+A second, independent loop finder, the test oracle for the Havlak
 implementation (the two must agree on every reducible CFG — a property
 the test suite checks on randomly generated programs).
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .cfg import BasicBlock, ControlFlowGraph
+from repro.binary.cfg import BasicBlock, ControlFlowGraph
 
 
 def immediate_dominators(cfg: ControlFlowGraph) -> Dict[int, Optional[int]]:

@@ -5,9 +5,10 @@ single-core machine's walk memo replays.
 The unit tests pin routing on hand-made batches; this pins it on the
 real programs behind the ``table3-coherent`` and ``coherent-writes``
 benchmark workloads: the original program of CLOMP, Health, NN and
-OverlapView, simulated once each on its 4-core MESI machine at full
-scale (under 2 s for the four). Smaller scales change how the
-interpreter cuts batches, and at 0.05 Health's routing changes too.
+OverlapView, and OverlapView's split program under its advised plan,
+simulated once each on its 4-core MESI machine at full scale (under
+2 s for the five). Smaller scales change how the interpreter cuts
+batches.
 The memo and row-walk counts come from the original programs behind
 ``table3-single`` (ART, libquantum, TSP and Mser), on the 1-core
 machine at full scale (about 1.5 s for the four, simulated once for
@@ -18,6 +19,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.layout.splitting import SplitPlan
 from repro.memsim import vectorwalk
 from repro.memsim.engine import simulate
 from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
@@ -26,18 +28,29 @@ from repro.workloads import workload_zoo
 
 #: ``{path: accesses}`` for one run of each original program; every
 #: other path is credited 0. CLOMP and NN read without writes, so the
-#: per-core vector walk takes them whole. Health chases pointers: a
-#: core of its first batch is too dense for the chunked walk, so the
-#: machine takes the list walk from its first access. OverlapView's
+#: per-core vector walk takes them whole. Health chases pointers: every
+#: core of its first batch is too dense for the chunked walk, so each
+#: turns its own caches into lists at that batch and walks them there,
+#: still on the per-core walk. OverlapView's
 #: six stencil batches write only lines private to one core, so they
 #: promote the machine and vector-walk. Its two halo batches write a
 #: line a second core touches: the first demotes the machine, and they
 #: and the last three batches, write-free, take the list walk.
 CREDITS = {
     "CLOMP 1.2": {"general_vector": 884_736},
-    "Health": {"list": 352_256},
+    "Health": {"general_vector": 352_256},
     "NN": {"general_vector": 395_264},
     "OverlapView": {"general_vector": 196_608, "list": 49_664},
+}
+
+#: Cores that hold list caches at the end of the same runs (the others
+#: hold tag arrays), and the machine's ``_vector_state``. A demoted
+#: machine holds list caches on every core.
+LIST_CORES = {
+    "CLOMP 1.2": ((), 1),
+    "Health": ((0, 1, 2, 3), 1),
+    "NN": ((), 1),
+    "OverlapView": ((0, 1, 2, 3), -1),
 }
 
 #: The directory at the end of the same runs: lines held, then
@@ -53,14 +66,28 @@ DIRECTORY = {
 }
 
 
+def multicore_run(workload, program):
+    """The 4-core machine after one batched run of ``program``."""
+    threads = workload.num_threads
+    hierarchy = MemoryHierarchy(HierarchyConfig(), threads)
+    interp = Interpreter(program, num_threads=threads)
+    simulate(interp.run_batched(), hierarchy=hierarchy)
+    return hierarchy
+
+
+def list_cores(hierarchy):
+    """The ids of the cores whose private caches are list caches."""
+    return tuple(
+        core.id for core in hierarchy.cores
+        if not isinstance(core.l1, vectorwalk.TagArrayCache)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CREDITS))
 def test_original_program_walk_paths(name):
     pytest.importorskip("numpy")
     workload = workload_zoo()[name](scale=1.0)
-    threads = workload.num_threads
-    hierarchy = MemoryHierarchy(HierarchyConfig(), threads)
-    interp = Interpreter(workload.build_original(), num_threads=threads)
-    simulate(interp.run_batched(), hierarchy=hierarchy)
+    hierarchy = multicore_run(workload, workload.build_original())
     credits = dict.fromkeys(WALK_PATHS, 0)
     credits.update(CREDITS[name])
     assert hierarchy.walk_accesses() == credits
@@ -69,6 +96,26 @@ def test_original_program_walk_paths(name):
         summary[key]
         for key in ("invalidations", "writebacks", "cache_to_cache", "upgrades")
     ) == DIRECTORY[name]
+    assert (
+        list_cores(hierarchy), hierarchy._vector_state
+    ) == LIST_CORES[name]
+
+
+def test_overlapview_split_program_walk_paths():
+    # The advised plan puts ``value``, ``hist`` and ``grad`` in three
+    # arrays; ``value`` and ``grad`` alternate within each core's
+    # stencil stream, too densely for the chunked walk. Those cores
+    # walk their own list caches, so the six stencil batches stay on
+    # the per-core walk, until the first halo batch demotes the
+    # machine as in the original run.
+    pytest.importorskip("numpy")
+    workload = workload_zoo()["OverlapView"](scale=1.0)
+    plan = SplitPlan("cell", (("value",), ("hist",), ("grad",)))
+    hierarchy = multicore_run(workload, workload.build_split({"cells": plan}))
+    credits = dict.fromkeys(WALK_PATHS, 0)
+    credits.update({"general_vector": 196_608, "list": 49_664})
+    assert hierarchy.walk_accesses() == credits
+    assert hierarchy._vector_state == -1
 
 
 #: ``(hits, misses, stale, recorded, trusted)`` of the walk memo after

@@ -114,5 +114,5 @@ class TestStructureFileProperties:
         parsed = parse_structure(emit_structure(bound.program))
         assert parsed.program == bound.program.name
         for _, stmt in bound.program.walk():
-            assert parsed.line_of_ip(stmt.ip) == stmt.line
+            assert parsed.statements[stmt.ip][0] == stmt.line
         assert len(parsed.loops) == len(bound.program.loops())

@@ -274,8 +274,8 @@ def parallel_loop(line, body):
 class TestMulticoreWalkParity:
     """The 4-core walk's transitions on fixed programs: promotion by a
     write-free batch, then demotion by a batch that writes lines another
-    core holds or by a batch one of whose cores re-uses lines too
-    densely for the chunked walk."""
+    core holds, or a core's own demotion to list caches by a batch in
+    which it re-uses lines too densely for the chunked walk."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
         pytest.importorskip("numpy")
@@ -307,7 +307,8 @@ class TestMulticoreWalkParity:
         pytest.importorskip("numpy")
         # 64-byte elements; a sweep over them promotes, then six lines
         # sharing one L1 and one L2 set of the small geometry, visited
-        # in random order by four threads, demote before any core walks.
+        # in random order by four threads, demote every core's own
+        # caches to lists, where the per-core walk goes on.
         wide = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
         config = HierarchyConfig.small()
         sets = config.l2.size_bytes // (config.l2.ways * config.line_size)
@@ -331,9 +332,13 @@ class TestMulticoreWalkParity:
         assert scalar == batched
         (hierarchy,) = hierarchies
         counts = hierarchy.walk_accesses()
-        assert counts["general_vector"] == 6 * sets
-        assert counts["list"] == n
-        assert hierarchy._vector_state == -1
+        assert counts["general_vector"] == 6 * sets + n
+        assert counts["list"] == 0
+        assert hierarchy._vector_state == 1
+        assert [
+            core.id for core in hierarchy.cores
+            if isinstance(core.l1, vectorwalk.TagArrayCache)
+        ] == []
 
 
 #: One 64-byte element, so one cache line, per index of ``P``.
@@ -459,6 +464,195 @@ class TestPrivateWriteParity:
         assert hierarchy.directory.stats.upgrades == OWN_STOP
         counts = hierarchy.walk_accesses()
         assert counts["general_vector"] == 3 * OWN_STOP + SWEEP_STOP
+
+
+#: Cores of the hand-made multi-core batches below; each owns the lines
+#: of its own region, which only it reads or writes until a halo batch.
+CORES = 4
+#: Bytes between a core's dense lines: one set of the small geometry's
+#: L2, so one of its L1 too.
+SET_STRIDE = HierarchyConfig.small().l2.size_bytes // 4
+#: Lines every core reads and no core writes.
+SHARED_LINES = 48
+
+
+def own_line(core, k):
+    """Byte address of line ``k`` of ``core``'s region."""
+    return ((core + 1) << 20) + 64 * k
+
+
+def dense_share(core, rng, length):
+    """A ping-pong over a few of ``core``'s lines in one L1/L2 set,
+    with same-line repeats: far more duplicate-free chunks than the
+    chunked walk cuts."""
+    lines = rng.randint(3, 6)
+    share = []
+    while len(share) < length:
+        line = ((core + 1) << 20) + SET_STRIDE * rng.randrange(lines)
+        share.extend([line + 8 * rng.randrange(8)] * rng.choice((1, 1, 2)))
+    return share[:length]
+
+
+def sparse_share(core, rng, length):
+    """One or two passes over distinct lines of ``core``'s region and of
+    the shared read-only region: a chunk or two per pass."""
+    first = rng.randrange(64)
+    lines = [own_line(core, first + k) for k in range(length)]
+    lines += [64 * rng.randrange(SHARED_LINES) for _ in range(length // 4)]
+    return lines * rng.choice((1, 2))
+
+
+@st.composite
+def core_batches(draw):
+    """``(batches, ending)``: 4-core batches in which each core is
+    dense, sparse or idle, writes only lines of its own region, and
+    whose shares interleave at random; ``ending`` names the batches
+    appended after them (:func:`ending_batches`)."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        write_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
+        shares = []
+        for core in range(CORES):
+            kind = draw(st.sampled_from(["dense", "sparse", "idle"]))
+            if kind == "idle":
+                continue
+            if kind == "dense":
+                addresses = dense_share(core, rng, rng.randint(300, 500))
+            else:
+                addresses = sparse_share(core, rng, rng.randint(8, 96))
+            shares.append(with_writes(addresses, core, rng, write_share))
+        batches.append(interleave(shares, rng))
+    ending = draw(st.sampled_from(
+        [(), ("halo",), ("crossing",), ("halo", "crossing")]
+    ))
+    return [batch for batch in batches if batch[0]], ending
+
+
+def with_writes(addresses, core, rng, write_share):
+    """``core``'s ``(address, core, write)`` share: it writes about
+    ``write_share`` of its accesses to its own region."""
+    return [
+        (a, core, int(a >> 20 != 0 and rng.random() < write_share))
+        for a in addresses
+    ]
+
+
+def interleave(shares, rng):
+    """One batch's columns from per-core ``(address, core, write)``
+    shares, merged in a random order that keeps each core's own."""
+    rows = []
+    cursors = [0] * len(shares)
+    live = [k for k, share in enumerate(shares) if share]
+    while live:
+        k = rng.choice(live)
+        rows.append(shares[k][cursors[k]])
+        cursors[k] += 1
+        if cursors[k] == len(shares[k]):
+            live.remove(k)
+    addresses = [a for a, _, _ in rows]
+    return (addresses, [4] * len(rows), [w for _, _, w in rows],
+            [core for _, core, _ in rows])
+
+
+def ending_batches(ending):
+    """A halo batch, in which each core writes the first line of the
+    next core's region and reads the shared region, and a batch with a
+    line-crossing access: each demotes a promoted machine."""
+    batches = []
+    for kind in ending:
+        addresses, is_write, thread = [], [], []
+        for core in range(CORES):
+            for k in range(8):
+                addresses.append(own_line(core, k))
+                is_write.append(0)
+                thread.append(core)
+            addresses.append(own_line((core + 1) % CORES, 0))
+            is_write.append(int(kind == "halo"))
+            thread.append(core)
+        sizes = [4] * len(addresses)
+        if kind == "crossing":
+            addresses[len(addresses) // 2] += 60
+            sizes[len(sizes) // 2] = 8
+        batches.append((addresses, sizes, is_write, thread))
+    return batches
+
+
+def check_core_batches(batches, replacement):
+    """Walk ``batches`` batched (``vector_min=1``) and per access on
+    the small geometry, asserting after every batch that latencies and
+    the whole machine match; returns the batched hierarchy."""
+    config = dataclasses.replace(
+        HierarchyConfig.small(), replacement=replacement
+    )
+    reference = MemoryHierarchy(config, CORES)
+    hierarchy = MemoryHierarchy(config, CORES)
+    hierarchy.VECTOR_MIN_BATCH = 1
+    for addresses, sizes, is_write, thread in batches:
+        expected = [
+            reference.access(t, a, s, bool(w))
+            for a, s, w, t in zip(addresses, sizes, is_write, thread)
+        ]
+        got = hierarchy.access_batch(addresses, sizes, is_write, thread)
+        assert list(got) == expected
+        assert machine_state(hierarchy) == machine_state(reference)
+    return hierarchy
+
+
+class TestDenseCoreParity:
+    """On the 4-core machine a dense core walks its own list caches
+    while the others cascade on tag arrays; every batch, and the
+    demotion of a machine whose cores mix the two, matches per-access
+    ``access()``: latencies, each core's L1/L2 contents and counters,
+    the L3, and every directory word."""
+
+    @given(core_batches(), st.sampled_from(["lru", "fifo"]))
+    @settings(deadline=None, max_examples=40)
+    def test_mixed_dense_and_chunkable_cores_are_exact(
+        self, drawn, replacement
+    ):
+        pytest.importorskip("numpy")
+        batches, ending = drawn
+        hierarchy = check_core_batches(
+            batches + ending_batches(ending), replacement
+        )
+        if not batches:
+            assert hierarchy._vector_state == 0
+        elif ending:
+            assert hierarchy._vector_state == -1
+        else:
+            assert hierarchy.walk_accesses()["list"] == 0
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_dense_core_then_halo_then_crossing(self, replacement):
+        pytest.importorskip("numpy")
+        rng = random.Random(7)
+        shares = [
+            with_writes(
+                dense_share(core, rng, 400) if core in (1, 3)
+                else sparse_share(core, rng, 64), core, rng, 0.3,
+            )
+            for core in range(CORES)
+        ]
+        batches = [interleave(shares, rng) for _ in range(2)]
+        hierarchy = check_core_batches(batches, replacement)
+        assert hierarchy._vector_state == 1
+        assert [
+            core.id for core in hierarchy.cores
+            if not isinstance(core.l1, vectorwalk.TagArrayCache)
+        ] == [1, 3]
+        assert hierarchy.walk_accesses()["general_vector"] == sum(
+            len(batch[0]) for batch in batches
+        )
+        for ending in [("halo",), ("crossing",), ("halo", "crossing")]:
+            hierarchy = check_core_batches(
+                batches + ending_batches(ending), replacement
+            )
+            assert hierarchy._vector_state == -1
+            counts = hierarchy.walk_accesses()
+            assert counts["list"] + counts["scalar"] == sum(
+                len(batch[0]) for batch in ending_batches(ending)
+            )
 
 
 def profile_state(collector):

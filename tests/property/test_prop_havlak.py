@@ -46,7 +46,7 @@ class TestHavlakAgainstDominators:
     @given(loop_trees())
     @settings(deadline=None, max_examples=50)
     def test_same_headers_and_members(self, body):
-        from repro.binary.dominators import is_reducible, natural_loops
+        from tests.dominators import is_reducible, natural_loops
 
         bound = build(body)
         cfg = lower_function(bound.program, "main")

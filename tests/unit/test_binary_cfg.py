@@ -44,15 +44,6 @@ class TestControlFlowGraph:
         assert cfg.reachable() == {a.id, b.id}
         assert orphan.id not in cfg.reachable()
 
-    def test_dfs_preorder_visits_first_successor_first(self):
-        cfg = ControlFlowGraph()
-        a, b, c, d = (cfg.new_block() for _ in range(4))
-        cfg.add_edge(a, b)
-        cfg.add_edge(a, c)
-        cfg.add_edge(b, d)
-        order = [blk.id for blk in cfg.dfs_preorder()]
-        assert order == [a.id, b.id, d.id, c.id]
-
     def test_to_dot_renders_nodes_and_edges(self):
         cfg = ControlFlowGraph("g")
         a, b = cfg.new_block(label="hdr"), cfg.new_block()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.binary import ControlFlowGraph
-from repro.binary.dominators import (
+from tests.dominators import (
     back_edges,
     dominates,
     immediate_dominators,

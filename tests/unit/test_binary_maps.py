@@ -50,9 +50,7 @@ class TestLineMap:
         bound = build_sample()
         lines = LineMap(bound.program)
         for fname, stmt in bound.program.walk():
-            assert lines.line_of(stmt.ip) == stmt.line
-            assert lines.function_of(stmt.ip) == fname
-        assert lines.line_of(0x1) is None
+            assert lines.location(stmt.ip) == (fname, stmt.line)
         assert lines.location(0x1) == (None, None)
 
     def test_len_counts_statements(self):

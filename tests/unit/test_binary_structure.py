@@ -28,7 +28,7 @@ class TestRoundTrip:
     def test_every_statement_survives(self, art_structure):
         bound, _, parsed = art_structure
         for _, stmt in bound.program.walk():
-            assert parsed.line_of_ip(stmt.ip) == stmt.line
+            assert parsed.statements[stmt.ip][0] == stmt.line
 
     def test_loop_attribution_matches_loopmap(self, art_structure):
         bound, _, parsed = art_structure

@@ -106,6 +106,14 @@ def expand(items):
     return out
 
 
+def list_cores(hierarchy):
+    """The ids of the cores whose private caches are list caches."""
+    return [
+        core.id for core in hierarchy.cores
+        if not isinstance(core.l1, vectorwalk.TagArrayCache)
+    ]
+
+
 def spy_row_walk(monkeypatch):
     """Record the depth (0 = L1) of every level the cascade row-walks,
     in walk order; cache names are ``L1#core``, ``L2#core`` and ``L3``."""
@@ -824,44 +832,74 @@ class TestMulticoreWalk:
         thread = [k % 3 for k in range(len(sparse))] + [3] * (n - len(sparse))
         return addresses, [4] * n, [0] * n, thread
 
+    def paths(self, **credits):
+        counts = dict.fromkeys(WALK_PATHS, 0)
+        counts.update(credits)
+        return counts
+
     @pytest.mark.parametrize("policy", ["lru", "fifo"])
     def test_dense_later_core_lists_the_batch(self, policy, monkeypatch):
-        # Routing happens before any core walks: one dense share sends
-        # the whole batch, and the machine for good, to the list walk.
+        # Only the dense core goes to lists: it turns its own L1/L2
+        # into list caches for good and walks its share there, while
+        # the first three cores cascade on tag arrays; the batch stays
+        # on the per-core walk, which never row-walks.
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
         batch = self.dense()
         hierarchy = self.check(
             [batch], config=HierarchyConfig(replacement=policy)
         )
-        counts = dict.fromkeys(WALK_PATHS, 0)
-        counts["list"] = len(batch[0])
-        assert hierarchy.walk_accesses() == counts
-        assert hierarchy._vector_state == -1
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=len(batch[0])
+        )
+        assert hierarchy._vector_state == 1
+        assert list_cores(hierarchy) == [3]
         assert calls == []
 
-    def test_dense_first_batch_never_promotes(self, monkeypatch):
+    def test_dense_first_batch_lists_only_the_dense_core(self, monkeypatch):
+        # The first batch promotes the machine once; its dense core then
+        # turns back to lists, and the next batch, which is not dense
+        # anywhere, leaves it there while the other cores cascade.
         pytest.importorskip("numpy")
         promoted = []
-        monkeypatch.setattr(
-            MemoryHierarchy, "_promote_to_vector",
-            lambda self: promoted.append(self),
+        promote = MemoryHierarchy._promote_to_vector
+
+        def spy(self):
+            promoted.append(list_cores(self))
+            promote(self)
+
+        monkeypatch.setattr(MemoryHierarchy, "_promote_to_vector", spy)
+        batches = [self.dense(), self.columns()]
+        hierarchy = self.check(batches)
+        assert promoted == [[0, 1, 2, 3]]
+        assert hierarchy._vector_state == 1
+        assert list_cores(hierarchy) == [3]
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=sum(len(batch[0]) for batch in batches)
         )
-        hierarchy = self.check([self.dense(), self.columns()])
-        assert promoted == []
-        assert hierarchy._vector_state == -1
-        assert hierarchy.walk_accesses()["general_vector"] == 0
 
     def test_dense_batch_after_promotion_demotes_exactly(self, monkeypatch):
+        # The dense core's tag arrays demote to lists mid-run, exactly:
+        # the batch after it walks that core on lists, the others on
+        # tag arrays. A halo batch (a written line two cores touch) and
+        # a line-crossing batch then demote the mixed machine whole.
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
         batches = [self.columns(), self.dense(), self.columns()]
         hierarchy = self.check(batches)
-        assert hierarchy._vector_state == -1
-        counts = hierarchy.walk_accesses()
-        assert counts["general_vector"] == len(batches[0][0])
-        assert counts["list"] == len(batches[1][0]) + len(batches[2][0])
+        assert hierarchy._vector_state == 1
+        assert list_cores(hierarchy) == [3]
+        walked = sum(len(batch[0]) for batch in batches)
+        assert hierarchy.walk_accesses() == self.paths(general_vector=walked)
         assert calls == []
+        halo = self.columns(writes=True)
+        for after in ([halo], [self.crossing()]):
+            hierarchy = self.check(batches + after)
+            assert hierarchy._vector_state == -1
+            assert list_cores(hierarchy) == [0, 1, 2, 3]
+            counts = hierarchy.walk_accesses()
+            assert counts["general_vector"] == walked
+            assert counts["list"] + counts["scalar"] == len(after[0][0])
 
     def test_scalar_access_works_after_promotion(self):
         pytest.importorskip("numpy")

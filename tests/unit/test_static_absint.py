@@ -232,23 +232,3 @@ class TestStaticAnalysisWholeProgram:
         assert "element size: 16" in text
         assert "match" in text
 
-
-class TestLoopMapQueries:
-    def test_ancestors_chain_outermost_first(self):
-        bound = build_figure1()
-        from repro.binary import LoopMap
-
-        lm = LoopMap(bound.program)
-        for desc in lm.loops:
-            chain = lm.ancestors(desc.id)
-            assert chain[-1] == desc
-            assert [d.depth for d in chain] == sorted(d.depth for d in chain)
-
-    def test_innermost_at_line(self):
-        bound = build_figure1()
-        from repro.binary import LoopMap
-
-        lm = LoopMap(bound.program)
-        desc = lm.innermost_at_line("main", 5)
-        assert desc is not None and desc.line_range == (4, 5)
-        assert lm.innermost_at_line("main", 999) is None
