@@ -97,19 +97,6 @@ class StructureAdvice:
             groups.append(cold)
         return SplitPlan(struct.name, tuple(tuple(g) for g in groups))
 
-    def to_c(self, struct: StructType) -> str:
-        """Render the advised split as C typedefs — the artifact form
-        the paper's Figures 7-13 present to the programmer."""
-        from ..layout.splitting import apply_split
-
-        plan = self.split_plan(struct)
-        names = [
-            f"{struct.name}_{''.join(f[:1] for f in group)}"
-            for group in plan.groups
-        ]
-        layout = apply_split(struct, plan, names=names)
-        return layout.c_declarations()
-
     def describe(self, struct: Optional[StructType] = None) -> str:
         """Human-readable advice block."""
         lines = [

@@ -6,8 +6,6 @@ it so a run's stdout reads like the paper's evaluation section.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
@@ -56,13 +54,6 @@ class Table:
         if self.note:
             lines.append(f"({self.note})")
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buf.getvalue()
 
     def column(self, header: str) -> List[Cell]:
         idx = self.headers.index(header)

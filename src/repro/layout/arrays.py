@@ -1,11 +1,9 @@
 """Array-of-structure addressing.
 
 An :class:`ArrayOfStructs` binds a :class:`~repro.layout.struct.StructType`
-to an allocation and answers the two address queries everything else is
-built on: "what is the address of ``arr[i].f``?" (used by the
-interpreter to emit traces) and "which element/field does this address
-fall in?" (used by tests and by the oracle that validates StructSlim's
-offset recovery).
+to an allocation: its base, stride and size in bytes, from which the
+interpreter computes the address of ``arr[i].f`` as ``base + i * stride
++ offset_of(f)``.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .address_space import Allocation, AddressSpace
-from .struct import Field, StructType
+from .struct import StructType
 
 
 class ArrayOfStructs:
@@ -65,35 +63,6 @@ class ArrayOfStructs:
     @property
     def size_bytes(self) -> int:
         return self.struct.size * self.count
-
-    def _check_index(self, index: int) -> None:
-        if index < 0 or index >= self.count:
-            raise ValueError(
-                f"index {index} out of range [0, {self.count}) for "
-                f"{self.allocation.name!r}"
-            )
-
-    def element_address(self, index: int) -> int:
-        """Address of ``arr[index]``."""
-        self._check_index(index)
-        return self.base + index * self.struct.size
-
-    def field_address(self, index: int, field_name: str) -> int:
-        """Address of ``arr[index].field_name``."""
-        self._check_index(index)
-        return self.base + index * self.struct.size + self.struct.offset_of(field_name)
-
-    def locate(self, address: int) -> Tuple[int, Optional[Field]]:
-        """Map an address back to ``(element_index, field_or_None)``.
-
-        Raises ValueError if the address is outside the array. A None
-        field means the address landed in padding.
-        """
-        rel = address - self.base
-        if rel < 0 or rel >= self.size_bytes:
-            raise ValueError(f"address {address:#x} outside array {self.allocation.name!r}")
-        index, offset = divmod(rel, self.struct.size)
-        return index, self.struct.field_at_offset(offset)
 
     def __repr__(self) -> str:
         return (

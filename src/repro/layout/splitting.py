@@ -91,13 +91,6 @@ class SplitLayout:
                 mapping[f.name] = (gi, st)
         return mapping
 
-    def struct_for(self, field_name: str) -> StructType:
-        return self.field_map[field_name][1]
-
-    def total_element_bytes(self) -> int:
-        """Bytes per logical element summed over all split structures."""
-        return sum(st.size for st in self.structs)
-
     def c_declarations(self) -> str:
         return "\n\n".join(st.c_declaration() for st in self.structs)
 

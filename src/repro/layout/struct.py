@@ -128,14 +128,6 @@ class StructType:
 
     # -- layout queries ---------------------------------------------------
 
-    def padding_bytes(self) -> int:
-        """Total padding (internal holes plus tail) in one element."""
-        return self.size - sum(f.size for f in self._fields)
-
-    def payload_bytes(self, field_names: Sequence[str]) -> int:
-        """Bytes actually used by ``field_names`` in one element."""
-        return sum(self.field(n).size for n in field_names)
-
     def c_declaration(self) -> str:
         """Render the structure as C source, for documentation output."""
         lines = [f"struct {self.name} {{"]

@@ -127,17 +127,14 @@ class MemoryHierarchy:
         self.directory: Optional[MESIDirectory] = (
             MESIDirectory() if num_cores > 1 else None
         )
-        # Batched-path bookkeeping (see _walk_batch). Once batches are
-        # large enough an LRU/FIFO machine without prefetcher or TLB
-        # promotes its caches to the numpy tag-array representation
-        # (state 1); one core stays promoted for good. On a promoted
-        # multi-core machine a core too dense for the chunked walk turns
-        # its own L1/L2 back into list caches for good, and the other
-        # cores stay promoted. State -1 means a multi-core machine went
-        # to list caches for good (a line-crossing access or a write of
-        # a line another core touches or holds after promotion; see
-        # _walk_multicore).
-        self._vector_state = 0
+        # Batched-path bookkeeping (see _walk_batch). An LRU/FIFO
+        # machine without prefetcher or TLB promotes its caches to the
+        # numpy tag-array representation at the first batch its vector
+        # walk takes, once. On a multi-core machine a core's L1/L2 later
+        # turn back into list caches for good: its own when it is too
+        # dense for the chunked walk, every core's when the per-core
+        # walk refuses a batch (see _walk_multicore).
+        self._promoted = False
         # Steady-state walk memo, attached at single-core vector
         # promotion (see repro.memsim.memo); None until then.
         self._walk_memo = None
@@ -241,12 +238,6 @@ class MemoryHierarchy:
 
     # -- batched access path -----------------------------------------------
 
-    #: Smallest batch worth promoting the private caches to the numpy
-    #: tag-array representation; below it the inlined list walk wins.
-    #: Tests lower it (per instance) to force the vector paths onto
-    #: tiny batches.
-    VECTOR_MIN_BATCH = 256
-
     def access_batch(self, addresses, sizes, is_write=None, thread=None):
         """Latency column for a column of accesses (any machine).
 
@@ -287,36 +278,32 @@ class MemoryHierarchy:
     def _walk_batch(self, addresses, sizes, is_write, thread):
         """``(walk path, latencies)`` for one batch.
 
-        With numpy and batches big enough, a machine with bare LRU/FIFO
-        caches (no prefetcher, TLB or random replacement) vector-walks:
-        one core through the walk memo, up to 61 cores each core's share
-        of a batch whose written lines are private to one core
-        (:meth:`_walk_multicore`), a dense core's share on its own list
-        caches. Every other batch takes the inlined trace-ordered list
-        walk (:meth:`_walk_lists`).
+        With numpy, a machine with bare LRU/FIFO caches (no prefetcher,
+        TLB or random replacement) vector-walks every batch of one core,
+        through the walk memo, and on up to 61 cores every batch whose
+        written lines are private to one core and that has no
+        line-crossing access (:meth:`_walk_multicore`), each core's
+        share on its tag arrays or on its own list caches. Every other
+        batch takes the inlined trace-ordered list walk
+        (:meth:`_walk_lists`).
         """
         cfg = self.config
-        single = self.num_cores == 1
         vector = (
             cfg.prefetch_degree == 0 and cfg.tlb is None
             and cfg.replacement != "random" and vectorwalk.HAVE_NUMPY
         )
-        if vector and single:
-            if (
-                self._vector_state == 0
-                and len(addresses) >= self.VECTOR_MIN_BATCH
-            ):
+        if vector and self.num_cores == 1:
+            if not self._promoted:
                 self._promote_to_vector()
-            if self._vector_state == 1:
-                memo = self._walk_memo
-                if memo is None:
-                    return "vector", vectorwalk.walk_batch(
-                        self, addresses, sizes, is_write
-                    )
-                hits = memo.hits
-                latencies = memo.walk(self, addresses, sizes, is_write)
-                return ("memo" if memo.hits != hits else "vector"), latencies
-        elif vector and self.num_cores + HOLDER_SHIFT < 64:
+            memo = self._walk_memo
+            if memo is None:
+                return "vector", vectorwalk.walk_batch(
+                    self, addresses, sizes, is_write
+                )
+            hits = memo.hits
+            latencies = memo.walk(self, addresses, sizes, is_write)
+            return ("memo" if memo.hits != hits else "vector"), latencies
+        if vector and self.num_cores + HOLDER_SHIFT < 64:
             # The per-core walk keeps directory words in int64 columns,
             # where a wider machine's holder bits would overflow.
             latencies = self._walk_multicore(
@@ -330,13 +317,13 @@ class MemoryHierarchy:
         """The multi-core machine's per-core walk, or None.
 
         The batch is routed before any cache state changes. It takes
-        the per-core walk once batches are big enough (and every batch
-        after promotion) if it has no line-crossing access and every
-        line it writes is private to one core (:meth:`_private_writes`).
-        Otherwise it returns None, for the list walk, and a promoted
-        machine demotes to list caches for good: each run builds a
-        fresh hierarchy, so waiting for a streak of such batches would
-        cost a large part of the run.
+        the per-core walk if it has no line-crossing access and every
+        line it writes is private to one core (:meth:`_private_writes`);
+        the first such batch promotes the machine. Otherwise it returns
+        None, for the list walk, and every core still on tag arrays
+        turns its L1/L2 into list caches for good (:meth:`_to_lists`):
+        each run builds a fresh hierarchy, so waiting for a streak of
+        such batches would cost a large part of the run.
 
         With every written line private, no write invalidates a remote
         copy, so a core's private L1/L2 state depends only on its own
@@ -345,8 +332,8 @@ class MemoryHierarchy:
         chunk bounds (:func:`vectorwalk.plan`) walks its promoted caches
         with :func:`vectorwalk.cascade`. A core too dense for the
         chunked walk (pointer chasing) turns its own L1/L2 into list
-        caches for good and walks them in :meth:`_walk_core_lists`, as
-        every later batch of that core does. The private misses then go
+        caches for good, and a core on list caches walks them in
+        :meth:`_walk_core_lists`. The private misses then go
         through the shared L3 and the directory's read fill in trace
         order (:meth:`_shared_fills`), the only state cores share
         besides the written lines' directory words, which
@@ -360,8 +347,7 @@ class MemoryHierarchy:
         extras.
         """
         n = len(addresses)
-        state = self._vector_state
-        if state < 0 or not n or (state == 0 and n < self.VECTOR_MIN_BATCH):
+        if not n:
             return None
         np = vectorwalk._np
         line_bits = self._line_bits
@@ -385,10 +371,10 @@ class MemoryHierarchy:
                 private = self._private_writes(lines, core_of, writes)
                 routed = private is not None
         if not routed:
-            if state == 1:
-                self._demote_from_vector()
+            for core in self.cores:
+                self._to_lists(core)
             return None
-        if state == 0:
+        if not self._promoted:
             self._promote_to_vector()
         # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
         levels = np.zeros(n, dtype=np.int8)
@@ -425,8 +411,7 @@ class MemoryHierarchy:
                 levels[at] = own_levels
                 return
             # No chunk bounds: this core goes to list caches for good.
-            core.l1 = core.l1.to_list_cache()
-            core.l2 = core.l2.to_list_cache()
+            self._to_lists(core)
             positions, stream = planned[:2]
         else:
             positions, stream = vectorwalk.run_heads(own)
@@ -816,9 +801,8 @@ class MemoryHierarchy:
 
     def _promote_to_vector(self) -> None:
         """Convert the private caches to tag arrays, once, on a machine
-        whose caches are all lists; a multi-core machine's core that
-        turns out too dense for the chunked walk converts its own back
-        (:meth:`_walk_core`).
+        whose caches are all lists; a multi-core machine's cores may
+        later turn back (:meth:`_to_lists`).
 
         A single-core machine's L3 is its one core's too and joins
         them, with the walk memo. A shared L3 stays a list cache: as tag
@@ -839,21 +823,19 @@ class MemoryHierarchy:
         if self.num_cores == 1:
             self.l3 = vectorwalk.TagArrayCache(self.l3)
             self._walk_memo = memo.WalkMemo()
-        self._vector_state = 1
+        self._promoted = True
 
-    def _demote_from_vector(self) -> None:
-        """Send a promoted multi-core machine to list caches for good,
-        converting the private caches of every core still promoted
-        (a dense core's are lists already).
+    @staticmethod
+    def _to_lists(core) -> None:
+        """Turn a multi-core machine's ``core``'s L1/L2 into list caches
+        for good, if they are tag arrays.
 
         The conversion preserves state exactly, so results do not
         change — only speed does.
         """
-        for core in self.cores:
-            if isinstance(core.l1, vectorwalk.TagArrayCache):
-                core.l1 = core.l1.to_list_cache()
-                core.l2 = core.l2.to_list_cache()
-        self._vector_state = -1
+        if isinstance(core.l1, vectorwalk.TagArrayCache):
+            core.l1 = core.l1.to_list_cache()
+            core.l2 = core.l2.to_list_cache()
 
     @property
     def invalidations(self) -> int:

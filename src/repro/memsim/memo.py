@@ -75,9 +75,9 @@ at the L1, and a fill moves its level's clock. Clocks alone would not
 do: a machine wound back to an earlier state and aged until every
 clock reads as the token's would replay an entry recorded elsewhere,
 but its counters give it away. Writing a level's arrays directly goes
-unseen; only tests do that. Every other walk (a short batch, a
-disabled memo, a split batch, a degenerate latency config, the
-give-up record) drops the token, so the next replay is checked.
+unseen; only tests do that. Every other walk (a disabled memo, a split
+batch, a degenerate latency config, the give-up record) drops the
+token, so the next replay is checked.
 
 Entry layout
 ------------
@@ -126,10 +126,6 @@ from typing import Dict, Tuple
 
 from . import vectorwalk
 from .vectorwalk import _np, as_column
-
-#: Batches shorter than this skip the memo entirely (hashing overhead
-#: would rival the walk itself).
-MEMO_MIN_BATCH = 256
 
 #: Entries kept per hierarchy before LRU eviction.  An entry holds the
 #: latency column plus a fingerprint of every touched way, so a batch
@@ -277,7 +273,7 @@ class WalkMemo:
     def walk(self, hier, addresses, sizes, is_write=None):
         """Drop-in for :func:`vectorwalk.walk_batch` on promoted state."""
         token, self.token = self.token, None
-        if self.disabled or len(addresses) < MEMO_MIN_BATCH:
+        if self.disabled:
             return vectorwalk.walk_batch(hier, addresses, sizes, is_write)
         address = as_column(addresses)
         size = as_column(sizes)

@@ -75,8 +75,12 @@ whose written lines are private to one core; a write walks the private
 levels as a read does, and the shared L3 stays a list cache. A core
 whose :func:`plan` has no chunk bounds turns its own L1/L2 back into
 list caches for good and walks its deduped stream on them, access by
-access, while the other cores keep the cascade. So the multi-core
-machine never row-walks: only the single-core machine does.
+access, while the other cores keep the cascade. A batch the per-core
+walk refuses (a line-crossing access, or a written line another core
+shares) takes the list walk, and every core still on tag arrays turns
+back to list caches for good; the per-core walk then takes later
+batches on those lists. So the multi-core machine never row-walks:
+only the single-core machine does.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and every LRU/FIFO machine walks its list caches
@@ -110,7 +114,7 @@ class TagArrayCache:
     """Array-backed cache level.
 
     Built *from* a :class:`SetAssociativeCache` (promotion) and
-    convertible back (:meth:`to_list_cache`, demotion), preserving
+    convertible back (:meth:`to_list_cache`), preserving
     recency order and counters exactly in both directions. It serves
     the part of the list cache's protocol a promoted machine's scalar
     :meth:`~repro.memsim.hierarchy.MemoryHierarchy.access` uses.
@@ -152,7 +156,7 @@ class TagArrayCache:
         self.evictions = source.evictions
 
     def to_list_cache(self):
-        """The equivalent :class:`SetAssociativeCache` (for demotion)."""
+        """The equivalent :class:`SetAssociativeCache`."""
         from .cache import SetAssociativeCache
 
         cache = SetAssociativeCache(

@@ -364,12 +364,6 @@ class Program:
     def accesses(self) -> List[Access]:
         return [s for _, s in self.walk() if isinstance(s, Access)]
 
-    def array_names(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for acc in self.accesses():
-            seen.setdefault(acc.array, None)
-        return list(seen)
-
     def __repr__(self) -> str:
         return (
             f"Program({self.name!r}, functions={list(self.functions)}, "

@@ -84,6 +84,14 @@ def _worker(payload: Tuple[TaskSpec, bool]):
     return record, captured, seconds
 
 
+def _pool_worker(payload: Tuple[TaskSpec, bool]):
+    """:func:`_worker` in a pool process, publishing to no event bus:
+    a worker forked from a parent with a live bus would write its own
+    progress lines to the shared stderr, so only the parent does."""
+    with events.use(events.NULL_BUS):
+        return _worker(payload)
+
+
 def _publish_start(
     bus: events.AnyBus, spec: TaskSpec, seq: int, total: int, workers: int
 ) -> None:
@@ -111,7 +119,9 @@ def _executed(todo: Sequence[TaskSpec], workers: int, bus: events.AnyBus):
             _publish_start(bus, spec, seq, len(todo), workers)
         context = multiprocessing.get_context()
         with context.Pool(workers) as pool:
-            yield pool.imap(_worker, [(spec, capture) for spec in todo])
+            yield pool.imap(
+                _pool_worker, [(spec, capture) for spec in todo]
+            )
     else:
         yield _inline(todo, bus)
 

@@ -103,9 +103,6 @@ class DataflowResult(Generic[F]):
     def in_of(self, block: BasicBlock) -> Optional[F]:
         return self.in_facts.get(block.id)
 
-    def out_of(self, block: BasicBlock) -> Optional[F]:
-        return self.out_facts.get(block.id)
-
 
 def reverse_postorder(cfg: ControlFlowGraph) -> List[BasicBlock]:
     """Blocks in reverse postorder from the entry (unreachable dropped).

@@ -111,10 +111,6 @@ class OracleResult:
     def ok(self) -> bool:
         return not self.missing and all(obj.ok for obj in self.objects)
 
-    @property
-    def stream_checks(self) -> List[StreamCheck]:
-        return [s for obj in self.objects for s in obj.streams]
-
     def render(self) -> str:
         lines = [
             f"== cross-validation: {self.workload} ({self.variant}) == "

@@ -9,6 +9,11 @@ records.
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +185,39 @@ class TestCliParity:
         assert "misses=0 executed=0" in capsys.readouterr().err
         _, plain = run_cli(*argv)
         assert plain == cold
+
+    def test_only_the_parent_writes_stderr(self, tmp_path):
+        # At scale 0.1 each task interprets more than PROGRESS_EVERY
+        # accesses, so a worker that published to the parent's bus
+        # would print its own stage-progress lines, and two workers'
+        # lines could merge into one.
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "table3", "--scale", "0.1",
+             "--jobs", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = list(TABLE2_WORKLOADS)
+        total = len(names)
+        lines = proc.stderr.splitlines()
+        task = re.compile(
+            rf"task \[(\d+)/{total}\] (.+): "
+            r"(optimize started|done in \d+\.\d\ds( \(eta \S+\))?)"
+        )
+        seen = []
+        for line in lines[:-1]:
+            match = task.fullmatch(line)
+            assert match, line
+            seq, name, event = match.groups()[:3]
+            assert name == names[int(seq) - 1], line
+            seen.append((int(seq), event.split()[0]))
+        assert sorted(seen) == sorted(
+            (seq, event) for seq in range(1, total + 1)
+            for event in ("optimize", "done")
+        )
+        assert lines[-1].startswith(f"runner: tasks={total} jobs=2 ")
 
     def test_optimize_via_runner_matches_serial(self, tmp_path):
         _, serial = run_cli("optimize", "Mser", "--scale", "0.1")

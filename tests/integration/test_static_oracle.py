@@ -61,7 +61,9 @@ class TestOracleMechanics:
             stream.stride = 7 if stream.stride else 0
         result = cross_validate_report(static, run.merged, report)
         assert not result.ok
-        assert any(not s.divides for s in result.stream_checks)
+        assert any(
+            not s.divides for obj in result.objects for s in obj.streams
+        )
         assert "MISMATCH" in result.render()
 
     def test_sampled_offsets_never_exceed_static(self):

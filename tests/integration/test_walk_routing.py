@@ -34,23 +34,23 @@ from repro.workloads import workload_zoo
 #: still on the per-core walk. OverlapView's
 #: six stencil batches write only lines private to one core, so they
 #: promote the machine and vector-walk. Its two halo batches write a
-#: line a second core touches: the first demotes the machine, and they
-#: and the last three batches, write-free, take the list walk.
+#: line a second core touches, so they take the list walk, and the
+#: first turns every core's caches into lists for good; the last three
+#: batches, write-free, take the per-core walk on those lists.
 CREDITS = {
     "CLOMP 1.2": {"general_vector": 884_736},
     "Health": {"general_vector": 352_256},
     "NN": {"general_vector": 395_264},
-    "OverlapView": {"general_vector": 196_608, "list": 49_664},
+    "OverlapView": {"general_vector": 213_504, "list": 32_768},
 }
 
 #: Cores that hold list caches at the end of the same runs (the others
-#: hold tag arrays), and the machine's ``_vector_state``. A demoted
-#: machine holds list caches on every core.
+#: hold tag arrays). Every machine is promoted.
 LIST_CORES = {
-    "CLOMP 1.2": ((), 1),
-    "Health": ((0, 1, 2, 3), 1),
-    "NN": ((), 1),
-    "OverlapView": ((0, 1, 2, 3), -1),
+    "CLOMP 1.2": (),
+    "Health": (0, 1, 2, 3),
+    "NN": (),
+    "OverlapView": (0, 1, 2, 3),
 }
 
 #: The directory at the end of the same runs: lines held, then
@@ -96,9 +96,8 @@ def test_original_program_walk_paths(name):
         summary[key]
         for key in ("invalidations", "writebacks", "cache_to_cache", "upgrades")
     ) == DIRECTORY[name]
-    assert (
-        list_cores(hierarchy), hierarchy._vector_state
-    ) == LIST_CORES[name]
+    assert list_cores(hierarchy) == LIST_CORES[name]
+    assert hierarchy._promoted
 
 
 def test_overlapview_split_program_walk_paths():
@@ -106,16 +105,17 @@ def test_overlapview_split_program_walk_paths():
     # arrays; ``value`` and ``grad`` alternate within each core's
     # stencil stream, too densely for the chunked walk. Those cores
     # walk their own list caches, so the six stencil batches stay on
-    # the per-core walk, until the first halo batch demotes the
-    # machine as in the original run.
+    # the per-core walk; the halo batches take the list walk, and the
+    # last three batches the per-core walk, as in the original run.
     pytest.importorskip("numpy")
     workload = workload_zoo()["OverlapView"](scale=1.0)
     plan = SplitPlan("cell", (("value",), ("hist",), ("grad",)))
     hierarchy = multicore_run(workload, workload.build_split({"cells": plan}))
     credits = dict.fromkeys(WALK_PATHS, 0)
-    credits.update({"general_vector": 196_608, "list": 49_664})
+    credits.update({"general_vector": 213_504, "list": 32_768})
     assert hierarchy.walk_accesses() == credits
-    assert hierarchy._vector_state == -1
+    assert list_cores(hierarchy) == (0, 1, 2, 3)
+    assert hierarchy._promoted
 
 
 #: ``(hits, misses, stale, recorded, trusted)`` of the walk memo after

@@ -44,7 +44,7 @@ from repro.sampling.events import SampleLog
 from repro.sampling.ibs import IBSSampler
 from repro.sampling.pebs import PEBSLoadLatencySampler
 from tests.property.strategies import ELEM
-from tests.unit.test_engine_batch import machine_state
+from tests.unit.test_engine_batch import list_cores, machine_state
 
 #: Element count of the single array every random program touches.
 ELEMENTS = 64
@@ -158,17 +158,18 @@ def sampler_state(sampler):
 
 
 def run_pipeline(bound, num_threads, batched, make_sampler,
-                 config=None, vector_min=None, capture=None):
+                 config=None, vector=True, capture=None):
     interp = Interpreter(bound, num_threads=num_threads)
     trace = interp.run_batched() if batched else interp.run()
     sampler = make_sampler()
     hierarchy = MemoryHierarchy(config or HierarchyConfig(), num_threads)
-    if vector_min is not None:
-        # Force (1) or forbid (huge) promotion to the vector walks,
-        # single-core and per-core alike, so both representations run
-        # under the property.
-        hierarchy.VECTOR_MIN_BATCH = vector_min
-    metrics = simulate(trace, hierarchy=hierarchy, observer=sampler.observe)
+    # ``vector=False`` forbids the vector walks, single-core and per-core
+    # alike, so both cache representations run under the property.
+    with mock.patch.object(vectorwalk, "HAVE_NUMPY",
+                           vector and vectorwalk.HAVE_NUMPY):
+        metrics = simulate(
+            trace, hierarchy=hierarchy, observer=sampler.observe
+        )
     if capture is not None:
         capture(hierarchy)
     return (
@@ -197,11 +198,11 @@ class TestPipelineParity:
         st.integers(1, 4),
         st.integers(3, 60),
         st.sampled_from(["pebs", "ibs"]),
-        st.sampled_from([1, 1 << 30]),
+        st.booleans(),
     )
     @settings(deadline=None, max_examples=30)
     def test_metrics_samples_and_rng_identical(
-        self, body, num_threads, period, pmu, vector_min
+        self, body, num_threads, period, pmu, vector
     ):
         bound = build(body)
 
@@ -212,7 +213,7 @@ class TestPipelineParity:
 
         scalar = run_pipeline(bound, num_threads, False, make_sampler)
         batched = run_pipeline(bound, num_threads, True, make_sampler,
-                               vector_min=vector_min)
+                               vector=vector)
         assert scalar == batched
 
 
@@ -225,8 +226,8 @@ class TestConfigParity:
     walk, multi-core per-core vector walk, or the trace-ordered list
     walk, which on prefetch, TLB and random-replacement machines hands
     every access but an L1 hit to the scalar walk).
-    ``vector_min`` forces promotion at batch length 1 or forbids it
-    entirely, so both cache representations run under the property.
+    ``vector`` allows promotion or forbids it entirely, so both cache
+    representations run under the property.
     """
 
     @given(
@@ -239,12 +240,12 @@ class TestConfigParity:
         ),
         st.sampled_from(["lru", "fifo", "random"]),
         st.booleans(),
-        st.sampled_from([1, 1 << 30]),
+        st.booleans(),
     )
     @settings(deadline=None, max_examples=40)
     def test_every_configuration_is_batch_exact(
         self, body, num_threads, degree, tlb, replacement, small_geom,
-        vector_min,
+        vector,
     ):
         bound = build(body)
         base = HierarchyConfig.small() if small_geom else HierarchyConfig()
@@ -258,7 +259,7 @@ class TestConfigParity:
         scalar = run_pipeline(bound, num_threads, False, make_sampler,
                               config=config)
         batched = run_pipeline(bound, num_threads, True, make_sampler,
-                               config=config, vector_min=vector_min)
+                               config=config, vector=vector)
         assert scalar == batched
 
 
@@ -273,9 +274,9 @@ def parallel_loop(line, body):
 
 class TestMulticoreWalkParity:
     """The 4-core walk's transitions on fixed programs: promotion by a
-    write-free batch, then demotion by a batch that writes lines another
-    core holds, or a core's own demotion to list caches by a batch in
-    which it re-uses lines too densely for the chunked walk."""
+    write-free batch, then every core's turn to list caches at a batch
+    that writes lines another core holds, or a core's own turn by a
+    batch in which it re-uses lines too densely for the chunked walk."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
         pytest.importorskip("numpy")
@@ -289,26 +290,28 @@ class TestMulticoreWalkParity:
                        parallel_loop(5, [reread])])
         hierarchies = []
         scalar = run_pipeline(bound, 4, False, pebs)
-        batched = run_pipeline(bound, 4, True, pebs, vector_min=1,
+        batched = run_pipeline(bound, 4, True, pebs,
                                capture=hierarchies.append)
         assert scalar == batched
         (hierarchy,) = hierarchies
         counts = hierarchy.walk_accesses()
-        # The read loop vector-walks. Each thread of the write loop
-        # writes a line another thread read, which the directory lists,
-        # so the write loop demotes for good and the re-read walks the
-        # lists.
-        assert counts["general_vector"] == ELEMENTS
-        assert counts["list"] == 2 * ELEMENTS
-        assert hierarchy._vector_state == -1
+        # The read loop promotes the machine and vector-walks. Each
+        # thread of the write loop writes a line another thread read,
+        # which the directory lists, so the write loop takes the list
+        # walk and turns every core's caches into lists for good; the
+        # re-read takes the per-core walk on those lists.
+        assert counts["general_vector"] == 2 * ELEMENTS
+        assert counts["list"] == ELEMENTS
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
         assert hierarchy.invalidations > 0
 
     def test_replay_heavy_body_demotes(self):
         pytest.importorskip("numpy")
         # 64-byte elements; a sweep over them promotes, then six lines
         # sharing one L1 and one L2 set of the small geometry, visited
-        # in random order by four threads, demote every core's own
-        # caches to lists, where the per-core walk goes on.
+        # in random order by four threads, turn every core's own caches
+        # into lists, where the per-core walk goes on.
         wide = StructType("wide", [("x", INT), ("pad", array_of(INT, 15))])
         config = HierarchyConfig.small()
         sets = config.l2.size_bytes // (config.l2.ways * config.line_size)
@@ -328,17 +331,14 @@ class TestMulticoreWalkParity:
         hierarchies = []
         scalar = run_pipeline(bound, 4, False, pebs, config=config)
         batched = run_pipeline(bound, 4, True, pebs, config=config,
-                               vector_min=1, capture=hierarchies.append)
+                               capture=hierarchies.append)
         assert scalar == batched
         (hierarchy,) = hierarchies
         counts = hierarchy.walk_accesses()
         assert counts["general_vector"] == 6 * sets + n
         assert counts["list"] == 0
-        assert hierarchy._vector_state == 1
-        assert [
-            core.id for core in hierarchy.cores
-            if isinstance(core.l1, vectorwalk.TagArrayCache)
-        ] == []
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
 
 
 #: One 64-byte element, so one cache line, per index of ``P``.
@@ -445,7 +445,7 @@ class TestPrivateWriteParity:
         hierarchies = []
         scalar = run_pipeline(bound, num_threads, False, pebs, config=config)
         batched = run_pipeline(bound, num_threads, True, pebs, config=config,
-                               vector_min=1, capture=hierarchies.append)
+                               capture=hierarchies.append)
         assert scalar == batched
         if private:
             (hierarchy,) = hierarchies
@@ -457,7 +457,7 @@ class TestPrivateWriteParity:
         scalar = run_pipeline(upgrading_program(), 4, False, pebs,
                               config=HierarchyConfig.small())
         batched = run_pipeline(upgrading_program(), 4, True, pebs,
-                               config=HierarchyConfig.small(), vector_min=1,
+                               config=HierarchyConfig.small(),
                                capture=hierarchies.append)
         assert scalar == batched
         (hierarchy,) = hierarchies
@@ -558,7 +558,8 @@ def interleave(shares, rng):
 def ending_batches(ending):
     """A halo batch, in which each core writes the first line of the
     next core's region and reads the shared region, and a batch with a
-    line-crossing access: each demotes a promoted machine."""
+    line-crossing access: the per-core walk refuses each, and every
+    core turns to list caches for good."""
     batches = []
     for kind in ending:
         addresses, is_write, thread = [], [], []
@@ -578,16 +579,33 @@ def ending_batches(ending):
     return batches
 
 
+def routed_after_ending(batches):
+    """``batches`` with every write of a region's first line turned
+    into a read: the ending batches hand that line to another core, so
+    a later write of it would not be private. The per-core walk takes
+    each of them after any ending."""
+    return [
+        (addresses, sizes, [
+            int(bool(w) and a % (1 << 20) >= 64)
+            for a, w in zip(addresses, is_write)
+        ], thread)
+        for addresses, sizes, is_write, thread in batches
+    ]
+
+
+def accesses(batches):
+    return sum(len(batch[0]) for batch in batches)
+
+
 def check_core_batches(batches, replacement):
-    """Walk ``batches`` batched (``vector_min=1``) and per access on
-    the small geometry, asserting after every batch that latencies and
-    the whole machine match; returns the batched hierarchy."""
+    """Walk ``batches`` batched and per access on the small geometry,
+    asserting after every batch that latencies and the whole machine
+    match; returns the batched hierarchy."""
     config = dataclasses.replace(
         HierarchyConfig.small(), replacement=replacement
     )
     reference = MemoryHierarchy(config, CORES)
     hierarchy = MemoryHierarchy(config, CORES)
-    hierarchy.VECTOR_MIN_BATCH = 1
     for addresses, sizes, is_write, thread in batches:
         expected = [
             reference.access(t, a, s, bool(w))
@@ -601,10 +619,11 @@ def check_core_batches(batches, replacement):
 
 class TestDenseCoreParity:
     """On the 4-core machine a dense core walks its own list caches
-    while the others cascade on tag arrays; every batch, and the
-    demotion of a machine whose cores mix the two, matches per-access
-    ``access()``: latencies, each core's L1/L2 contents and counters,
-    the L3, and every directory word."""
+    while the others cascade on tag arrays; every batch, the refused
+    batch that turns a machine whose cores mix the two to list caches,
+    and the batches the per-core walk then takes on those lists match
+    per-access ``access()``: latencies, each core's L1/L2 contents and
+    counters, the L3, and every directory word."""
 
     @given(core_batches(), st.sampled_from(["lru", "fifo"]))
     @settings(deadline=None, max_examples=40)
@@ -613,15 +632,15 @@ class TestDenseCoreParity:
     ):
         pytest.importorskip("numpy")
         batches, ending = drawn
-        hierarchy = check_core_batches(
-            batches + ending_batches(ending), replacement
-        )
-        if not batches:
-            assert hierarchy._vector_state == 0
-        elif ending:
-            assert hierarchy._vector_state == -1
-        else:
-            assert hierarchy.walk_accesses()["list"] == 0
+        refused = ending_batches(ending)
+        after = routed_after_ending(batches) if ending else []
+        hierarchy = check_core_batches(batches + refused + after, replacement)
+        counts = hierarchy.walk_accesses()
+        assert counts["list"] + counts["scalar"] == accesses(refused)
+        assert counts["general_vector"] == accesses(batches + after)
+        assert hierarchy._promoted == bool(batches)
+        if ending:
+            assert list_cores(hierarchy) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo"])
     def test_dense_core_then_halo_then_crossing(self, replacement):
@@ -636,23 +655,22 @@ class TestDenseCoreParity:
         ]
         batches = [interleave(shares, rng) for _ in range(2)]
         hierarchy = check_core_batches(batches, replacement)
-        assert hierarchy._vector_state == 1
-        assert [
-            core.id for core in hierarchy.cores
-            if not isinstance(core.l1, vectorwalk.TagArrayCache)
-        ] == [1, 3]
-        assert hierarchy.walk_accesses()["general_vector"] == sum(
-            len(batch[0]) for batch in batches
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == [1, 3]
+        assert hierarchy.walk_accesses()["general_vector"] == accesses(
+            batches
         )
+        after = routed_after_ending(batches)
         for ending in [("halo",), ("crossing",), ("halo", "crossing")]:
+            refused = ending_batches(ending)
             hierarchy = check_core_batches(
-                batches + ending_batches(ending), replacement
+                batches + refused + after, replacement
             )
-            assert hierarchy._vector_state == -1
+            assert hierarchy._promoted
+            assert list_cores(hierarchy) == [0, 1, 2, 3]
             counts = hierarchy.walk_accesses()
-            assert counts["list"] + counts["scalar"] == sum(
-                len(batch[0]) for batch in ending_batches(ending)
-            )
+            assert counts["list"] + counts["scalar"] == accesses(refused)
+            assert counts["general_vector"] == accesses(batches + after)
 
 
 def profile_state(collector):

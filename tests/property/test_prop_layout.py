@@ -111,4 +111,4 @@ class TestSplitInvariants:
     def test_maximal_split_removes_all_internal_padding(self, struct):
         layout = apply_split(struct, maximal_plan(struct))
         for st_ in layout.structs:
-            assert st_.padding_bytes() == 0
+            assert st_.size == sum(f.size for f in st_.fields)

@@ -21,9 +21,9 @@ the lines its walk moved between ways with their own stamps.
 Batches draw lines from regions far more than 2**31 lines apart, so
 a level's tag offsets overflow int32 and the fingerprint falls back to
 int64, and they start on a cold, partly empty cache, so empty ways sit
-in the fingerprints. An optional warm-up of small batches list-walks
-before the machine promotes: promotion packs each set's lines into its
-first ways, and the first walk that merges into such a set moves them
+in the fingerprints. An optional warm-up walks small batches per
+access, on the list caches, before the machine promotes: promotion
+packs each set's lines into its first ways, and the first walk that merges into such a set moves them
 behind its empty ways, so some changed cells end empty.
 """
 
@@ -133,8 +133,9 @@ def walk_plan(config, warmup, plan):
             "pattern": "random", "regions": [0], "n": 200, "offset": 0,
             "seed": seed,
         }, config)
-        plain.access_batch(*small)
-        memoized.access_batch(*small)
+        for hier in (plain, memoized):
+            for address, size, write, _ in zip(*small):
+                hier.access(0, address, size, bool(write))
     plain._promote_to_vector()
     plain._walk_memo = None
     pool = []

@@ -240,10 +240,11 @@ class TestHierarchyBatch:
         pytest.param(policy, split, id=policy + ("-split" if split else ""))
         for split in (False, True) for policy in ("lru", "fifo", "random")
     ])
-    def test_batch_matches_scalar_walk(self, policy, split):
-        # One core with promotion out of reach: every batch takes the
-        # list walk, which on the random machine resolves only L1 hits
+    def test_batch_matches_scalar_walk(self, policy, split, monkeypatch):
+        # One core without numpy's walks: every batch takes the list
+        # walk, which on the random machine resolves only L1 hits
         # inline and hands every other access to access().
+        monkeypatch.setattr(vectorwalk, "HAVE_NUMPY", False)
         config = HierarchyConfig(replacement=policy)
         addresses, sizes = self.columns(split)
         reference = MemoryHierarchy(config, 1)
@@ -251,7 +252,6 @@ class TestHierarchyBatch:
             reference.access(0, a, s, False) for a, s in zip(addresses, sizes)
         ]
         hierarchy = MemoryHierarchy(config, 1)
-        hierarchy.VECTOR_MIN_BATCH = 1 << 30
         got = hierarchy.access_batch(addresses, sizes)
         assert got == expected
         assert machine_state(hierarchy) == machine_state(reference)
@@ -283,7 +283,7 @@ class TestHierarchyBatch:
             reference.access(0, a, s, False) for a, s in zip(addresses, sizes)
         ]
         hierarchy = MemoryHierarchy(config, 1)
-        assert hierarchy.access_batch(addresses, sizes) == expected
+        assert list(hierarchy.access_batch(addresses, sizes)) == expected
         assert hierarchy.dram_accesses == reference.dram_accesses
 
     def run_general_parity(self, config, num_cores):
@@ -355,10 +355,8 @@ class TestHierarchyBatch:
 class TestVectorWalk:
     """The numpy tag-array walk on large simple-config batches."""
 
-    def make(self, policy="lru", vector_min=1):
-        hier = MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
-        hier.VECTOR_MIN_BATCH = vector_min
-        return hier
+    def make(self, policy="lru"):
+        return MemoryHierarchy(HierarchyConfig(replacement=policy), 1)
 
     @staticmethod
     def vector_walked(hierarchy):
@@ -409,7 +407,7 @@ class TestVectorWalk:
         ]
         hierarchy = self.make(policy)
         got = hierarchy.access_batch(addresses, sizes)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert list(got) == expected
         for mine, theirs in zip(
             (hierarchy.l3, hierarchy.cores[0].l1, hierarchy.cores[0].l2),
@@ -512,7 +510,6 @@ class TestVectorWalk:
         calls = spy_row_walk(monkeypatch)
         reference = MemoryHierarchy(config, 1)
         hierarchy = MemoryHierarchy(config, 1)
-        hierarchy.VECTOR_MIN_BATCH = 1
         for addresses in batches:
             sizes = [4] * len(addresses)
             expected = [
@@ -521,7 +518,7 @@ class TestVectorWalk:
             ]
             assert list(hierarchy.access_batch(addresses, sizes)) == expected
             assert machine_state(hierarchy) == machine_state(reference)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert hierarchy.walk_accesses()["list"] == 0
         return calls
 
@@ -537,7 +534,7 @@ class TestVectorWalk:
             for a, s in zip(addresses, sizes)
         ]
         assert hierarchy.access_batch(addresses, sizes) == expected
-        assert hierarchy._vector_state == 0
+        assert not hierarchy._promoted
 
 
 class TestMulticoreWalk:
@@ -573,13 +570,12 @@ class TestMulticoreWalk:
         addresses[middle], sizes[middle] = 60, 8
         return addresses, sizes, is_write, thread
 
-    def check(self, batches, vector_min=1, config=None):
+    def check(self, batches, config=None):
         """Walk ``batches`` batched and per access; returns the batched
         hierarchy after asserting latencies and state are identical."""
         config = config or HierarchyConfig()
         reference = MemoryHierarchy(config, self.CORES)
         hierarchy = MemoryHierarchy(config, self.CORES)
-        hierarchy.VECTOR_MIN_BATCH = vector_min
         for addresses, sizes, is_write, thread in batches:
             expected = [
                 reference.access(t % self.CORES, a, s, bool(w))
@@ -592,20 +588,17 @@ class TestMulticoreWalk:
 
     def test_list_walk_with_writes_matches_scalar(self):
         hierarchy = self.check([self.columns(writes=True)] * 2)
-        assert hierarchy._vector_state == 0
+        assert not hierarchy._promoted
         assert hierarchy.invalidations > 0
 
     def test_line_crossing_accesses_take_access(self):
-        hierarchy = self.check(
-            [self.crossing(), self.crossing(writes=True)],
-            vector_min=1 << 30,
-        )
+        hierarchy = self.check([self.crossing(), self.crossing(writes=True)])
         assert hierarchy.walk_accesses()["scalar"] == 2
 
     def test_write_free_batches_vector_walk_each_core(self):
         pytest.importorskip("numpy")
         hierarchy = self.check([self.columns()] * 3)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         # Only the private levels are promoted; the shared L3 is a list.
         assert hasattr(hierarchy.cores[3].l2, "to_list_cache")
         assert not hasattr(hierarchy.l3, "to_list_cache")
@@ -629,14 +622,15 @@ class TestMulticoreWalk:
             before.directory.state(0, address >> 6) for address in addresses
         } == {"M"}
         hierarchy = self.check([written, read])
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert hierarchy.walk_accesses()["general_vector"] == 3 * n
         stats = hierarchy.directory.stats
         assert stats.cache_to_cache == stats.writebacks == n
 
-    def private_writes(self):
+    def private_writes(self, base=0):
         """A batch in which each core touches 24 lines of its own,
-        twice over, and every core reads one line no core writes.
+        twice over, and every core reads one line no core writes; the
+        own lines start at byte ``base``.
 
         Of every three own lines, one is only written, one read and
         then written, and one only read. A core's lines share one L1
@@ -646,7 +640,7 @@ class TestMulticoreWalk:
         for _ in range(2):
             for j in range(24):
                 for core in range(self.CORES):
-                    address = 4096 * j + 64 * core
+                    address = base + 4096 * j + 64 * core
                     if j % 3 != 0:
                         addresses.append(address)
                         is_write.append(0)
@@ -673,7 +667,7 @@ class TestMulticoreWalk:
         monkeypatch.setattr(MemoryHierarchy, "_shared_fills", spy)
         batch = self.private_writes()
         hierarchy = self.check([batch] * 3)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         counts = dict.fromkeys(WALK_PATHS, 0)
         counts["general_vector"] = 3 * len(batch[0])
         assert hierarchy.walk_accesses() == counts
@@ -745,7 +739,8 @@ class TestMulticoreWalk:
         batches = ([far] if promoted else []) + [shared]
         hierarchy = self.check(batches)
         assert hierarchy.walk_accesses()["list"] == len(addresses)
-        assert hierarchy._vector_state == (-1 if promoted else 0)
+        assert hierarchy._promoted == promoted
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
 
     def test_stale_remote_holder_lists_the_batch(self):
         # Core 1 reads line 0 and evicts it from its L1 and L2, but the
@@ -762,27 +757,53 @@ class TestMulticoreWalk:
         counts = hierarchy.walk_accesses()
         assert counts["general_vector"] == n
         assert counts["list"] == 2
-        assert hierarchy._vector_state == -1
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
         assert hierarchy.invalidations == 1
 
-    def test_halo_batch_after_promotion_demotes_exactly(self):
-        # Each core writes the first line of the next core's own lines,
-        # as OverlapView's halo exchange does.
-        pytest.importorskip("numpy")
+    def halo(self):
+        """:meth:`private_writes` in which each core then writes the
+        first line of the next core's own lines, as OverlapView's halo
+        exchange does."""
         addresses, sizes, is_write, thread = self.private_writes()
         for core in range(self.CORES):
             addresses.append(64 * ((core + 1) % self.CORES))
             sizes.append(4)
             is_write.append(1)
             thread.append(core)
-        halo = (addresses, sizes, is_write, thread)
+        return addresses, sizes, is_write, thread
+
+    def test_halo_batch_after_promotion_demotes_exactly(self):
+        # The halo batch turns every core's caches into lists. The
+        # private batch after it writes each core's first own line,
+        # which the directory now lists with the previous core, so it
+        # takes the list walk too.
+        pytest.importorskip("numpy")
+        halo = self.halo()
         private = self.private_writes()
         hierarchy = self.check([private, halo, private])
-        assert hierarchy._vector_state == -1
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
         counts = hierarchy.walk_accesses()
         assert counts["general_vector"] == len(private[0])
         assert counts["list"] == len(halo[0]) + len(private[0])
         assert hierarchy.invalidations > 0
+
+    def test_batches_after_a_halo_batch_walk_list_cores(self):
+        # A promoted machine walks a halo batch on the list walk, which
+        # turns every core's caches into lists for good. The per-core
+        # walk then takes a write-free batch and a batch whose written
+        # lines, away from the halo's, stay private, on those lists.
+        pytest.importorskip("numpy")
+        halo = self.halo()
+        after = [self.columns(), self.private_writes(base=1 << 21)]
+        hierarchy = self.check([self.private_writes(), halo] + after)
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=len(self.private_writes()[0]) + sum(
+                len(batch[0]) for batch in after
+            ),
+            list=len(halo[0]),
+        )
 
     def test_machine_too_wide_for_int64_holder_bits_lists(self):
         # Core 63's holder bit is 1 << 65: the per-core walk's int64
@@ -795,7 +816,6 @@ class TestMulticoreWalk:
         is_write = [int(k % 7 == 0) for k in range(n)]
         reference = MemoryHierarchy(HierarchyConfig(), cores)
         hierarchy = MemoryHierarchy(HierarchyConfig(), cores)
-        hierarchy.VECTOR_MIN_BATCH = 1
         for writes in ([0] * n, is_write):
             expected = [
                 reference.access(t, a, 4, bool(w))
@@ -807,20 +827,29 @@ class TestMulticoreWalk:
         assert hierarchy.walk_accesses()["list"] == 2 * n
 
     def test_write_batch_after_promotion_demotes_exactly(self):
+        # The write batch turns every core's caches into lists; the
+        # write-free batch after it walks them on the per-core walk.
         pytest.importorskip("numpy")
         hierarchy = self.check(
             [self.columns(), self.columns(writes=True), self.columns()]
         )
-        assert hierarchy._vector_state == -1
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
+        n = len(self.columns()[0])
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=2 * n, list=n
+        )
 
     def test_line_crossing_batch_after_promotion_demotes_exactly(self):
         pytest.importorskip("numpy")
         hierarchy = self.check([self.columns(), self.crossing()])
-        assert hierarchy._vector_state == -1
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == [0, 1, 2, 3]
 
-    def test_small_batches_stay_on_lists_until_promotion(self):
-        hierarchy = self.check([self.columns()], vector_min=1 << 30)
-        assert hierarchy._vector_state == 0
+    def test_machine_without_numpy_walks_lists(self, monkeypatch):
+        monkeypatch.setattr(vectorwalk, "HAVE_NUMPY", False)
+        hierarchy = self.check([self.columns()])
+        assert not hierarchy._promoted
+        assert hierarchy.walk_accesses()["list"] == len(self.columns()[0])
 
     def dense(self):
         """A batch whose first three cores' shares are distinct lines
@@ -852,7 +881,7 @@ class TestMulticoreWalk:
         assert hierarchy.walk_accesses() == self.paths(
             general_vector=len(batch[0])
         )
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert list_cores(hierarchy) == [3]
         assert calls == []
 
@@ -872,22 +901,23 @@ class TestMulticoreWalk:
         batches = [self.dense(), self.columns()]
         hierarchy = self.check(batches)
         assert promoted == [[0, 1, 2, 3]]
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert list_cores(hierarchy) == [3]
         assert hierarchy.walk_accesses() == self.paths(
             general_vector=sum(len(batch[0]) for batch in batches)
         )
 
     def test_dense_batch_after_promotion_demotes_exactly(self, monkeypatch):
-        # The dense core's tag arrays demote to lists mid-run, exactly:
+        # The dense core's tag arrays turn to lists mid-run, exactly:
         # the batch after it walks that core on lists, the others on
-        # tag arrays. A halo batch (a written line two cores touch) and
-        # a line-crossing batch then demote the mixed machine whole.
+        # tag arrays. A halo batch (a written line two cores touch) or
+        # a line-crossing batch then turns the mixed machine's other
+        # cores to lists too.
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
         batches = [self.columns(), self.dense(), self.columns()]
         hierarchy = self.check(batches)
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert list_cores(hierarchy) == [3]
         walked = sum(len(batch[0]) for batch in batches)
         assert hierarchy.walk_accesses() == self.paths(general_vector=walked)
@@ -895,7 +925,7 @@ class TestMulticoreWalk:
         halo = self.columns(writes=True)
         for after in ([halo], [self.crossing()]):
             hierarchy = self.check(batches + after)
-            assert hierarchy._vector_state == -1
+            assert hierarchy._promoted
             assert list_cores(hierarchy) == [0, 1, 2, 3]
             counts = hierarchy.walk_accesses()
             assert counts["general_vector"] == walked
@@ -918,10 +948,13 @@ class TestMulticoreWalk:
 class TestWalkPaths:
     """``walk_accesses`` credits every access to exactly one path."""
 
-    def simulate(self, config, cores, items, vector_min=1):
+    def simulate(self, config, cores, items, vector=True):
         hierarchy = MemoryHierarchy(config, cores)
-        hierarchy.VECTOR_MIN_BATCH = vector_min
-        metrics = simulate(items, hierarchy=hierarchy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                vectorwalk, "HAVE_NUMPY", vector and vectorwalk.HAVE_NUMPY
+            )
+            metrics = simulate(items, hierarchy=hierarchy)
         counts = hierarchy.walk_accesses()
         assert sum(counts.values()) == metrics.accesses
         return counts
@@ -937,16 +970,16 @@ class TestWalkPaths:
         config = HierarchyConfig()
         scalar = list(Interpreter(program(affine("i", 1, 0))).run())
         cases = [
-            (config, 1, self.batches(1), 1, "vector"),
-            (config, 1, self.batches(1), 1 << 30, "list"),
-            (config, 4, self.batches(4), 1, "general_vector"),
-            (config, 4, self.batches(4), 1 << 30, "list"),
-            (HierarchyConfig(prefetch_degree=2), 2, self.batches(2), 1,
+            (config, 1, self.batches(1), True, "vector"),
+            (config, 1, self.batches(1), False, "list"),
+            (config, 4, self.batches(4), True, "general_vector"),
+            (config, 4, self.batches(4), False, "list"),
+            (HierarchyConfig(prefetch_degree=2), 2, self.batches(2), True,
              "list"),
-            (config, 1, scalar, 1, "scalar"),
+            (config, 1, scalar, True, "scalar"),
         ]
-        for config, cores, items, vector_min, path in cases:
-            counts = self.simulate(config, cores, items, vector_min)
+        for config, cores, items, vector, path in cases:
+            counts = self.simulate(config, cores, items, vector)
             assert counts[path] > 0, (path, counts)
 
     def test_line_crossing_accesses_count_as_scalar(self):
@@ -1014,7 +1047,7 @@ class TestWalkPaths:
             addresses = dense_reuse(n=2000, seed=seed)
             hierarchy.access_batch(addresses, [4] * len(addresses))
         counts = hierarchy.walk_accesses()
-        assert hierarchy._vector_state == 1
+        assert hierarchy._promoted
         assert counts["list"] == 0
         assert counts["vector"] + counts["memo"] == 12000
 

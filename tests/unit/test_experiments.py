@@ -29,11 +29,6 @@ class TestTable:
         with pytest.raises(ValueError):
             self._table().add_row("too", 1, 2)
 
-    def test_csv(self):
-        csv_text = self._table().to_csv()
-        assert csv_text.splitlines()[0] == "name,value"
-        assert "alpha,1.5" in csv_text
-
     def test_column(self):
         assert self._table().column("value") == [1.5, 20]
 

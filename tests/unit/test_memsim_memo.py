@@ -92,16 +92,6 @@ class TestMechanics:
         assert counts["memo"] == 0
         assert counts["vector"] == 3 * len(cols[0])
 
-    def test_small_batches_bypass_the_memo(self):
-        hier = MemoryHierarchy(HierarchyConfig(), 1)
-        hier.access_batch(*columns())  # promote + attach
-        walk_memo = hier._walk_memo
-        before = (walk_memo.hits, walk_memo.misses, walk_memo.recorded)
-        small = columns(n=memo.MEMO_MIN_BATCH - 1, seed=3)
-        hier.access_batch(*small)
-        hier.access_batch(*small)
-        assert (walk_memo.hits, walk_memo.misses, walk_memo.recorded) == before
-
     def test_content_key_matches_across_distinct_objects(self):
         # Equal column *values* in fresh objects must find the same
         # entry: the key is content-addressed, identity is only a fast
@@ -246,16 +236,18 @@ class TestEncoding:
         assert 0 < stamps[stamps > 0].min() < 1 << 31
 
     def test_replay_empties_the_ways_its_walk_emptied(self):
-        # Promotion packs a warmed set's lines into its first ways; the
-        # first walk that merges into such a set moves them behind its
-        # empty ways, leaving some changed cells empty. The machine is
-        # wound back to replay that walk, at a later clock.
+        # Promotion packs the lines of a set warmed on the list caches
+        # into its first ways; the first walk that merges into such a
+        # set moves them behind its empty ways, leaving some changed
+        # cells empty. The machine is wound back to replay that walk,
+        # at a later clock.
         warm = columns(n=200, seed=5)
         batch = columns(seed=6)
         plain, memoized = (MemoryHierarchy(HierarchyConfig(), 1)
                            for _ in range(2))
         for hier in (plain, memoized):
-            hier.access_batch(*warm)
+            for address, size, write, _ in zip(*warm):
+                hier.access(0, address, size, bool(write))
             hier._promote_to_vector()
         plain._walk_memo = None
         pre = snapshot(memoized)
@@ -498,11 +490,11 @@ class TestTrust:
         if between == "scalar":
             for hier in (plain, memoized):
                 hier.access(0, 40 << 6, 8, False)
-        elif between == "other_batch":
-            walk_both(plain, memoized, OTHER_SETS)
         else:
-            short = tuple(c[:memo.MEMO_MIN_BATCH - 1] for c in OTHER_SETS)
-            walk_both(plain, memoized, short)
+            length = len(OTHER_SETS[0]) if between == "other_batch" else 16
+            walk_both(
+                plain, memoized, tuple(c[:length] for c in OTHER_SETS)
+            )
         checked = len(checks)
         walk_both(plain, memoized, FIXED_POINT)
         assert checks[checked:] == [entry_for(walk_memo, FIXED_POINT)]

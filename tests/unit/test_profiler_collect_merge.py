@@ -38,9 +38,8 @@ class TestProfileCollector:
         collector = ProfileCollector(registry, loop_map, program_name="figure1")
         acc = bound.program.accesses()[0]  # Arr.a in first loop
         arr = bound.bindings.resolve("Arr", "a")[0]
-        collector.observe_sample(
-            sample(bound, 0, acc.ip, arr.field_address(3, "a"), 42.0)
-        )
+        address = arr.base + 3 * arr.stride + arr.struct.offset_of("a")
+        collector.observe_sample(sample(bound, 0, acc.ip, address, 42.0))
         profile = collector.profiles[0]
         assert profile.sample_count == 1
         assert profile.total_latency == 42.0
@@ -65,9 +64,10 @@ class TestProfileCollector:
         collector = ProfileCollector(registry, loop_map)
         acc = bound.program.accesses()[0]
         arr = bound.bindings.resolve("Arr", "a")[0]
+        address = arr.base + arr.struct.offset_of("a")
         for thread in (0, 1, 0):
             collector.observe_sample(
-                sample(bound, thread, acc.ip, arr.field_address(0, "a"), 1.0)
+                sample(bound, thread, acc.ip, address, 1.0)
             )
         assert collector.profiles[0].sample_count == 2
         assert collector.profiles[1].sample_count == 1

@@ -41,8 +41,8 @@ class TestSerialExecution:
         events = list(memory_accesses(run(bound)))
         assert len(events) == 8
         for i in range(4):
-            assert events[2 * i].address == arr.field_address(i, "a")
-            assert events[2 * i + 1].address == arr.field_address(i, "b")
+            assert events[2 * i].address == arr.base + 8 * i
+            assert events[2 * i + 1].address == arr.base + 8 * i + 4
 
     def test_write_flag_and_size(self):
         bound, _ = simple_program(n=2)
@@ -64,7 +64,7 @@ class TestSerialExecution:
         ])
         bound = builder.build([Function("main", [loop])])
         addrs = [e.address for e in memory_accesses(run(bound))]
-        assert addrs == [arr.field_address(i, "a") for i in (3, 2, 1, 0)]
+        assert addrs == [arr.base + 8 * i for i in (3, 2, 1, 0)]
 
     def test_out_of_bounds_raises_traceerror(self):
         builder = WorkloadBuilder("t")
@@ -98,7 +98,7 @@ class TestSerialExecution:
         ])
         bound = builder.build([Function("main", [loop])])
         addrs = [e.address for e in memory_accesses(run(bound))]
-        assert addrs == [arr.field_address(i, "a") for i in (2, 0, 3)]
+        assert addrs == [arr.base + 8 * i for i in (2, 0, 3)]
 
 
 class TestCallsAndContexts:
@@ -143,7 +143,7 @@ class TestParallelExecution:
         events = list(memory_accesses(run(bound, num_threads=4)))
         # Every iteration executed exactly once.
         a_addrs = sorted(e.address for e in events if not e.is_write)
-        assert a_addrs == sorted(arr.field_address(i, "a") for i in range(10))
+        assert a_addrs == sorted(arr.base + 8 * i for i in range(10))
 
     def test_threads_get_contiguous_chunks(self):
         bound, arr = simple_program(n=8, parallel=True)

@@ -100,7 +100,7 @@ class TestProgram:
         program = two_loop_program()
         assert len(program.loops()) == 2
         assert len(program.accesses()) == 1
-        assert program.array_names() == ["A"]
+        assert [access.array for access in program.accesses()] == ["A"]
 
     def test_unfinalized_program_refuses_queries(self):
         program = Program("p", [Function("main", [Compute(line=1)])])

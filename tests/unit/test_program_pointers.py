@@ -57,7 +57,7 @@ class TestAddrOf:
         ])
         events = trace(bound)
         assert [e.address for e in events] == [
-            arr.field_address(i, "b") for i in range(4)
+            arr.base + 8 * i + 4 for i in range(4)
         ]
 
     def test_whole_record_base_address(self):
@@ -66,7 +66,7 @@ class TestAddrOf:
             PtrAccess(line=3, ptr="p", offset=4, size=4),
         ])
         (event,) = trace(bound)
-        assert event.address == arr.element_address(0) + 4
+        assert event.address == arr.base + 4
 
     def test_whole_record_addrof_on_split_backing_raises(self):
         bound, _ = build([
@@ -97,7 +97,7 @@ class TestPtrAccess:
             PtrAccess(line=3, ptr="p", offset=2, size=2, is_write=True),
         ])
         (event,) = trace(bound)
-        assert event.address == arr.field_address(0, "a") + 2
+        assert event.address == arr.base + 2
         assert event.size == 2
         assert event.is_write
 
@@ -118,7 +118,7 @@ class TestPtrAccess:
             PtrAccess(line=4, ptr="p", offset=0),
         ])
         events = trace(bound)
-        assert [e.address for e in events] == [arr.field_address(3, "b")] * 2
+        assert [e.address for e in events] == [arr.base + 8 * 3 + 4] * 2
 
     def test_validation_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestCallArgs:
             Call(line=3, callee="use", args=("p",)),
         ], extra_functions=[callee])
         (event,) = trace(bound)
-        assert event.address == arr.field_address(2, "a")
+        assert event.address == arr.base + 8 * 2
 
     def test_args_are_tupled(self):
         assert Call(line=1, callee="f", args=["p", "q"]).args == ("p", "q")

@@ -74,7 +74,9 @@ class TestSolveForward:
         cfg, (entry, left, right, merge) = diamond()
         result = solve_forward(cfg, LabelUnion())
         assert result.in_of(merge) == {"entry", "left", "right"}
-        assert result.out_of(merge) == {"entry", "left", "right", "merge"}
+        assert result.out_facts[merge.id] == {
+            "entry", "left", "right", "merge",
+        }
         assert result.in_of(left) == {"entry"}
 
     def test_loop_reaches_fixed_point(self):
@@ -98,7 +100,7 @@ class TestSolveForward:
         island = cfg.new_block(label="island")
         result = solve_forward(cfg, LabelUnion())
         assert result.in_of(island) is None
-        assert result.out_of(island) is None
+        assert island.id not in result.out_facts
 
 
 def bound_with_pointer():
@@ -124,10 +126,10 @@ class TestPointsToOverLoweredCfg:
         # At the function's last block, p may hold &A[...].a (bound in
         # the loop) or be undefined (zero-trip path joins in).
         last = max(
-            (b for b in cfg.blocks if result.out_of(b) is not None),
+            (b for b in cfg.blocks if b.id in result.out_facts),
             key=lambda b: max(b.ips) if b.ips else -1,
         )
-        targets = result.out_of(last)["p"]
+        targets = result.out_facts[last.id]["p"]
         assert ("A", "a") in targets
 
 

@@ -102,20 +102,3 @@ class TestScalarSweep:
         bound, _ = build_with(loop)
         assert all(e.is_write for e in memory_accesses(run(bound)))
 
-
-class TestAdviceToC:
-    def test_figure9_shape_for_tsp(self):
-        """The C rendering splits tree into the hot trio + cold rest."""
-        from repro.core import OfflineAnalyzer
-        from repro.profiler import Monitor
-        from repro.workloads import TREE, TspWorkload
-
-        workload = TspWorkload(scale=0.25)
-        run_ = Monitor(sampling_period=173).run(workload.build_original())
-        report = OfflineAnalyzer().analyze(run_)
-        advice = report.object_by_name("tree_nodes").advice
-        c_code = advice.to_c(TREE)
-        assert "struct tree_xyn {" in c_code
-        assert "double x;" in c_code and "int next;" in c_code
-        assert "struct tree_slrp {" in c_code
-        assert c_code.count("struct ") == 2
