@@ -10,7 +10,7 @@ benchmarks can compare both the advice and its collection cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..binary.loopmap import LoopMap
 from ..core.advice import build_advice

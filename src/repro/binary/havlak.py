@@ -16,7 +16,7 @@ union-find over already-discovered inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cfg import BasicBlock, ControlFlowGraph
 

@@ -22,7 +22,7 @@ The format is a small XML dialect modelled on hpcstruct's::
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..program.ir import Program

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..layout.address_space import AddressSpace, Allocation
+from ..layout.address_space import AddressSpace
 
 
 @dataclass(frozen=True)

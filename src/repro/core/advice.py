@@ -12,13 +12,12 @@ paper's workflow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..layout.splitting import SplitPlan
 from ..layout.struct import StructType
 from ..profiler.profile import DataIdentity
 from .affinity import AffinityMatrix
-from .attribution import LoopAccessEntry
 from .clustering import DEFAULT_THRESHOLD, cluster_offsets
 from .structsize import RecoveredStruct
 

@@ -8,7 +8,7 @@ experiment harness and the examples call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Protocol
 
 from .. import telemetry

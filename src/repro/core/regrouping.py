@@ -20,8 +20,8 @@ Two arrays are regrouping candidates when:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..profiler.profile import DataIdentity, ThreadProfile
 from .clustering import DEFAULT_THRESHOLD

@@ -9,7 +9,7 @@ recovery.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..profiler.online import StreamState
 from ..profiler.profile import DataIdentity, ThreadProfile

@@ -10,10 +10,10 @@ indented hot-path tree like HPCToolkit's viewers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..binary.loopmap import LoopMap
-from ..profiler.profile import DataIdentity, ThreadProfile
+from ..profiler.profile import ThreadProfile
 
 
 @dataclass

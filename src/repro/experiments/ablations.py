@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..baselines import (
@@ -31,7 +30,7 @@ from ..layout.splitting import SplitPlan, maximal_plan
 from ..layout.struct import StructType
 from ..layout.types import DOUBLE
 from ..memsim.engine import simulate
-from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
+from ..memsim.hierarchy import HierarchyConfig
 from ..memsim.stats import speedup
 from ..profiler.allocation import DataObjectRegistry
 from ..profiler.monitor import Monitor

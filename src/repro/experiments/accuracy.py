@@ -11,7 +11,7 @@ implementation.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 from ..core.stride import (
     accuracy_lower_bound,

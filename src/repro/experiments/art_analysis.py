@@ -9,7 +9,7 @@ clusters become Figure 7's split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.analyzer import AnalysisReport, ObjectAnalysis, OfflineAnalyzer
 from ..core.attribution import loop_share_rows

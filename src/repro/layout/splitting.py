@@ -91,9 +91,6 @@ class SplitLayout:
                 mapping[f.name] = (gi, st)
         return mapping
 
-    def c_declarations(self) -> str:
-        return "\n\n".join(st.c_declaration() for st in self.structs)
-
 
 def apply_split(
     struct: StructType,

@@ -10,9 +10,9 @@ StructSlim metric.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..telemetry.session import enabled as telemetry_enabled
 from . import vectorwalk
@@ -133,7 +133,8 @@ class MemoryHierarchy:
         # walk takes, once. On a multi-core machine a core's L1/L2 later
         # turn back into list caches for good: its own when it is too
         # dense for the chunked walk, every core's when the per-core
-        # walk refuses a batch (see _walk_multicore).
+        # walk refuses a batch, whose cut accesses form too many runs
+        # (see _walk_multicore).
         self._promoted = False
         # Steady-state walk memo, attached at single-core vector
         # promotion (see repro.memsim.memo); None until then.
@@ -280,11 +281,14 @@ class MemoryHierarchy:
 
         With numpy, a machine with bare LRU/FIFO caches (no prefetcher,
         TLB or random replacement) vector-walks every batch of one core,
-        through the walk memo, and on up to 61 cores every batch whose
-        written lines are private to one core and that has no
-        line-crossing access (:meth:`_walk_multicore`), each core's
-        share on its tag arrays or on its own list caches. Every other
-        batch takes the inlined trace-ordered list walk
+        through the walk memo. On up to 61 cores it takes every batch
+        whose cut accesses (line-crossing ones, and those to a written
+        line that is not private to one core) form at most
+        ``vectorwalk.CUT_CAP`` runs on the per-core walk
+        (:meth:`_walk_multicore`): the cut accesses take :meth:`access`
+        in trace order, and each core walks its share of the segments
+        between them on its tag arrays or on its own list caches. Every
+        other batch takes the inlined trace-ordered list walk
         (:meth:`_walk_lists`).
         """
         cfg = self.config
@@ -316,29 +320,28 @@ class MemoryHierarchy:
     def _walk_multicore(self, addresses, sizes, is_write, thread):
         """The multi-core machine's per-core walk, or None.
 
-        The batch is routed before any cache state changes. It takes
-        the per-core walk if it has no line-crossing access and every
-        line it writes is private to one core (:meth:`_private_writes`);
-        the first such batch promotes the machine. Otherwise it returns
+        The batch is routed before any cache state changes. Its *cut
+        accesses* are its line-crossing accesses and every access to a
+        contested line: a written line another core touches, or that the
+        directory lists for another core at batch start
+        (:meth:`_private_writes`). Cut accesses take :meth:`access` in
+        trace order, as :func:`vectorwalk.walk_batch` takes a
+        line-crossing access on one core; each run of accesses between
+        them walks as one segment (:meth:`_walk_segment`). The first
+        batch the walk takes promotes the machine. A batch whose cut
+        accesses form more than ``vectorwalk.CUT_CAP`` runs returns
         None, for the list walk, and every core still on tag arrays
         turns its L1/L2 into list caches for good (:meth:`_to_lists`):
         each run builds a fresh hierarchy, so waiting for a streak of
         such batches would cost a large part of the run.
 
-        With every written line private, no write invalidates a remote
-        copy, so a core's private L1/L2 state depends only on its own
-        subsequence, and each core walks it alone, reads and writes
-        alike, planned just before it walks. A core whose stream has
-        chunk bounds (:func:`vectorwalk.plan`) walks its promoted caches
-        with :func:`vectorwalk.cascade`. A core too dense for the
-        chunked walk (pointer chasing) turns its own L1/L2 into list
-        caches for good, and a core on list caches walks them in
-        :meth:`_walk_core_lists`. The private misses then go
-        through the shared L3 and the directory's read fill in trace
-        order (:meth:`_shared_fills`), the only state cores share
-        besides the written lines' directory words, which
-        :meth:`_apply_private_writes` then sets from the writers' own
-        events.
+        Only a write that purges remote copies changes a core's L1/L2
+        from outside, and in a segment every written line is private to
+        its writer: no other core touches it in the batch or holds it
+        at batch start, and no cut access touches it. So no write of a
+        segment invalidates a remote copy, a core's private L1/L2 state
+        across the segment depends only on its own subsequence, and
+        each core walks it alone, reads and writes alike.
 
         Returns a float64 ndarray, which ``simulate`` sums order-free.
         That is exact because every latency is an integer number of
@@ -352,32 +355,85 @@ class MemoryHierarchy:
         np = vectorwalk._np
         line_bits = self._line_bits
         address = vectorwalk.as_column(addresses)
+        size = vectorwalk.as_column(sizes)
         lines = address >> line_bits
-        last = address + vectorwalk.as_column(sizes)
+        last = address + size
         last -= 1
         last >>= line_bits
-        routed = not (last != lines).any()
-        del last
+        crossing = last != lines
+        if not crossing.any():
+            crossing = last = None
         if thread is None:
             core_of = np.zeros(n, dtype=np.int64)
         else:
             core_of = vectorwalk.as_column(thread)
             if core_of.min() < 0 or core_of.max() >= self.num_cores:
                 core_of = core_of % self.num_cores
-        private = None
-        if routed and is_write is not None:
+        cut = crossing
+        private = writes = None
+        if is_write is not None:
             writes = vectorwalk.as_column(is_write) != 0
             if writes.any():
-                private = self._private_writes(lines, core_of, writes)
-                routed = private is not None
-        if not routed:
-            for core in self.cores:
-                self._to_lists(core)
-            return None
+                private, contested = self._private_writes(
+                    lines, core_of, writes, crossing, last
+                )
+                if private is not None and contested.any():
+                    _, at, touched = private[:3]
+                    held = touched & contested[at]
+                    cut = held if cut is None else cut | held
+        if cut is not None:
+            runs = np.count_nonzero(cut[1:] & ~cut[:-1]) + int(cut[0])
+            if runs > vectorwalk.CUT_CAP:
+                for core in self.cores:
+                    self._to_lists(core)
+                return None
+        # Each segment shifts its own lines again, so no batch-wide
+        # line column outlives the routing.
+        del lines, last
         if not self._promoted:
             self._promote_to_vector()
+        if cut is None:
+            return self._walk_segment(
+                slice(0, n), address, core_of, writes, private
+            )
+        latencies = np.empty(n, dtype=np.float64)
+        begin = 0
+        for i in np.flatnonzero(cut).tolist() + [n]:
+            if i > begin:
+                part = slice(begin, i)
+                latencies[part] = self._walk_segment(
+                    part, address, core_of, writes, private
+                )
+            if i < n:
+                latencies[i] = self.access(
+                    int(core_of[i]), int(address[i]), int(size[i]),
+                    writes is not None and bool(writes[i]),
+                )
+            begin = i + 1
+        return latencies
+
+    def _walk_segment(self, part, address, core_of, writes, private):
+        """Latencies of the segment ``part`` (a slice) of a batch's
+        columns (:meth:`_walk_multicore`), walked on the per-core walk.
+
+        Each core walks its own subsequence (:meth:`_walk_core`),
+        planned just before it walks. A core whose stream has chunk
+        bounds (:func:`vectorwalk.plan`) walks its promoted caches with
+        :func:`vectorwalk.cascade`. A core too dense for the chunked
+        walk (pointer chasing) turns its own L1/L2 into list caches for
+        good, and a core on list caches walks them in
+        :meth:`_walk_core_lists`. The private misses then go through
+        the shared L3 and the directory's read fill in trace order
+        (:meth:`_shared_fills`), the only state cores share besides the
+        written lines' directory words, which
+        :meth:`_apply_private_writes` then sets from the writers' own
+        events.
+        """
+        np = vectorwalk._np
+        lines = address[part] >> self._line_bits
+        core_of = core_of[part]
         # Per access: 0 = L1 hit, 1 = L2 hit, 2 = private miss.
-        levels = np.zeros(n, dtype=np.int8)
+        levels = np.zeros(len(lines), dtype=np.int8)
         for core in self.cores:
             at = np.flatnonzero(core_of == core.id)
             if len(at):
@@ -396,7 +452,9 @@ class MemoryHierarchy:
                 miss_lines[start:end].tolist(), miss_bits[start:end].tolist()
             )
         if private is not None:
-            self._apply_private_writes(private, writes, missed, latencies)
+            self._apply_private_writes(
+                private, part, writes[part], missed, latencies
+            )
         return latencies
 
     def _walk_core(self, core, own, at, levels) -> None:
@@ -469,62 +527,81 @@ class MemoryHierarchy:
         l2.evictions += l2_misses - (sum(map(len, l2_sets)) - l2_filled)
         return levels
 
-    def _private_writes(self, lines, core_of, writes):
-        """``(written, at, touched, start, holder)`` for a batch's
-        written lines, or None when one of them is not private to its
-        writer.
+    def _private_writes(self, lines, core_of, writes, crossing, last):
+        """``(private, contested)`` for a batch's written lines, both
+        None when only line-crossing accesses write.
 
-        A written line is private when no other core touches it in the
-        batch and the directory lists no other core as its holder at
-        batch start. The directory lists a superset of the real holders,
-        so then no write of the batch can purge another core's copy.
-        ``written`` holds the distinct written lines; per access, ``at``
-        is its line's index in ``written`` where ``touched`` says it has
-        one; per written line, ``start`` is its directory word at batch
-        start and ``holder`` its writer's holder bit.
+        ``private`` is ``(written, at, touched, start, holder)``:
+        ``written`` holds the distinct lines single-line accesses write;
+        per access, ``at`` is its line's index in ``written`` where
+        ``touched`` says it has one; per written line, ``start`` is its
+        directory word at batch start and ``holder`` its writer's holder
+        bit. ``contested`` marks the written lines not private to their
+        writer: another core touches the line in the batch, or the
+        directory lists another core as its holder at batch start, or a
+        line-crossing access touches it (``crossing`` marks those
+        accesses and ``last`` holds their last lines; both are None in
+        a batch without one). The directory lists a superset of the
+        real holders, so no write to an uncontested line can purge
+        another core's copy.
         """
         np = vectorwalk._np
-        written = np.sort(lines[writes])
+        single = writes if crossing is None else writes & ~crossing
+        written = np.sort(lines[single])
+        if not len(written):
+            return None, None
         distinct = np.empty(len(written), dtype=bool)
         distinct[0] = True
         np.not_equal(written[1:], written[:-1], out=distinct[1:])
         written = written[distinct]
+        top = len(written) - 1
         at = np.searchsorted(written, lines)
-        np.minimum(at, len(written) - 1, out=at)
+        np.minimum(at, top, out=at)
         touched = written[at] == lines
         writer = np.empty(len(written), dtype=np.int64)
-        writer[at[writes]] = core_of[writes]
-        if ((writer[at] != core_of) & touched).any():
-            return None  # a written line two cores touch
+        writer[at[single]] = core_of[single]
+        contested = np.zeros(len(written), dtype=bool)
+        contested[at[touched & (writer[at] != core_of)]] = True
+        if crossing is not None:
+            contested[at[touched & crossing]] = True
+            far = last[crossing]
+            far_at = np.minimum(np.searchsorted(written, far), top)
+            contested[far_at[written[far_at] == far]] = True
         start = np.fromiter(
             map(self.directory._lines.get, written.tolist(),
                 repeat(0, len(written))),
             dtype=np.int64, count=len(written),
         )
         holder = 1 << (writer + HOLDER_SHIFT)
-        if (start & ~(holder | CODE_MASK)).any():
-            return None  # another core listed as a holder
-        return written, at, touched, start, holder
+        contested |= (start & ~(holder | CODE_MASK)) != 0
+        return (written, at, touched, start, holder), contested
 
-    def _apply_private_writes(self, private, writes, missed, latencies):
-        """Apply a vector-walked batch's writes to the directory.
+    def _apply_private_writes(self, private, part, writes, missed, latencies):
+        """Apply the events of a batch's segment ``part`` on its written
+        lines to the directory.
 
-        ``private`` is :meth:`_private_writes` of the batch. Only the
-        writer touches a written line, so the line's word changes only
-        at the writer's writes and private misses, in trace order, as
-        :meth:`MESIDirectory.write` and ``read`` change it with no other
-        holder: a write leaves M, and pays ``upgrade_latency`` when it
-        finds the writer's S; a read miss leaves E when it finds no
-        word, else S. So a core that re-reads a line only it holds ends
-        S, and its next write upgrades. Each written line that changed
-        gets the word its last event leaves. That replaces the read
-        fill :meth:`_shared_fills` applied to the line's private misses,
+        ``private`` is :meth:`_private_writes` of the batch; ``writes``,
+        ``missed`` and ``latencies`` are the segment's columns, and its
+        written lines are all uncontested. Only the writer touches such
+        a line, so the line's word changes only at the writer's writes
+        and private misses, in trace order, as :meth:`MESIDirectory.write` and
+        ``read`` change it with no other holder: a write leaves M, and
+        pays ``upgrade_latency`` when it finds the writer's S; a read
+        miss leaves E when it finds no word, else S. So a core that
+        re-reads a line only it holds ends S, and its next write
+        upgrades. Each line with an event that changed gets the word its
+        last event leaves, which also becomes its ``start`` for the
+        batch's next segment. That replaces the read fill
+        :meth:`_shared_fills` applied to the line's private misses,
         write misses included, which could not forward: no other core
         holds the line.
         """
         np = vectorwalk._np
         written, at, touched, start, holder = private
-        events = np.flatnonzero(touched & (writes | missed))
+        at = at[part]
+        events = np.flatnonzero(touched[part] & (writes | missed))
+        if not len(events):
+            return
         events = events[np.argsort(at[events], kind="stable")]
         line = at[events]  # grouped by line, trace order within
         wrote = writes[events]  # else a read miss
@@ -549,11 +626,13 @@ class MemoryHierarchy:
             directory.stats.upgrades += len(upgrades)
         filled = np.zeros(len(written), dtype=bool)
         filled[line[missed[events]]] = True
-        final = holder | left[np.append(first[1:], True)]
-        changed = (final != start) | filled
+        held = line[first]
+        final = holder[held] | left[np.append(first[1:], True)]
+        changed = (final != start[held]) | filled[held]
         self.directory._lines.update(
-            zip(written[changed].tolist(), final[changed].tolist())
+            zip(written[held[changed]].tolist(), final[changed].tolist())
         )
+        start[held] = final
 
     def _shared_fills(self, lines, bits) -> List[float]:
         """Latencies of private misses, resolved in trace order through

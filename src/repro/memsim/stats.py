@@ -7,7 +7,7 @@ speedup ratios (Table 3) and per-level cache-miss reductions (Table 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

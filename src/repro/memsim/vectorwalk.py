@@ -70,17 +70,20 @@ latency is byte-identical to the scalar walk — asserted by the
 engine-parity suites.
 
 The multi-core machine reuses :func:`cascade` on each core's private
-L1/L2 alone (see ``MemoryHierarchy._walk_multicore``), for batches
-whose written lines are private to one core; a write walks the private
-levels as a read does, and the shared L3 stays a list cache. A core
-whose :func:`plan` has no chunk bounds turns its own L1/L2 back into
-list caches for good and walks its deduped stream on them, access by
-access, while the other cores keep the cascade. A batch the per-core
-walk refuses (a line-crossing access, or a written line another core
-shares) takes the list walk, and every core still on tag arrays turns
-back to list caches for good; the per-core walk then takes later
-batches on those lists. So the multi-core machine never row-walks:
-only the single-core machine does.
+L1/L2 alone (see ``MemoryHierarchy._walk_multicore``). It cuts a
+batch at its line-crossing accesses and its accesses to written lines
+that are not private to one core, which take the scalar path in
+order, as a line-crossing access does here; in the segments between
+them every written line is private to one core, so a write walks the
+private levels as a read does. The shared L3 stays a list cache. A
+core whose :func:`plan` has no chunk bounds turns its own L1/L2 back
+into list caches for good and walks its deduped stream on them, access
+by access, while the other cores keep the cascade. A batch whose cut
+accesses form more than ``CUT_CAP`` runs takes the list walk, and
+every core still on tag arrays turns back to list caches for good; the
+per-core walk then takes later batches on those lists. So the
+multi-core machine never row-walks: only the single-core machine
+does.
 
 numpy is an *optional* dependency: without it ``HAVE_NUMPY`` is False
 and every LRU/FIFO machine walks its list caches

@@ -10,9 +10,9 @@ change the result — a property the test suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .online import StreamKey, StreamState
+from .online import StreamState
 from .profile import ThreadProfile
 
 #: Thread id used for merged (whole-program) profiles.

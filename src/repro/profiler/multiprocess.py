@@ -15,7 +15,7 @@ threads first, then across ranks with the same reduction tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..memsim.hierarchy import HierarchyConfig
 from ..memsim.stats import RunMetrics

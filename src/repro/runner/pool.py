@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from .. import telemetry
 from .._compat import effective_cpu_count
 from ..telemetry import events
-from ..telemetry.merge import SessionPayload, absorb_payload, capture_session
+from ..telemetry.merge import absorb_payload, capture_session
 from .cache import ResultCache, as_cache
 from .tasks import TaskSpec, execute_task
 
@@ -108,19 +108,38 @@ def _inline(todo: Sequence[TaskSpec], bus: events.AnyBus) -> Iterator[tuple]:
         yield _worker((spec, False))
 
 
+def _paced(
+    results: Iterator[tuple], todo: Sequence[TaskSpec], workers: int,
+    bus: events.AnyBus,
+) -> Iterator[tuple]:
+    """``results`` of a pool running ``todo``, whose first ``workers``
+    tasks are announced already; each task after them is announced once
+    the caller has taken the result ``workers`` places before it, as a
+    worker frees up for it."""
+    for seq, result in enumerate(results, 1):
+        yield result
+        following = seq + workers
+        if following <= len(todo):
+            _publish_start(
+                bus, todo[following - 1], following, len(todo), workers
+            )
+
+
 @contextmanager
 def _executed(todo: Sequence[TaskSpec], workers: int, bus: events.AnyBus):
     """Yield an iterator of ``(record, captured, seconds)`` for
     ``todo``, in order: a pool of ``workers`` processes' ``imap`` when
-    there is more than one worker, else :func:`_inline`."""
+    there is more than one worker (:func:`_paced`), else
+    :func:`_inline`."""
     if workers > 1:
         capture = telemetry.enabled()
-        for seq, spec in enumerate(todo, 1):
+        for seq, spec in enumerate(todo[:workers], 1):
             _publish_start(bus, spec, seq, len(todo), workers)
         context = multiprocessing.get_context()
         with context.Pool(workers) as pool:
-            yield pool.imap(
-                _pool_worker, [(spec, capture) for spec in todo]
+            yield _paced(
+                pool.imap(_pool_worker, [(spec, capture) for spec in todo]),
+                todo, workers, bus,
             )
     else:
         yield _inline(todo, bus)

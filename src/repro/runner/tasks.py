@@ -20,7 +20,7 @@ scheduling, so parallel runs reproduce serial runs exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)

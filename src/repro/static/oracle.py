@@ -30,9 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
 from ..core.analyzer import AnalysisReport, OfflineAnalyzer
-from ..profiler.monitor import Monitor, ProfiledRun
+from ..profiler.monitor import Monitor
 from ..profiler.profile import DataIdentity, ThreadProfile
-from ..program.builder import BoundProgram
 from .absint import StaticAnalysis, StaticReport
 
 

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .events import AnyBus, Event, EventBus
+from .events import AnyBus, Event
 from .metrics import Histogram, MetricsRegistry
 
 PathLike = Union[str, Path]

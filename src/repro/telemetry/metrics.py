@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 

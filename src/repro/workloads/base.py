@@ -12,7 +12,7 @@ bindings differ, so speedups measure layout alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..layout.splitting import SplitPlan, apply_split
 from ..layout.struct import StructType

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from ..program.ir import Access, Affine, Compute, Indirect, Loop, Mod, Stmt, affine
+from ..program.ir import Access, Affine, Compute, Indirect, Loop, Mod, affine
 from .base import LoopSpec
 
 

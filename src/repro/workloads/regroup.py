@@ -11,7 +11,7 @@ splitting exists to fix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..layout.struct import StructType
 from ..layout.types import DOUBLE

@@ -14,7 +14,7 @@ povray is compute-bound, etc.); the per-benchmark overheads are then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..layout.types import DOUBLE
 from ..program.builder import BoundProgram, WorkloadBuilder

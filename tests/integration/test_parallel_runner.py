@@ -186,22 +186,28 @@ class TestCliParity:
         _, plain = run_cli(*argv)
         assert plain == cold
 
-    def test_only_the_parent_writes_stderr(self, tmp_path):
-        # At scale 0.1 each task interprets more than PROGRESS_EVERY
-        # accesses, so a worker that published to the parent's bus
-        # would print its own stage-progress lines, and two workers'
-        # lines could merge into one.
+    @pytest.fixture(scope="class")
+    def parallel_stderr(self, tmp_path_factory):
+        """The stderr lines of ``repro table3 --scale 0.1 --jobs 2``."""
         src = Path(__file__).resolve().parents[2] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "table3", "--scale", "0.1",
              "--jobs", "2"],
-            env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            cwd=tmp_path_factory.mktemp("table3"),
             capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()
+
+    def test_only_the_parent_writes_stderr(self, parallel_stderr):
+        # At scale 0.1 each task interprets more than PROGRESS_EVERY
+        # accesses, so a worker that published to the parent's bus
+        # would print its own stage-progress lines, and two workers'
+        # lines could merge into one.
         names = list(TABLE2_WORKLOADS)
         total = len(names)
-        lines = proc.stderr.splitlines()
+        lines = parallel_stderr
         task = re.compile(
             rf"task \[(\d+)/{total}\] (.+): "
             r"(optimize started|done in \d+\.\d\ds( \(eta \S+\))?)"
@@ -218,6 +224,18 @@ class TestCliParity:
             for event in ("optimize", "done")
         )
         assert lines[-1].startswith(f"runner: tasks={total} jobs=2 ")
+
+    def test_tasks_start_as_workers_free_up(self, parallel_stderr):
+        # Two workers: two tasks start before the first is done, and
+        # each later task only once another is done.
+        events = [
+            "started" if line.endswith(" started") else "done"
+            for line in parallel_stderr[:-1]
+        ]
+        assert events.index("done") <= 2
+        for end in range(len(events) + 1):
+            starts = events[:end].count("started")
+            assert starts <= 2 + events[:end].count("done")
 
     def test_optimize_via_runner_matches_serial(self, tmp_path):
         _, serial = run_cli("optimize", "Mser", "--scale", "0.1")

@@ -8,7 +8,9 @@ benchmark workloads: the original program of CLOMP, Health, NN and
 OverlapView, and OverlapView's split program under its advised plan,
 simulated once each on its 4-core MESI machine at full scale (under
 2 s for the five). Smaller scales change how the interpreter cuts
-batches.
+batches. No access of these runs takes the list walk: the per-core
+walk cuts OverlapView's halo batches at their accesses to the lines
+two cores share, and only those take ``access()``.
 The memo and row-walk counts come from the original programs behind
 ``table3-single`` (ART, libquantum, TSP and Mser), on the 1-core
 machine at full scale (about 1.5 s for the four, simulated once for
@@ -33,15 +35,16 @@ from repro.workloads import workload_zoo
 #: turns its own caches into lists at that batch and walks them there,
 #: still on the per-core walk. OverlapView's
 #: six stencil batches write only lines private to one core, so they
-#: promote the machine and vector-walk. Its two halo batches write a
-#: line a second core touches, so they take the list walk, and the
-#: first turns every core's caches into lists for good; the last three
-#: batches, write-free, take the per-core walk on those lists.
+#: promote the machine and vector-walk. Each of its two halo batches
+#: writes 4 lines a second core touches: its 8 accesses to them, in a
+#: run at the head of the batch and one at its tail, take ``access()``
+#: (``scalar``), and the per-core walk takes the rest on tag arrays, as
+#: it takes the last three batches, write-free.
 CREDITS = {
     "CLOMP 1.2": {"general_vector": 884_736},
     "Health": {"general_vector": 352_256},
     "NN": {"general_vector": 395_264},
-    "OverlapView": {"general_vector": 213_504, "list": 32_768},
+    "OverlapView": {"general_vector": 246_256, "scalar": 16},
 }
 
 #: Cores that hold list caches at the end of the same runs (the others
@@ -50,7 +53,7 @@ LIST_CORES = {
     "CLOMP 1.2": (),
     "Health": (0, 1, 2, 3),
     "NN": (),
-    "OverlapView": (0, 1, 2, 3),
+    "OverlapView": (),
 }
 
 #: The directory at the end of the same runs: lines held, then
@@ -103,16 +106,18 @@ def test_original_program_walk_paths(name):
 def test_overlapview_split_program_walk_paths():
     # The advised plan puts ``value``, ``hist`` and ``grad`` in three
     # arrays; ``value`` and ``grad`` alternate within each core's
-    # stencil stream, too densely for the chunked walk. Those cores
-    # walk their own list caches, so the six stencil batches stay on
-    # the per-core walk; the halo batches take the list walk, and the
-    # last three batches the per-core walk, as in the original run.
+    # stencil stream, too densely for the chunked walk. Those cores,
+    # all four, walk their own list caches, so the six stencil batches
+    # stay on the per-core walk. The per-core walk cuts each halo batch
+    # at its 32 accesses to the lines two cores share, which take
+    # ``access()``, and takes the last three batches, as in the
+    # original run.
     pytest.importorskip("numpy")
     workload = workload_zoo()["OverlapView"](scale=1.0)
     plan = SplitPlan("cell", (("value",), ("hist",), ("grad",)))
     hierarchy = multicore_run(workload, workload.build_split({"cells": plan}))
     credits = dict.fromkeys(WALK_PATHS, 0)
-    credits.update({"general_vector": 213_504, "list": 32_768})
+    credits.update({"general_vector": 246_208, "scalar": 64})
     assert hierarchy.walk_accesses() == credits
     assert list_cores(hierarchy) == (0, 1, 2, 3)
     assert hierarchy._promoted

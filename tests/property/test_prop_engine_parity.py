@@ -32,7 +32,8 @@ from repro.layout import INT, StructType
 from repro.layout.types import array_of
 from repro.memsim import vectorwalk
 from repro.memsim.engine import simulate
-from repro.memsim.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memsim.coherence import HOLDER_SHIFT
+from repro.memsim.hierarchy import WALK_PATHS, HierarchyConfig, MemoryHierarchy
 from repro.memsim.tlb import TLBConfig
 from repro.program import AccessBatch, Access, Compute, Function, Loop, WorkloadBuilder, affine
 from repro.program.interp import Interpreter
@@ -274,9 +275,9 @@ def parallel_loop(line, body):
 
 class TestMulticoreWalkParity:
     """The 4-core walk's transitions on fixed programs: promotion by a
-    write-free batch, then every core's turn to list caches at a batch
-    that writes lines another core holds, or a core's own turn by a
-    batch in which it re-uses lines too densely for the chunked walk."""
+    write-free batch, then a batch that writes lines another core holds,
+    cut at those writes, or a core's own turn to list caches by a batch
+    in which it re-uses lines too densely for the chunked walk."""
 
     def test_write_batch_after_promoted_write_free_batch(self):
         pytest.importorskip("numpy")
@@ -297,13 +298,14 @@ class TestMulticoreWalkParity:
         counts = hierarchy.walk_accesses()
         # The read loop promotes the machine and vector-walks. Each
         # thread of the write loop writes a line another thread read,
-        # which the directory lists, so the write loop takes the list
-        # walk and turns every core's caches into lists for good; the
-        # re-read takes the per-core walk on those lists.
-        assert counts["general_vector"] == 2 * ELEMENTS
-        assert counts["list"] == ELEMENTS
+        # which the directory lists, so every write of the loop is a
+        # cut access and takes access(); the re-read takes the per-core
+        # walk, every core still on its tag arrays.
+        assert counts == dict.fromkeys(counts, 0) | {
+            "general_vector": 2 * ELEMENTS, "scalar": ELEMENTS,
+        }
         assert hierarchy._promoted
-        assert list_cores(hierarchy) == [0, 1, 2, 3]
+        assert list_cores(hierarchy) == []
         assert hierarchy.invalidations > 0
 
     def test_replay_heavy_body_demotes(self):
@@ -504,11 +506,13 @@ def sparse_share(core, rng, length):
 
 @st.composite
 def core_batches(draw):
-    """``(batches, ending)``: 4-core batches in which each core is
-    dense, sparse or idle, writes only lines of its own region, and
+    """``(batches, ending, dense)``: 4-core batches in which each core
+    is dense, sparse or idle, writes only lines of its own region, and
     whose shares interleave at random; ``ending`` names the batches
-    appended after them (:func:`ending_batches`)."""
+    appended after them (:func:`ending_batches`), and ``dense`` the
+    cores drawn dense in some batch."""
     batches = []
+    dense = set()
     for _ in range(draw(st.integers(1, 4))):
         rng = random.Random(draw(st.integers(0, 2 ** 16)))
         write_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
@@ -518,15 +522,17 @@ def core_batches(draw):
             if kind == "idle":
                 continue
             if kind == "dense":
+                dense.add(core)
                 addresses = dense_share(core, rng, rng.randint(300, 500))
             else:
                 addresses = sparse_share(core, rng, rng.randint(8, 96))
             shares.append(with_writes(addresses, core, rng, write_share))
         batches.append(interleave(shares, rng))
-    ending = draw(st.sampled_from(
-        [(), ("halo",), ("crossing",), ("halo", "crossing")]
-    ))
-    return [batch for batch in batches if batch[0]], ending
+    ending = draw(st.sampled_from([
+        (), ("halo",), ("crossing",), ("halo", "crossing"), ("contended",),
+        ("halo", "crossing", "contended"),
+    ]))
+    return [batch for batch in batches if batch[0]], ending, dense
 
 
 def with_writes(addresses, core, rng, write_share):
@@ -555,14 +561,37 @@ def interleave(shares, rng):
             [core for _, core, _ in rows])
 
 
+#: Cut accesses of each cut ending batch: a halo batch's reads and
+#: writes of each region's first line, and the crossing batch's one
+#: line-crossing access.
+ENDING_CUTS = {"halo": 2 * CORES, "crossing": 1}
+
+
 def ending_batches(ending):
-    """A halo batch, in which each core writes the first line of the
-    next core's region and reads the shared region, and a batch with a
-    line-crossing access: the per-core walk refuses each, and every
-    core turns to list caches for good."""
+    """A halo batch, in which each core reads its region and then
+    writes the first line of the next core's, a batch with a
+    line-crossing access, and a contended batch: the per-core walk cuts
+    the first two at their :data:`ENDING_CUTS` accesses. The contended
+    batch repeats the halo's exchange ``CUT_CAP + 1`` times, a line of
+    a core's own region between each core's read and write, so its cut
+    accesses form too many runs: it takes the list walk, and every core
+    turns to list caches for good."""
     batches = []
     for kind in ending:
         addresses, is_write, thread = [], [], []
+        if kind == "contended":
+            for k in range(vectorwalk.CUT_CAP + 1):
+                core = k % CORES
+                addresses += [
+                    own_line(core, 0), own_line(core, 1 + k % 7),
+                    own_line((core + 1) % CORES, 0),
+                ]
+                is_write += [0, 0, 1]
+                thread += [core] * 3
+            batches.append(
+                (addresses, [4] * len(addresses), is_write, thread)
+            )
+            continue
         for core in range(CORES):
             for k in range(8):
                 addresses.append(own_line(core, k))
@@ -617,13 +646,28 @@ def check_core_batches(batches, replacement):
     return hierarchy
 
 
+def ending_credits(ending):
+    """``walk_accesses`` credits of :func:`ending_batches`: the list
+    walk takes the contended batch, the per-core walk the others but
+    their cut accesses, which take ``access()``."""
+    counts = dict.fromkeys(WALK_PATHS, 0)
+    for kind, batch in zip(ending, ending_batches(ending)):
+        if kind == "contended":
+            counts["list"] += len(batch[0])
+        else:
+            counts["general_vector"] += len(batch[0]) - ENDING_CUTS[kind]
+            counts["scalar"] += ENDING_CUTS[kind]
+    return counts
+
+
 class TestDenseCoreParity:
     """On the 4-core machine a dense core walks its own list caches
-    while the others cascade on tag arrays; every batch, the refused
-    batch that turns a machine whose cores mix the two to list caches,
-    and the batches the per-core walk then takes on those lists match
-    per-access ``access()``: latencies, each core's L1/L2 contents and
-    counters, the L3, and every directory word."""
+    while the others cascade on tag arrays; every batch, the halo and
+    line-crossing batches the per-core walk cuts, which leave each core
+    as it was, the contended batch the list walk takes, which turns
+    every core to list caches, and the batches the per-core walk then
+    takes match per-access ``access()``: latencies, each core's L1/L2
+    contents and counters, the L3, and every directory word."""
 
     @given(core_batches(), st.sampled_from(["lru", "fifo"]))
     @settings(deadline=None, max_examples=40)
@@ -631,16 +675,20 @@ class TestDenseCoreParity:
         self, drawn, replacement
     ):
         pytest.importorskip("numpy")
-        batches, ending = drawn
+        batches, ending, dense = drawn
         refused = ending_batches(ending)
         after = routed_after_ending(batches) if ending else []
         hierarchy = check_core_batches(batches + refused + after, replacement)
-        counts = hierarchy.walk_accesses()
-        assert counts["list"] + counts["scalar"] == accesses(refused)
-        assert counts["general_vector"] == accesses(batches + after)
-        assert hierarchy._promoted == bool(batches)
-        if ending:
+        counts = ending_credits(ending)
+        counts["general_vector"] += accesses(batches + after)
+        assert hierarchy.walk_accesses() == counts
+        assert hierarchy._promoted == bool(batches or set(ending) - {
+            "contended"
+        })
+        if "contended" in ending and hierarchy._promoted:
             assert list_cores(hierarchy) == [0, 1, 2, 3]
+        else:
+            assert set(list_cores(hierarchy)) <= dense
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo"])
     def test_dense_core_then_halo_then_crossing(self, replacement):
@@ -661,16 +709,201 @@ class TestDenseCoreParity:
             batches
         )
         after = routed_after_ending(batches)
-        for ending in [("halo",), ("crossing",), ("halo", "crossing")]:
+        for ending in [("halo",), ("crossing",), ("halo", "crossing"),
+                       ("contended",)]:
             refused = ending_batches(ending)
             hierarchy = check_core_batches(
                 batches + refused + after, replacement
             )
             assert hierarchy._promoted
-            assert list_cores(hierarchy) == [0, 1, 2, 3]
-            counts = hierarchy.walk_accesses()
-            assert counts["list"] + counts["scalar"] == accesses(refused)
-            assert counts["general_vector"] == accesses(batches + after)
+            assert list_cores(hierarchy) == (
+                [0, 1, 2, 3] if "contended" in ending else [1, 3]
+            )
+            counts = ending_credits(ending)
+            counts["general_vector"] += accesses(batches + after)
+            assert hierarchy.walk_accesses() == counts
+
+
+#: Line stride between the lines of one set of the small geometry's L2
+#: (and so of one set of its L1): 32 sets of 64-byte lines.
+L2_SET_STRIDE = 32 * 64
+
+
+def contested_line(k):
+    """Byte address of the ``k``-th line (of 8) that any core may read
+    or write: four L2 sets, two lines each."""
+    return L2_SET_STRIDE * (k // 4) + 64 * (k % 4)
+
+
+def handed_line(k):
+    """Byte address of the ``k``-th line (of 8) one core reads and writes
+    per batch, a different core each batch."""
+    return L2_SET_STRIDE * (2 + k // 4) + 64 * (k % 4)
+
+
+def region_line(core, k):
+    """Byte address of line ``k`` (of 32) of ``core``'s own region, in
+    the same four L2 sets as the lines above, so that a core's own
+    accesses evict them and leave the directory listing a stale
+    holder."""
+    return ((core + 1) << 20) + L2_SET_STRIDE * (k // 4) + 64 * (k % 4)
+
+
+@st.composite
+def contested_batches(draw):
+    """``(cores, batches)``: batches of a 2-4-core machine whose private
+    accesses to each core's own region mix with the four kinds of
+    access the per-core walk cuts at or around: writes of lines another
+    core touches, reads of a line another core writes, writes of lines
+    whose holder in the directory is another core's stale copy (the
+    handed lines pass to a new core every batch) and line-crossing
+    accesses."""
+    cores = draw(st.integers(2, 4))
+    batches = []
+    for b in range(draw(st.integers(1, 4))):
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        share = draw(st.sampled_from([0.02, 0.1, 0.5]))
+        handler = b % cores
+        addresses, sizes, is_write, thread = [], [], [], []
+        for _ in range(draw(st.integers(1, 300))):
+            core = rng.randrange(cores)
+            kind = rng.randrange(4) if rng.random() < share else None
+            write = rng.random() < 0.3
+            if kind is None:
+                address = region_line(core, rng.randrange(32))
+            elif kind == 0:
+                address, write = contested_line(rng.randrange(8)), True
+            elif kind == 1:
+                address, write = contested_line(rng.randrange(8)), False
+            elif kind == 2:
+                address, core = handed_line(rng.randrange(8)), handler
+            else:
+                address = rng.choice([
+                    region_line(core, rng.randrange(32)),
+                    contested_line(rng.randrange(8)),
+                ])
+            crossing = kind == 3
+            addresses.append(address + (60 if crossing else 8 * (_ % 8)))
+            sizes.append(8 if crossing else 4)
+            is_write.append(int(write))
+            thread.append(core)
+        batches.append((addresses, sizes, is_write, thread))
+    return cores, batches
+
+
+def cut_walk_credits(reference, batch):
+    """The ``walk_accesses`` credits ``batch`` earns on a machine in the
+    state of ``reference`` (which has not walked it), worked out access
+    by access: its cut accesses are the line-crossing ones and those to
+    a line a single-line access writes that another core touches, that
+    a line-crossing access touches, or whose directory word lists
+    another core. Cut accesses in more than ``CUT_CAP`` runs send the
+    batch to the list walk."""
+    addresses, sizes, is_write, thread = batch
+    spans = [(a >> 6, (a + s - 1) >> 6) for a, s in zip(addresses, sizes)]
+    writers = {}
+    for (first, last), write, core in zip(spans, is_write, thread):
+        if write and first == last:
+            writers.setdefault(first, set()).add(core)
+    words = reference.directory._lines
+    contested = {
+        line for line, cores in writers.items()
+        if len(cores) > 1
+        or words.get(line, 0) >> HOLDER_SHIFT & ~(1 << min(cores))
+    }
+    for (first, last), core in zip(spans, thread):
+        for line in {first, last}:
+            if line in writers and (first != last or core not in writers[line]):
+                contested.add(line)
+    cut = [first != last or first in contested for first, last in spans]
+    runs = sum(1 for k, one in enumerate(cut) if one and not (k and cut[k - 1]))
+    crossing = sum(first != last for first, last in spans)
+    counts = dict.fromkeys(WALK_PATHS, 0)
+    if runs > vectorwalk.CUT_CAP:
+        counts.update(list=len(cut) - crossing, scalar=crossing)
+    else:
+        counts.update(general_vector=len(cut) - sum(cut), scalar=sum(cut))
+    return counts
+
+
+class TestCutWalkParity:
+    """The per-core walk cuts a multi-core batch at its contested and
+    line-crossing accesses, which take ``access()``, and walks the
+    segments between them; every batch matches per-access ``access()``
+    on latencies, every core's L1/L2 contents and counters, the L3,
+    every directory word, the directory's stats and the DRAM count, and
+    earns the credits the cut accesses it holds predict."""
+
+    @given(contested_batches(), st.sampled_from(["lru", "fifo"]))
+    @settings(deadline=None, max_examples=60)
+    def test_cut_batches_are_exact(self, drawn, replacement):
+        pytest.importorskip("numpy")
+        cores, batches = drawn
+        config = dataclasses.replace(
+            HierarchyConfig.small(), replacement=replacement
+        )
+        reference = MemoryHierarchy(config, cores)
+        hierarchy = MemoryHierarchy(config, cores)
+        listed = False
+        for addresses, sizes, is_write, thread in batches:
+            credits = cut_walk_credits(
+                reference, (addresses, sizes, is_write, thread)
+            )
+            expected = [
+                reference.access(t, a, s, bool(w))
+                for a, s, w, t in zip(addresses, sizes, is_write, thread)
+            ]
+            before = hierarchy.walk_accesses()
+            got = hierarchy.access_batch(addresses, sizes, is_write, thread)
+            assert list(got) == expected
+            assert machine_state(hierarchy) == machine_state(reference)
+            after = hierarchy.walk_accesses()
+            assert {
+                path: after[path] - before[path] for path in after
+            } == credits
+            listed = listed or (credits["list"] and hierarchy._promoted)
+        if listed:
+            assert list_cores(hierarchy) == list(range(cores))
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_too_many_cut_runs_take_the_list_walk(self, cores):
+        # A promoted machine: a batch cut once, then one whose cores
+        # take turns writing one line, each turn after a read of a line
+        # of its own, CUT_CAP + 1 times. The second takes the list walk
+        # and turns every core's caches into lists.
+        pytest.importorskip("numpy")
+        config = HierarchyConfig.small()
+        shared = ([0, 0, 64], [4] * 3, [1, 0, 0], [0, 1, 0])
+        turns = vectorwalk.CUT_CAP + 1
+        addresses, is_write, thread = [], [], []
+        for k in range(turns):
+            core = k % cores
+            addresses += [region_line(core, k % 32), 8]
+            is_write += [0, 1]
+            thread += [core, core]
+        contended = (addresses, [4] * len(addresses), is_write, thread)
+        reference = MemoryHierarchy(config, cores)
+        hierarchy = MemoryHierarchy(config, cores)
+        for batch, credits in (
+            (shared, {"general_vector": 1, "scalar": 2}),
+            (contended, {"list": 2 * turns}),
+        ):
+            assert cut_walk_credits(reference, batch) == dict.fromkeys(
+                WALK_PATHS, 0
+            ) | credits
+            addresses, sizes, is_write, thread = batch
+            expected = [
+                reference.access(t, a, s, bool(w))
+                for a, s, w, t in zip(addresses, sizes, is_write, thread)
+            ]
+            got = hierarchy.access_batch(addresses, sizes, is_write, thread)
+            assert list(got) == expected
+            assert machine_state(hierarchy) == machine_state(reference)
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == list(range(cores))
+        assert hierarchy.walk_accesses() == dict.fromkeys(WALK_PATHS, 0) | {
+            "general_vector": 1, "scalar": 2, "list": 2 * turns,
+        }
 
 
 def profile_state(collector):

@@ -315,7 +315,7 @@ class TestHierarchyBatch:
                 l1_hits += 1
         hierarchy = MemoryHierarchy(config, num_cores)
         got = hierarchy.access_batch(addresses, sizes, writes, threads)
-        assert got == expected
+        assert list(got) == expected
         assert machine_state(hierarchy) == machine_state(reference)
         return hierarchy, l1_hits
 
@@ -336,9 +336,19 @@ class TestHierarchyBatch:
 
     def test_batch_covers_multicore_coherence(self):
         # Two cores with the MESI directory engaged: the write and
-        # thread columns must reach the directory in trace order.
+        # thread columns must reach the directory in trace order. With
+        # numpy the per-core walk cuts the batch at its line-crossing
+        # access and at its 13 accesses to written lines both cores
+        # touch, which take access(); without it the list walk takes
+        # every single-line access.
         hierarchy, _ = self.run_general_parity(HierarchyConfig(), 2)
-        assert hierarchy.walk_accesses()["scalar"] == 1
+        credits = dict.fromkeys(WALK_PATHS, 0)
+        if vectorwalk.HAVE_NUMPY:
+            credits.update(general_vector=100, scalar=14)
+        else:
+            credits.update(list=113, scalar=1)
+        assert hierarchy.walk_accesses() == credits
+        assert hierarchy.invalidations == 2
 
     def test_batch_covers_prefetcher(self):
         self.check_hand_offs(HierarchyConfig(prefetch_degree=2))
@@ -538,10 +548,12 @@ class TestVectorWalk:
 
 
 class TestMulticoreWalk:
-    """The 4-core machine without prefetcher or TLB: the inlined list
-    walk, the per-core vector walk of batches whose written lines are
-    private to one core, and the transitions between them, each against
-    per-access ``access()``."""
+    """The 4-core machine without prefetcher or TLB: the per-core vector
+    walk, which cuts a batch at its line-crossing accesses and its
+    accesses to written lines that are not private to one core, the
+    inlined list walk of a batch whose cut accesses form too many runs,
+    and the transitions between them, each against per-access
+    ``access()``."""
 
     CORES = 4
 
@@ -570,6 +582,29 @@ class TestMulticoreWalk:
         addresses[middle], sizes[middle] = 60, 8
         return addresses, sizes, is_write, thread
 
+    def crossings(self):
+        """:meth:`columns` twice over, with every other access line-
+        crossing until its cut accesses form ``CUT_CAP + 1`` runs."""
+        addresses, sizes, is_write, thread = (
+            column * 2 for column in self.columns()
+        )
+        for k in range(0, 2 * vectorwalk.CUT_CAP + 1, 2):
+            addresses[k] += 60
+            sizes[k] = 8
+        return addresses, sizes, is_write, thread
+
+    def ping_pong(self):
+        """Cores 0 and 1 take turns writing line 0, each turn after a
+        read of a line of its own: ``CUT_CAP + 1`` runs of cut
+        accesses."""
+        addresses, is_write, thread = [], [], []
+        for k in range(vectorwalk.CUT_CAP + 1):
+            core = k % 2
+            addresses += [4096 * (k + 1) + 64 * core, 8]
+            is_write += [0, 1]
+            thread += [core, core]
+        return addresses, [4] * len(addresses), is_write, thread
+
     def check(self, batches, config=None):
         """Walk ``batches`` batched and per access; returns the batched
         hierarchy after asserting latencies and state are identical."""
@@ -587,13 +622,45 @@ class TestMulticoreWalk:
         return hierarchy
 
     def test_list_walk_with_writes_matches_scalar(self):
-        hierarchy = self.check([self.columns(writes=True)] * 2)
+        # Too many runs of cut accesses for the per-core walk: the list
+        # walk takes both batches, and the machine stays unpromoted.
+        batch = self.ping_pong()
+        hierarchy = self.check([batch] * 2)
         assert not hierarchy._promoted
+        assert hierarchy.walk_accesses() == self.paths(
+            list=2 * len(batch[0])
+        )
         assert hierarchy.invalidations > 0
+
+    def test_cut_walk_with_writes_matches_scalar(self):
+        # Every fifth access writes, and cores share lines: each batch
+        # is cut at its 12 accesses to written lines two cores touch,
+        # which take access() and purge remote copies in trace order,
+        # and the per-core walk takes the rest on tag arrays.
+        pytest.importorskip("numpy")
+        batch = self.columns(writes=True)
+        hierarchy = self.check([batch] * 2)
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == []
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=2 * (len(batch[0]) - 12), scalar=2 * 12
+        )
+        assert hierarchy.invalidations == 7
 
     def test_line_crossing_accesses_take_access(self):
         hierarchy = self.check([self.crossing(), self.crossing(writes=True)])
-        assert hierarchy.walk_accesses()["scalar"] == 2
+        n = len(self.columns()[0])
+        if vectorwalk.HAVE_NUMPY:
+            # The per-core walk cuts each batch at its line-crossing
+            # access, and the second also at 12 accesses to written
+            # lines two cores touch.
+            assert hierarchy.walk_accesses() == self.paths(
+                general_vector=2 * n - 14, scalar=14
+            )
+        else:
+            assert hierarchy.walk_accesses() == self.paths(
+                list=2 * n - 2, scalar=2
+            )
 
     def test_write_free_batches_vector_walk_each_core(self):
         pytest.importorskip("numpy")
@@ -722,31 +789,66 @@ class TestMulticoreWalk:
         assert hierarchy.directory.state(0, 0) == "M"
         assert hierarchy.directory.stats.upgrades == 0
 
-    @pytest.mark.parametrize("promoted", [False, True])
-    def test_written_line_read_by_another_core_lists_the_batch(
-        self, promoted
-    ):
-        pytest.importorskip("numpy")
+    def read_written_line(self):
+        """:meth:`private_writes` in which core 1 then reads a line that
+        core 0 writes."""
         addresses, sizes, is_write, thread = self.private_writes()
-        # Core 1 reads a line core 0 writes.
         addresses.append(8)
         sizes.append(4)
         is_write.append(0)
         thread.append(1)
-        shared = (addresses, sizes, is_write, thread)
+        return addresses, sizes, is_write, thread
+
+    @pytest.mark.parametrize("promoted", [False, True])
+    def test_written_line_read_by_another_core_cuts_the_batch(
+        self, promoted
+    ):
+        # Core 0's two writes of the line and core 1's read of it take
+        # access(), after the per-core walk of the accesses before them.
+        pytest.importorskip("numpy")
+        shared = self.read_written_line()
         # A one-access read of a line far away promotes the machine.
         far = ([1 << 22], [4], [0], [2])
         batches = ([far] if promoted else []) + [shared]
         hierarchy = self.check(batches)
-        assert hierarchy.walk_accesses()["list"] == len(addresses)
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=len(shared[0]) - 3 + promoted, scalar=3
+        )
+        assert hierarchy._promoted
+        assert list_cores(hierarchy) == []
+
+    @pytest.mark.parametrize("promoted", [False, True])
+    def test_written_line_read_by_another_core_lists_the_batch(
+        self, promoted
+    ):
+        # The same batch, then CUT_CAP turns of core 0 writing the line
+        # and core 1 reading it, each turn before a read of core 2's:
+        # the cut accesses form more than CUT_CAP runs, so the list walk
+        # takes the batch, and a promoted machine turns every core to
+        # list caches.
+        pytest.importorskip("numpy")
+        addresses, sizes, is_write, thread = self.read_written_line()
+        for k in range(vectorwalk.CUT_CAP):
+            addresses += [8, 8, (1 << 21) + 64 * k]
+            sizes += [4, 4, 4]
+            is_write += [1, 0, 0]
+            thread += [0, 1, 2]
+        shared = (addresses, sizes, is_write, thread)
+        far = ([1 << 22], [4], [0], [2])
+        batches = ([far] if promoted else []) + [shared]
+        hierarchy = self.check(batches)
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=int(promoted), list=len(addresses)
+        )
         assert hierarchy._promoted == promoted
         assert list_cores(hierarchy) == [0, 1, 2, 3]
 
-    def test_stale_remote_holder_lists_the_batch(self):
+    def test_stale_remote_holder_cuts_the_batch(self):
         # Core 1 reads line 0 and evicts it from its L1 and L2, but the
         # directory still lists it. Core 0's write of line 0 in the
-        # next batch touches no other core's line, yet takes the list
-        # walk: the scalar walk counts the purge of the stale holder.
+        # next batch touches no other core's line, yet takes access():
+        # the scalar walk counts the purge of the stale holder. Its
+        # write of line 1 stays on the per-core walk.
         pytest.importorskip("numpy")
         stride = HierarchyConfig().l2.size_bytes // HierarchyConfig().l2.ways
         addresses = [stride * k for k in range(9)]
@@ -754,10 +856,10 @@ class TestMulticoreWalk:
         read = (addresses, [4] * n, [0] * n, [1] * n)
         write = ([0, 64], [4, 4], [1, 1], [0, 0])
         hierarchy = self.check([read, write])
-        counts = hierarchy.walk_accesses()
-        assert counts["general_vector"] == n
-        assert counts["list"] == 2
-        assert list_cores(hierarchy) == [0, 1, 2, 3]
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=n + 1, scalar=1
+        )
+        assert list_cores(hierarchy) == []
         assert hierarchy.invalidations == 1
 
     def halo(self):
@@ -772,37 +874,39 @@ class TestMulticoreWalk:
             thread.append(core)
         return addresses, sizes, is_write, thread
 
-    def test_halo_batch_after_promotion_demotes_exactly(self):
-        # The halo batch turns every core's caches into lists. The
-        # private batch after it writes each core's first own line,
-        # which the directory now lists with the previous core, so it
-        # takes the list walk too.
+    def test_halo_batch_after_promotion_cuts_exactly(self):
+        # The halo batch is cut at its 12 accesses to each core's first
+        # own line: each core's two writes of its own and its write of
+        # the next core's. The private batch after it writes each
+        # core's first own line, which the directory now lists with
+        # the previous core, so it is cut at those 8 accesses. No core
+        # leaves its tag arrays.
         pytest.importorskip("numpy")
         halo = self.halo()
         private = self.private_writes()
         hierarchy = self.check([private, halo, private])
-        assert list_cores(hierarchy) == [0, 1, 2, 3]
-        counts = hierarchy.walk_accesses()
-        assert counts["general_vector"] == len(private[0])
-        assert counts["list"] == len(halo[0]) + len(private[0])
-        assert hierarchy.invalidations > 0
+        assert list_cores(hierarchy) == []
+        n = len(private[0])
+        assert hierarchy.walk_accesses() == self.paths(
+            general_vector=n + len(halo[0]) - 12 + n - 8, scalar=12 + 8
+        )
+        assert hierarchy.invalidations == 8
 
-    def test_batches_after_a_halo_batch_walk_list_cores(self):
-        # A promoted machine walks a halo batch on the list walk, which
-        # turns every core's caches into lists for good. The per-core
-        # walk then takes a write-free batch and a batch whose written
-        # lines, away from the halo's, stay private, on those lists.
+    def test_batches_after_a_halo_batch_walk_tag_arrays(self):
+        # The per-core walk cuts a halo batch and leaves every core on
+        # its tag arrays, where it then takes a write-free batch and a
+        # batch whose written lines, away from the halo's, stay private.
         pytest.importorskip("numpy")
         halo = self.halo()
         after = [self.columns(), self.private_writes(base=1 << 21)]
         hierarchy = self.check([self.private_writes(), halo] + after)
         assert hierarchy._promoted
-        assert list_cores(hierarchy) == [0, 1, 2, 3]
+        assert list_cores(hierarchy) == []
         assert hierarchy.walk_accesses() == self.paths(
             general_vector=len(self.private_writes()[0]) + sum(
                 len(batch[0]) for batch in after
-            ),
-            list=len(halo[0]),
+            ) + len(halo[0]) - 12,
+            scalar=12,
         )
 
     def test_machine_too_wide_for_int64_holder_bits_lists(self):
@@ -827,23 +931,30 @@ class TestMulticoreWalk:
         assert hierarchy.walk_accesses()["list"] == 2 * n
 
     def test_write_batch_after_promotion_demotes_exactly(self):
-        # The write batch turns every core's caches into lists; the
+        # The list walk takes a write batch with too many runs of cut
+        # accesses and turns every core's caches into lists; the
         # write-free batch after it walks them on the per-core walk.
         pytest.importorskip("numpy")
-        hierarchy = self.check(
-            [self.columns(), self.columns(writes=True), self.columns()]
-        )
+        ping_pong = self.ping_pong()
+        hierarchy = self.check([self.columns(), ping_pong, self.columns()])
         assert list_cores(hierarchy) == [0, 1, 2, 3]
         n = len(self.columns()[0])
         assert hierarchy.walk_accesses() == self.paths(
-            general_vector=2 * n, list=n
+            general_vector=2 * n, list=len(ping_pong[0])
         )
 
     def test_line_crossing_batch_after_promotion_demotes_exactly(self):
+        # One line-crossing access cuts the batch; CUT_CAP + 1 runs of
+        # them send it to the list walk, and every core to lists.
         pytest.importorskip("numpy")
         hierarchy = self.check([self.columns(), self.crossing()])
+        assert list_cores(hierarchy) == []
+        hierarchy = self.check([self.columns(), self.crossings()])
         assert hierarchy._promoted
         assert list_cores(hierarchy) == [0, 1, 2, 3]
+        assert hierarchy.walk_accesses()["list"] == (
+            len(self.crossings()[0]) - vectorwalk.CUT_CAP - 1
+        )
 
     def test_machine_without_numpy_walks_lists(self, monkeypatch):
         monkeypatch.setattr(vectorwalk, "HAVE_NUMPY", False)
@@ -910,9 +1021,11 @@ class TestMulticoreWalk:
     def test_dense_batch_after_promotion_demotes_exactly(self, monkeypatch):
         # The dense core's tag arrays turn to lists mid-run, exactly:
         # the batch after it walks that core on lists, the others on
-        # tag arrays. A halo batch (a written line two cores touch) or
-        # a line-crossing batch then turns the mixed machine's other
-        # cores to lists too.
+        # tag arrays. The per-core walk then cuts a batch that writes
+        # lines two cores touch, or one with a line-crossing access, and
+        # the mixed machine stays as it is; a batch with too many runs
+        # of cut accesses takes the list walk and turns the other cores
+        # to lists too.
         pytest.importorskip("numpy")
         calls = spy_row_walk(monkeypatch)
         batches = [self.columns(), self.dense(), self.columns()]
@@ -922,14 +1035,20 @@ class TestMulticoreWalk:
         walked = sum(len(batch[0]) for batch in batches)
         assert hierarchy.walk_accesses() == self.paths(general_vector=walked)
         assert calls == []
-        halo = self.columns(writes=True)
-        for after in ([halo], [self.crossing()]):
-            hierarchy = self.check(batches + after)
+        for after, cut in ((self.columns(writes=True), 26),
+                           (self.crossing(), 1)):
+            hierarchy = self.check(batches + [after])
+            assert list_cores(hierarchy) == [3]
+            assert hierarchy.walk_accesses() == self.paths(
+                general_vector=walked + len(after[0]) - cut, scalar=cut
+            )
+        for after in (self.ping_pong(), self.crossings()):
+            hierarchy = self.check(batches + [after])
             assert hierarchy._promoted
             assert list_cores(hierarchy) == [0, 1, 2, 3]
             counts = hierarchy.walk_accesses()
             assert counts["general_vector"] == walked
-            assert counts["list"] + counts["scalar"] == len(after[0][0])
+            assert counts["list"] + counts["scalar"] == len(after[0])
 
     def test_scalar_access_works_after_promotion(self):
         pytest.importorskip("numpy")
@@ -982,13 +1101,18 @@ class TestWalkPaths:
             counts = self.simulate(config, cores, items, vector)
             assert counts[path] > 0, (path, counts)
 
+    @staticmethod
+    def two_core_path():
+        """The path that takes a 2-core batch's single-line accesses:
+        the per-core walk, or without numpy the list walk."""
+        return "general_vector" if vectorwalk.HAVE_NUMPY else "list"
+
     def test_line_crossing_accesses_count_as_scalar(self):
         hierarchy = MemoryHierarchy(HierarchyConfig(), 2)
         hierarchy.access_batch([0, 60, 128], [4, 8, 4], [0, 0, 0], [0, 1, 0])
-        assert hierarchy.walk_accesses() == {
-            "vector": 0, "memo": 0, "list": 2, "general_vector": 0,
-            "scalar": 1,
-        }
+        credits = dict.fromkeys(WALK_PATHS, 0)
+        credits.update({self.two_core_path(): 2, "scalar": 1})
+        assert hierarchy.walk_accesses() == credits
 
     def test_exported_per_path(self):
         from repro.telemetry import MetricsRegistry
@@ -1004,7 +1128,7 @@ class TestWalkPaths:
             for path in WALK_PATHS
         }
         assert exported == hierarchy.walk_accesses()
-        assert exported["list"] == 2
+        assert exported[self.two_core_path()] == 2
 
 
     def test_batches_and_seconds_exported_per_path(self):
@@ -1024,8 +1148,9 @@ class TestWalkPaths:
         for _ in range(3):
             untimed.access_batch(addresses, [4, 8, 4], [0, 0, 0], [0, 1, 0])
         batches = exported("repro_memsim_walk_batches_total", untimed)
+        path = self.two_core_path()
         assert batches == {
-            "vector": 0, "memo": 0, "list": 3, "general_vector": 0,
+            "vector": 0, "memo": 0, "list": 0, "general_vector": 0, path: 3,
         }
         # Timing happens only inside a telemetry session.
         assert set(
@@ -1035,8 +1160,8 @@ class TestWalkPaths:
         with telemetry.session():
             timed.access_batch(addresses, [4, 8, 4], [0, 0, 0], [0, 1, 0])
         seconds = exported("repro_memsim_walk_seconds_total", timed)
-        assert seconds["list"] > 0.0
-        assert sum(seconds.values()) == seconds["list"]
+        assert seconds[path] > 0.0
+        assert sum(seconds.values()) == seconds[path]
 
     def test_promoted_single_core_never_credits_the_list_walk(self):
         # Dense-reuse batches no longer demote the single-core machine:

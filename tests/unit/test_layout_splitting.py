@@ -98,8 +98,3 @@ class TestApplySplit:
         layout = apply_split(F1_NEURON, plan)
         sizes = [st.size for st in layout.structs]
         assert sizes == [8, 16, 16, 8, 8, 8]
-
-    def test_c_declarations_render_all_structs(self):
-        layout = apply_split(TREE, maximal_plan(TREE))
-        decls = layout.c_declarations()
-        assert decls.count("struct ") == len(TREE.field_names)
