@@ -17,6 +17,7 @@ execute nothing and record only a ``cache-hit`` span.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -84,6 +85,19 @@ def _worker(payload: Tuple[TaskSpec, bool]):
     return record, captured, seconds
 
 
+def _pool_init() -> None:
+    """Give a pool worker SIGTERM's default action.
+
+    A worker forked inside the CLI inherits its flight-recorder handler.
+    Python runs a handler only between bytecodes, so a SIGTERM from
+    ``Pool.terminate()`` that lands just before an idle worker blocks on
+    the task queue's lock (which ``terminate`` holds) is never acted on,
+    and the pool's join waits for that worker forever. The default
+    action ends the worker in the kernel, wherever it is.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _pool_worker(payload: Tuple[TaskSpec, bool]):
     """:func:`_worker` in a pool process, publishing to no event bus:
     a worker forked from a parent with a live bus would write its own
@@ -136,7 +150,7 @@ def _executed(todo: Sequence[TaskSpec], workers: int, bus: events.AnyBus):
         for seq, spec in enumerate(todo[:workers], 1):
             _publish_start(bus, spec, seq, len(todo), workers)
         context = multiprocessing.get_context()
-        with context.Pool(workers) as pool:
+        with context.Pool(workers, initializer=_pool_init) as pool:
             yield _paced(
                 pool.imap(_pool_worker, [(spec, capture) for spec in todo]),
                 todo, workers, bus,

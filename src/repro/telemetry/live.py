@@ -322,9 +322,10 @@ def crash_dump_scope(
     previous: Dict[int, object] = {}
 
     def _bail(reason: str, code: int):
-        # Forked pool workers inherit this handler; a worker reaped by
-        # Pool.terminate() must die quietly, not dump the parent's ring
-        # from its own copy of the scope.
+        # Forked pool workers inherit this handler until their
+        # initializer restores the default action; one reaped by
+        # Pool.terminate() before then must die quietly, not dump the
+        # parent's ring from its own copy of the scope.
         if os.getpid() == owner_pid:
             recorder.dump(out, reason=reason)
         raise SystemExit(code)

@@ -1,6 +1,7 @@
 """Unit tests for the parallel experiment runner and its result cache."""
 
 import json
+import signal
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.runner import (
     run_tasks,
 )
 from repro.runner import tasks as runner_tasks
-from repro.telemetry import events
+from repro.telemetry import events, live
 
 
 @pytest.fixture
@@ -153,3 +154,21 @@ class TestRunTasks:
         assert all(isinstance(f["seconds"], float) for f in finishes)
         starts = [e.data for e in seen if e.type == "task-start"]
         assert {e["workers"] for e in starts + finishes} == {2}
+
+    def test_pool_workers_take_sigterm_default_action(self, tmp_path):
+        # Workers forked under the CLI's flight-recorder SIGTERM handler
+        # restore the default action, so Pool.terminate() ends each one
+        # in the kernel even when it is about to block on a queue lock.
+        register_task_kind("sigterm-test", lambda spec: {
+            "default": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        })
+        specs = [TaskSpec(kind="sigterm-test", name=str(k)) for k in range(2)]
+        try:
+            with live.crash_dump_scope(
+                live.FlightRecorder(), tmp_path / "flightrec.json"
+            ):
+                assert signal.getsignal(signal.SIGTERM) != signal.SIG_DFL
+                records = run_tasks(specs, runner=Runner(jobs=2))
+        finally:
+            runner_tasks._EXECUTORS.pop("sigterm-test", None)
+        assert records == [{"default": True}] * 2
